@@ -20,8 +20,8 @@ from .scores import CountingScoreModel, GaussianMixtureScore, default_mixture
 from .solvers import SolveTrace, lms_step, pc_step, solve, ss_step
 from .teachers import (Dataset, TeacherConfig, TrainRecord, generate_dataset,
                        load_dataset, save_dataset, teacher_solve)
-from .training import (TrainConfig, TrainResult, evaluate, project_ball,
-                       train_joint, train_s4s, train_s4s_alt, train_schedule_only)
+from .training import (TrainConfig, TrainResult, evaluate, evaluation_reference,
+                       project_ball, train_joint, train_s4s, train_s4s_alt, train_schedule_only)
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,7 @@ __all__ = [
     "SolveTrace", "lms_step", "pc_step", "solve", "ss_step",
     "Dataset", "TeacherConfig", "TrainRecord", "generate_dataset",
     "load_dataset", "save_dataset", "teacher_solve",
-    "TrainConfig", "TrainResult", "evaluate", "project_ball",
+    "TrainConfig", "TrainResult", "evaluate", "evaluation_reference", "project_ball",
     "train_joint", "train_s4s", "train_s4s_alt", "train_schedule_only",
     "__version__",
 ]

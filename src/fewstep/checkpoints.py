@@ -16,6 +16,7 @@ import numpy as np
 from .coeffs import SolverCoefficients
 from .errors import CompatibilityError
 from .grids import LearnableTimeParams
+from .teachers import _write_atomic
 
 _MAGIC = b"FSTCKPT1"
 CHECKPOINT_VERSION = 1
@@ -49,12 +50,8 @@ def save_checkpoint(path, coeffs: SolverCoefficients, config_hash: str,
         arrays.append(("x_prime", snap))
     header["arrays"] = [{"name": name, "size": int(arr.size)} for name, arr in arrays]
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for _, arr in arrays:
-            fh.write(arr.tobytes())
+    _write_atomic(path, b"".join([_MAGIC, struct.pack("<I", len(blob)), blob]
+                                 + [arr.tobytes() for _, arr in arrays]))
 
 
 def load_checkpoint(path, expected_hash: str | None = None, force: bool = False):

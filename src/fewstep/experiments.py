@@ -2,10 +2,17 @@
 
 A cell is one (schedule, solver, NFE, mode) combination run end to end:
 build the problem, reuse or generate the teacher dataset, train if the mode
-asks for it, then evaluate on fresh noise against the teacher.  Cells are
-isolated jobs writing their own JSON result files, so sweeps resume by
-skipping cells whose files exist; aggregation just collects rows into one
-CSV.  Cell failures are recorded in place and never abort the sweep.
+asks for it, then evaluate on fresh noise against the teacher's reference
+solution of that noise.  A sweep runs its cells in the calling process, or
+in a process pool when ``workers > 1``, and writes one JSON result file per
+cell under ``<out>/cells``; it resumes by skipping cells whose files parse
+and re-running the rest.  ``<out>/datasets`` caches the teacher's training
+datasets and evaluation references, so each is solved once per sweep and
+reused by every cell, worker and resume that needs it.  Every file is
+written atomically (temporary file, then rename), so a killed run never
+leaves a half-written artifact behind under its final name.  Aggregation
+collects the rows into one CSV.  Cell failures are recorded in place and
+never abort the sweep.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import time
@@ -22,14 +30,15 @@ from pathlib import Path
 import numpy as np
 
 from .coeffs import init_preset
-from .configs import (ExperimentConfig, build_grid, build_model, build_schedule,
-                      build_teacher, config_to_dict)
+from .configs import (ExperimentConfig, build_model, build_schedule, build_teacher,
+                      config_to_dict)
 from .grids import LearnableTimeParams, heuristic_grid
-from .teachers import generate_dataset, load_dataset, save_dataset
-from .training import (evaluate, train_joint, train_s4s, train_s4s_alt,
-                       train_schedule_only)
+from .teachers import _write_atomic, generate_dataset, load_dataset, save_dataset
+from .training import (evaluate, evaluation_reference, train_joint, train_s4s,
+                       train_s4s_alt, train_schedule_only)
 
 MODES = ("baseline", "s4s", "s4s-alt", "joint", "schedule-only")
+N_EVAL = 200  # fresh-noise draws per cell evaluation
 
 RESULT_COLUMNS = [
     "schedule", "solver", "order", "preset", "prediction", "mode", "nfe",
@@ -77,17 +86,19 @@ def _cell_seed(base_seed: int, key: str) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def _dataset_for(cfg: ExperimentConfig, schedule, model, cache_dir=None):
-    teacher = build_teacher(cfg.teacher)
+def _cache_tag(cfg: ExperimentConfig, *extra) -> str:
+    """Key of a cached teacher solve: the specs it depends on plus ``extra``."""
+    doc = config_to_dict(cfg)
+    key = [doc["schedule"], doc["model"], doc["teacher"], *extra]
+    return hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _dataset_for(cfg: ExperimentConfig, schedule, model, teacher, cache_dir=None):
     count = cfg.dataset.n_train + cfg.dataset.n_val
     val_fraction = cfg.dataset.n_val / count
     if cache_dir is None:
         return generate_dataset(teacher, schedule, model, count, cfg.seed, val_fraction)
-    tag = hashlib.sha256(json.dumps(
-        [config_to_dict(cfg)["schedule"], config_to_dict(cfg)["model"],
-         config_to_dict(cfg)["teacher"], count, cfg.seed], sort_keys=True
-    ).encode()).hexdigest()[:16]
-    path = Path(cache_dir) / f"dataset_{tag}.fsd"
+    path = Path(cache_dir) / f"dataset_{_cache_tag(cfg, count, cfg.seed)}.fsd"
     if path.exists():
         return load_dataset(path)
     dataset = generate_dataset(teacher, schedule, model, count, cfg.seed, val_fraction)
@@ -96,8 +107,27 @@ def _dataset_for(cfg: ExperimentConfig, schedule, model, cache_dir=None):
     return dataset
 
 
+def _reference_for(cfg: ExperimentConfig, schedule, model, teacher, seed, cache_dir=None):
+    """The teacher's solution of the fresh noise every evaluation with ``seed`` draws."""
+    if cache_dir is None:
+        return evaluation_reference(teacher, schedule, model, N_EVAL, seed)
+    path = Path(cache_dir) / f"reference_{_cache_tag(cfg, N_EVAL, seed)}.npy"
+    if path.exists():
+        reference = np.load(path)
+        if reference.shape != (N_EVAL, model.dim):
+            raise ValueError(f"{path} holds shape {reference.shape}, "
+                             f"expected {(N_EVAL, model.dim)}")
+        return reference
+    reference = evaluation_reference(teacher, schedule, model, N_EVAL, seed)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    buf = io.BytesIO()
+    np.save(buf, reference)
+    _write_atomic(path, buf.getvalue())
+    return reference
+
+
 def run_cell(cfg: ExperimentConfig, nfe: int, mode: str, cache_dir=None) -> dict:
-    """One isolated experiment cell; returns a result-table row."""
+    """One experiment cell; failures become the row's status, never exceptions."""
     row = {
         "schedule": cfg.schedule.kind, "solver": cfg.solver.kind,
         "order": cfg.solver.order, "preset": cfg.solver.preset,
@@ -121,8 +151,9 @@ def run_cell(cfg: ExperimentConfig, nfe: int, mode: str, cache_dir=None) -> dict
                              prediction=cfg.solver.prediction, seed=cfg.seed,
                              tied=cfg.solver.tied)
         eval_seed = _cell_seed(cfg.seed, f"eval:{cfg.schedule.kind}:{nfe}")
-        baseline = evaluate(coeffs, schedule, model, teacher, grid=grid,
-                            n_eval=200, seed=eval_seed, h_mode=cfg.train.h_mode)
+        reference = _reference_for(cfg, schedule, model, teacher, eval_seed, cache_dir)
+        baseline = evaluate(coeffs, schedule, model, teacher, grid=grid, n_eval=N_EVAL,
+                            seed=eval_seed, h_mode=cfg.train.h_mode, reference=reference)
         row["baseline_mean_error"] = baseline["mean_error"]
         if mode == "baseline":
             row.update(mean_error=baseline["mean_error"],
@@ -132,7 +163,7 @@ def run_cell(cfg: ExperimentConfig, nfe: int, mode: str, cache_dir=None) -> dict
                        delta_vs_baseline=0.0, nfe_used=baseline["nfe_used"],
                        final_train_loss="", final_val_loss="", r="")
             return row
-        dataset = _dataset_for(cfg, schedule, model, cache_dir)
+        dataset = _dataset_for(cfg, schedule, model, teacher, cache_dir)
         train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed)
         if mode == "s4s":
             result = train_s4s(dataset, coeffs, grid, schedule, model, train_cfg)
@@ -144,7 +175,8 @@ def run_cell(cfg: ExperimentConfig, nfe: int, mode: str, cache_dir=None) -> dict
         if result.status != "ok":
             row.update(status=result.status, message="training diverged")
         metrics = evaluate(result.coeffs, schedule, model, teacher, grid=result.grid,
-                           n_eval=200, seed=eval_seed, h_mode=cfg.train.h_mode)
+                           n_eval=N_EVAL, seed=eval_seed, h_mode=cfg.train.h_mode,
+                           reference=reference)
         row.update(mean_error=metrics["mean_error"], median_error=metrics["median_error"],
                    max_error=metrics["max_error"],
                    mean_error_normalized=metrics["mean_error_normalized"],
@@ -187,7 +219,12 @@ def _run_cell_job(args):
 
 def run_sweep(spec: SweepSpec, out_dir, workers: int | None = None,
               progress=None) -> ResultTable:
-    """Resumable cross-product sweep; one JSON file per cell under out_dir/cells."""
+    """Resumable cross-product sweep; one JSON file per cell under out_dir/cells.
+
+    A cell file that is missing or does not parse (say, one cut short by a
+    kill while an older version wrote it in place) leaves its cell pending;
+    the cell is re-run, its file rewritten, and ``progress`` gets ``redo <key>``.
+    """
     out = Path(out_dir)
     cell_dir = out / "cells"
     cell_dir.mkdir(parents=True, exist_ok=True)
@@ -199,17 +236,22 @@ def run_sweep(spec: SweepSpec, out_dir, workers: int | None = None,
     pending = []
     for key, cfg, nfe, mode in sweep_cells(spec):
         path = cell_dir / f"{key}.json"
-        if path.exists():
+        try:
             with open(path) as fh:
                 table.add(json.load(fh))
             if progress:
                 progress(f"skip {key} (done)")
-        else:
-            pending.append((key, cfg, nfe, mode, str(cache_dir)))
+            continue
+        except FileNotFoundError:
+            pass
+        except ValueError:
+            if progress:
+                progress(f"redo {key} (unreadable result file)")
+        pending.append((key, cfg, nfe, mode, str(cache_dir)))
 
     def record(key, row):
-        with open(cell_dir / f"{key}.json", "w") as fh:
-            json.dump(row, fh, indent=2, sort_keys=True)
+        _write_atomic(cell_dir / f"{key}.json",
+                      json.dumps(row, indent=2, sort_keys=True).encode())
         table.add(row)
         if progress:
             progress(f"done {key}: {row['status']}")

@@ -13,10 +13,15 @@ and is persisted with the record.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
 import io
 import json
+import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -153,6 +158,37 @@ def generate_dataset(
 # Binary persistence: versioned header, little-endian float64 payload
 # ---------------------------------------------------------------------------
 
+def _write_atomic(path, data: bytes):
+    """Write ``data`` to ``path`` so readers see the old file or the whole new one.
+
+    The bytes go to a temporary file in the target directory, which is
+    flushed to disk and then renamed over ``path``.  A process killed
+    mid-write leaves at most a stray ``.tmp`` file, and concurrent writers
+    of the same path never interleave.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _records_payload(records) -> bytes:
+    buf = io.BytesIO()
+    for rec in records:
+        buf.write(struct.pack("<Q", rec.record_id))
+        for arr in (rec.x_init, rec.x_prime, rec.teacher_out):
+            buf.write(np.asarray(arr, dtype="<f8").tobytes())
+    return buf.getvalue()
+
+
 def save_dataset(dataset: Dataset, path):
     header = {
         "version": 1,
@@ -164,44 +200,40 @@ def save_dataset(dataset: Dataset, path):
         "teacher_kind": dataset.teacher_kind,
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_DATASET_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for rec in dataset.records:
-            fh.write(struct.pack("<Q", rec.record_id))
-            for arr in (rec.x_init, rec.x_prime, rec.teacher_out):
-                fh.write(np.asarray(arr, dtype="<f8").tobytes())
+    _write_atomic(path, _DATASET_MAGIC + struct.pack("<I", len(blob)) + blob
+                  + _records_payload(dataset.records))
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_DATASET_MAGIC))
-        if magic != _DATASET_MAGIC:
-            raise ValueError(f"{path} is not a dataset file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen))
-        if header.get("version") != 1:
-            raise ValueError(f"unsupported dataset version {header.get('version')}")
-        dim = header["dim"]
-        records = []
-        row = dim * 8
-        for _ in range(header["count"]):
-            (rid,) = struct.unpack("<Q", fh.read(8))
-            arrays = [np.frombuffer(fh.read(row), dtype="<f8").astype(float)
-                      for _ in range(3)]
-            records.append(TrainRecord(record_id=rid, x_init=arrays[0],
-                                       x_prime=arrays[1], teacher_out=arrays[2]))
+    """Read a ``.fsd`` file; ValueError naming ``path`` if it is cut short or overlong."""
+    data = Path(path).read_bytes()
+    if data[: len(_DATASET_MAGIC)] != _DATASET_MAGIC:
+        raise ValueError(f"{path} is not a dataset file")
+    start = len(_DATASET_MAGIC) + 4
+    if len(data) < start:
+        raise ValueError(f"{path}: truncated dataset header")
+    (hlen,) = struct.unpack_from("<I", data, len(_DATASET_MAGIC))
+    try:
+        header = json.loads(data[start : start + hlen])
+    except ValueError as exc:
+        raise ValueError(f"{path}: unreadable dataset header ({exc})") from None
+    if header.get("version") != 1:
+        raise ValueError(f"unsupported dataset version {header.get('version')}")
+    dim, count = header["dim"], header["count"]
+    record = np.dtype([("id", "<u8"), ("arrays", "<f8", (3, dim))])
+    payload = memoryview(data)[start + hlen :]
+    if len(payload) != count * record.itemsize:
+        raise ValueError(f"{path}: {len(payload)} payload bytes where {count} records "
+                         f"of dim {dim} take {count * record.itemsize} "
+                         "(truncated or trailing bytes)")
+    table = np.frombuffer(payload, dtype=record)
+    records = [TrainRecord(record_id=int(rid), x_init=arrays[0].astype(float),
+                           x_prime=arrays[1].astype(float),
+                           teacher_out=arrays[2].astype(float))
+               for rid, arrays in zip(table["id"], table["arrays"])]
     return Dataset(records=records, n_train=header["n_train"], n_val=header["n_val"],
                    dim=dim, seed=header["seed"], teacher_kind=header["teacher_kind"])
 
 
 def dataset_checksum(dataset: Dataset) -> str:
-    import hashlib
-
-    buf = io.BytesIO()
-    for rec in dataset.records:
-        buf.write(struct.pack("<Q", rec.record_id))
-        for arr in (rec.x_init, rec.x_prime, rec.teacher_out):
-            buf.write(np.asarray(arr, dtype="<f8").tobytes())
-    return hashlib.sha256(buf.getvalue()).hexdigest()
+    return hashlib.sha256(_records_payload(dataset.records)).hexdigest()

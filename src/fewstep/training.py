@@ -283,17 +283,38 @@ def train_joint(dataset, coeffs, params, schedule, model, config) -> TrainResult
                   phases=[("both", config.epochs)], params=params)
 
 
+def _fresh_noise(schedule, model, n_eval, seed):
+    rng = np.random.default_rng(seed)
+    return schedule.tilde_sigma * rng.standard_normal((n_eval, model.dim))
+
+
+def evaluation_reference(teacher_config: TeacherConfig, schedule, model,
+                         n_eval: int = 100, seed: int = 0) -> np.ndarray:
+    """Teacher terminal states for the fresh noise ``evaluate`` draws from ``seed``."""
+    return teacher_solve(teacher_config, schedule, model,
+                         _fresh_noise(schedule, model, n_eval, seed))
+
+
 def evaluate(coeffs, schedule, model, teacher_config: TeacherConfig,
              grid: TimeGrid | None = None, params: LearnableTimeParams | None = None,
-             n_eval: int = 100, seed: int = 0, h_mode: str = "lambda") -> dict:
-    """Terminal-error metrics on fresh noise (never the trained inputs)."""
+             n_eval: int = 100, seed: int = 0, h_mode: str = "lambda",
+             reference: np.ndarray | None = None) -> dict:
+    """Terminal-error metrics on fresh noise (never the trained inputs).
+
+    ``reference``, when given, is ``evaluation_reference`` for the same
+    teacher, schedule, model, ``n_eval`` and ``seed``; the teacher is then
+    not run again.
+    """
     if params is not None:
         grid = materialize(params, schedule)
     if grid is None:
         raise ValueError("evaluation needs a grid or time parameters")
-    rng = np.random.default_rng(seed)
-    xs = schedule.tilde_sigma * rng.standard_normal((n_eval, model.dim))
-    reference = teacher_solve(teacher_config, schedule, model, xs)
+    xs = _fresh_noise(schedule, model, n_eval, seed)
+    if reference is None:
+        reference = teacher_solve(teacher_config, schedule, model, xs)
+    elif np.shape(reference) != xs.shape:
+        raise ValueError(f"reference has shape {np.shape(reference)}, "
+                         f"the evaluation draws {xs.shape}")
     trace = solve(coeffs, schedule, grid, model, xs, h_mode=h_mode)
     err = np.linalg.norm(trace.terminal - reference, axis=-1)
     ref_norm = np.maximum(np.linalg.norm(reference, axis=-1), 1e-12)

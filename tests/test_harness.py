@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from fewstep.configs import (DatasetSpec, ExperimentConfig, GridSpec, ModelSpec,
                              build_model, build_schedule, config_from_dict,
                              config_hash, config_to_dict, load_config, save_config)
 from fewstep.errors import CompatibilityError, ConfigError
-from fewstep.experiments import ResultTable, SweepSpec, run_cell, run_sweep
+from fewstep import experiments
+from fewstep.experiments import ResultTable, SweepSpec, run_cell, run_sweep, sweep_cells
 from fewstep.grids import LearnableTimeParams, heuristic_grid
 from fewstep.training import TrainConfig
 
@@ -157,12 +159,92 @@ class TestSweep:
         assert len(table2.rows) == 4
         assert all(s.startswith("skip") for s in seen2)
 
+    def test_truncated_cell_file_is_rerun(self, tmp_path):
+        spec = SweepSpec(base=tiny_config(), schedules=[ScheduleSpec(kind="ve")],
+                         solvers=[SolverSpec(kind="lms", order=3, preset="ipndm")],
+                         nfe_list=[4, 6], modes=["baseline"])
+        out = tmp_path / "sweep"
+        first = run_sweep(spec, out, workers=1)
+        cell = out / "cells" / "ve_lms-3-ipndm_4_baseline.json"
+        cell.write_text(cell.read_text()[:40])
+        seen = []
+        table = run_sweep(spec, out, workers=1, progress=seen.append)
+        assert [s.split(" ")[:2] for s in seen] == [
+            ["redo", "ve_lms-3-ipndm_4_baseline"], ["skip", "ve_lms-3-ipndm_6_baseline"],
+            ["done", "ve_lms-3-ipndm_4_baseline:"]]
+        redone = json.loads(cell.read_text())
+        key = ("ve", "lms", 4, "baseline")
+        assert redone["mean_error"] == first.rows[key]["mean_error"]
+        assert table.rows[key]["mean_error"] == first.rows[key]["mean_error"]
+
     def test_formatted_table(self):
         table = ResultTable()
         table.add({"schedule": "ve", "solver": "lms", "nfe": 4, "mode": "baseline",
                    "status": "ok", "mean_error": 0.5, "delta_vs_baseline": 0.0})
         text = table.formatted()
         assert "ve" in text and "baseline" in text
+
+
+ACCURACY_COLUMNS = ("status", "mean_error", "median_error", "max_error",
+                    "mean_error_normalized", "baseline_mean_error", "delta_vs_baseline",
+                    "final_train_loss", "final_val_loss", "r", "nfe_used")
+
+
+def _accuracy(row):
+    return {c: row[c] for c in ACCURACY_COLUMNS}
+
+
+class TestSharedReference:
+    """Each distinct evaluation reference is solved once per sweep and cached."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        original = experiments.evaluation_reference
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "evaluation_reference", counting)
+        return calls
+
+    def test_one_solve_per_reference_and_none_on_resume(self, tmp_path, counted):
+        spec = SweepSpec(
+            base=tiny_config(),
+            schedules=[ScheduleSpec(kind="ve"), ScheduleSpec(kind="vp_linear")],
+            solvers=[SolverSpec(kind="lms", order=3, preset="ipndm"),
+                     SolverSpec(kind="pc", order=3, preset="unipc")],
+            nfe_list=[4], modes=["baseline", "s4s"])
+        out = tmp_path / "sweep"
+        table = run_sweep(spec, out, workers=1)
+        assert len(counted) == 2
+        assert len(list((out / "datasets").glob("reference_*.npy"))) == 2
+        for key, cfg, nfe, mode in sweep_cells(spec):
+            row = table.rows[(cfg.schedule.kind, cfg.solver.kind, nfe, mode)]
+            assert _accuracy(row) == _accuracy(run_cell(cfg, nfe, mode)), key
+        counted.clear()
+        shutil.rmtree(out / "cells")
+        again = run_sweep(spec, out, workers=1)
+        assert counted == []
+        assert {k: _accuracy(r) for k, r in again.rows.items()} == \
+               {k: _accuracy(r) for k, r in table.rows.items()}
+
+    def test_uncached_cell_solves_its_reference_once(self, counted):
+        row = run_cell(tiny_config(), nfe=4, mode="s4s")
+        assert row["status"] == "ok" and len(counted) == 1
+
+    def test_cached_reference_of_wrong_shape_fails_the_cell(self, tmp_path):
+        spec = SweepSpec(base=tiny_config(), schedules=[ScheduleSpec(kind="ve")],
+                         solvers=[SolverSpec(kind="lms", order=3, preset="ipndm")],
+                         nfe_list=[4], modes=["baseline"])
+        out = tmp_path / "sweep"
+        run_sweep(spec, out, workers=1)
+        (path,) = (out / "datasets").glob("reference_*.npy")
+        np.save(path, np.zeros((3, 2)))
+        shutil.rmtree(out / "cells")
+        (row,) = run_sweep(spec, out, workers=1).rows.values()
+        assert row["status"] == "failed" and "shape" in row["message"]
 
 
 class TestCli:

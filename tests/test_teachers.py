@@ -109,6 +109,46 @@ class TestDatasets:
         assert dataset_checksum(back) == dataset_checksum(ds)
         assert back.n_train == ds.n_train and back.dim == ds.dim
 
+    # (bytes kept of the whole file, payload size); 7 dim-2 records of
+    # u64 id + three float64 vectors make a 7 * 56 = 392-byte payload
+    @pytest.mark.parametrize("keep", [
+        lambda n, p: n - 1, lambda n, p: n - 16, lambda n, p: n - 40,
+        lambda n, p: n - p,        # header only
+        lambda n, p: n - p - 20,   # inside the JSON header
+        lambda n, p: 10,           # inside the header length
+    ], ids=["record-1", "record-16", "record-40", "no-payload", "header-json",
+            "header-length"])
+    def test_truncated_file_rejected(self, tmp_path, ve, mixture, keep):
+        ds = generate_dataset(TeacherConfig(kind="fine_fixed", fine_nfe=40), ve, mixture,
+                              7, seed=3)
+        path = tmp_path / "records.fsd"
+        save_dataset(ds, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: keep(len(blob), 7 * 56)])
+        with pytest.raises(ValueError, match="records.fsd"):
+            load_dataset(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, ve, mixture):
+        ds = generate_dataset(TeacherConfig(kind="fine_fixed", fine_nfe=40), ve, mixture,
+                              3, seed=3)
+        path = tmp_path / "records.fsd"
+        save_dataset(ds, path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match="records.fsd"):
+            load_dataset(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, ve, mixture):
+        ds = generate_dataset(TeacherConfig(kind="fine_fixed", fine_nfe=40), ve, mixture,
+                              3, seed=3)
+        path = tmp_path / "records.fsd"
+        save_dataset(ds, path)
+        saved = dataset_checksum(ds)
+        ds.records[-1].teacher_out = np.array(["not a number", "x"])
+        with pytest.raises(ValueError):
+            save_dataset(ds, path)
+        assert dataset_checksum(load_dataset(path)) == saved
+        assert [p.name for p in tmp_path.iterdir()] == ["records.fsd"]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.fsd"
         path.write_bytes(b"not a dataset")

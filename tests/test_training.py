@@ -7,8 +7,8 @@ import pytest
 from fewstep.coeffs import init_preset
 from fewstep.grids import LearnableTimeParams, heuristic_grid
 from fewstep.teachers import TeacherConfig, generate_dataset
-from fewstep.training import (TrainConfig, evaluate, project_ball, radius_for,
-                              train_joint, train_s4s, train_s4s_alt,
+from fewstep.training import (TrainConfig, evaluate, evaluation_reference, project_ball,
+                              radius_for, train_joint, train_s4s, train_s4s_alt,
                               train_schedule_only)
 
 FAST_TEACHER = TeacherConfig(kind="fine_fixed", fine_nfe=60)
@@ -174,6 +174,24 @@ class TestEvaluate:
         a = evaluate(coeffs, ve, mixture, FAST_TEACHER, grid=grid, n_eval=30, seed=4)
         b = evaluate(coeffs, ve, mixture, FAST_TEACHER, grid=grid, n_eval=30, seed=4)
         assert a == b
+
+    def test_shared_reference_matches_own_teacher_solve(self, ve, mixture):
+        grid = heuristic_grid(ve, 5, "logsnr")
+        coeffs = init_preset("lms", 3, 5, "ipndm", schedule=ve, grid=grid)
+        reference = evaluation_reference(FAST_TEACHER, ve, mixture, 30, seed=4)
+        assert reference.shape == (30, mixture.dim)
+        own = evaluate(coeffs, ve, mixture, FAST_TEACHER, grid=grid, n_eval=30, seed=4)
+        shared = evaluate(coeffs, ve, mixture, FAST_TEACHER, grid=grid, n_eval=30, seed=4,
+                          reference=reference)
+        assert shared == own
+
+    def test_reference_of_wrong_shape_rejected(self, ve, mixture):
+        grid = heuristic_grid(ve, 5, "logsnr")
+        coeffs = init_preset("lms", 3, 5, "ipndm", schedule=ve, grid=grid)
+        reference = evaluation_reference(FAST_TEACHER, ve, mixture, 29, seed=4)
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(coeffs, ve, mixture, FAST_TEACHER, grid=grid, n_eval=30, seed=4,
+                     reference=reference)
 
     def test_no_access_to_perturbed_inputs(self):
         # inference-style evaluation draws its own noise; structurally there is
