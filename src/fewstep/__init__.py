@@ -17,11 +17,12 @@ from .schedules import (EdmSchedule, NoiseSchedule, OdeCoefficients, PhiTable,
                         VeSchedule, VpLinearSchedule, exact_step_integrand,
                         ode_coefficients, phi_functions)
 from .scores import CountingScoreModel, GaussianMixtureScore, default_mixture
-from .solvers import SolveTrace, lms_step, pc_step, solve, ss_step
+from .solvers import SolveTrace, lms_step, solve, ss_step
 from .teachers import (Dataset, TeacherConfig, TrainRecord, generate_dataset,
                        load_dataset, save_dataset, teacher_solve)
 from .training import (TrainConfig, TrainResult, evaluate, evaluation_reference,
-                       project_ball, train_joint, train_s4s, train_s4s_alt, train_schedule_only)
+                       project_ball, train_in_mode, train_joint, train_s4s, train_s4s_alt,
+                       train_schedule_only)
 
 __version__ = "0.1.0"
 
@@ -33,10 +34,10 @@ __all__ = [
     "VeSchedule", "VpLinearSchedule", "exact_step_integrand",
     "ode_coefficients", "phi_functions",
     "CountingScoreModel", "GaussianMixtureScore", "default_mixture",
-    "SolveTrace", "lms_step", "pc_step", "solve", "ss_step",
+    "SolveTrace", "lms_step", "solve", "ss_step",
     "Dataset", "TeacherConfig", "TrainRecord", "generate_dataset",
     "load_dataset", "save_dataset", "teacher_solve",
     "TrainConfig", "TrainResult", "evaluate", "evaluation_reference", "project_ball",
-    "train_joint", "train_s4s", "train_s4s_alt", "train_schedule_only",
+    "train_in_mode", "train_joint", "train_s4s", "train_s4s_alt", "train_schedule_only",
     "__version__",
 ]

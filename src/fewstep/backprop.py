@@ -8,6 +8,10 @@ enters only through the model's closed-form vjp and time partials, so memory
 stays linear in the number of steps; cached score evaluations are reused when
 the trace kept them and recomputed otherwise.
 
+``lms`` and ``pc`` share one reverse sweep (``lms`` is ``pc`` without
+corrector rows): each evaluation made at step i lives at that step's
+prediction and is released there during step i.
+
 Clamped quantities (stage-time clamps, score-time offset clips) contribute
 zero gradient when saturated.
 """
@@ -38,18 +42,14 @@ class AdjointResult:
     loss_value: float = 0.0
 
 
-def _wrapper_derivatives(schedule, t_prev, t_next, prediction, h_mode):
+def _wrapper_derivatives(schedule, t_prev, t_next, prediction):
     """d(R, S)/d(t_prev, t_next) for the update wrapper."""
     a_p, s_p = float(schedule.alpha(t_prev)), float(schedule.sigma(t_prev))
     a_n, s_n = float(schedule.alpha(t_next)), float(schedule.sigma(t_next))
     da_p, ds_p = float(schedule.d_alpha(t_prev)), float(schedule.d_sigma(t_prev))
     da_n, ds_n = float(schedule.d_alpha(t_next)), float(schedule.d_sigma(t_next))
-    if h_mode == "lambda":
-        h = float(schedule.lam(t_next) - schedule.lam(t_prev))
-        dh_p, dh_n = -float(schedule.d_lam(t_prev)), float(schedule.d_lam(t_next))
-    else:
-        h = float(t_next - t_prev)
-        dh_p, dh_n = -1.0, 1.0
+    h = float(schedule.lam(t_next) - schedule.lam(t_prev))
+    dh_p, dh_n = -float(schedule.d_lam(t_prev)), float(schedule.d_lam(t_next))
     if prediction == "noise":
         dR_p = -a_n * da_p / (a_p * a_p)
         dR_n = da_n / a_p
@@ -91,16 +91,10 @@ def _evaluate(model, prediction, schedule, x, t):
 
 
 def _rematerialize_cache(trace, coeffs, schedule, grid, model):
-    pred = coeffs.prediction
-    if coeffs.kind == "lms":
-        return [_evaluate(model, pred, schedule, trace.states[m], float(grid.score_times[m]))
-                for m in range(coeffs.n_steps)]
-    cache = [_evaluate(model, pred, schedule, trace.states[0], float(grid.score_times[0]))]
-    last = coeffs.n_steps if trace.final_corrector else coeffs.n_steps - 1
-    for m in range(1, last + 1):
-        cache.append(_evaluate(model, pred, schedule, trace.pred_states[m - 1],
-                               float(grid.score_times[m])))
-    return cache
+    # evaluation m sits at the initial state (m = 0) or at step m's prediction
+    points = [trace.states[0]] + trace.pred_states[: trace.nfe_used - 1]
+    return [_evaluate(model, coeffs.prediction, schedule, x, float(grid.score_times[m]))
+            for m, x in enumerate(points)]
 
 
 def backward(
@@ -128,8 +122,6 @@ def backward(
     if len(trace.states) != n + 1:
         raise ValueError("trace does not match the coefficient step count")
 
-    prediction = coeffs.prediction
-    h_mode = trace.h_mode
     xbar = np.asarray(loss_cotangent, dtype=float)
     if xbar.shape != np.asarray(trace.states[-1]).shape:
         raise ValueError("loss cotangent shape does not match the terminal state")
@@ -142,17 +134,13 @@ def backward(
         if trace.stage_records is None:
             raise StateError("single-step backward needs the trace's stage records")
         xbar = _backward_ss(trace, coeffs, schedule, grid, model, xbar,
-                            grad_values, tbar, tcbar, h_mode)
+                            grad_values, tbar, tcbar)
     else:
         cache = trace.eps_cache
         if cache is None:
             cache = _rematerialize_cache(trace, coeffs, schedule, grid, model)
-        if coeffs.kind == "lms":
-            xbar = _backward_lms(trace, coeffs, schedule, grid, model, xbar, cache,
-                                 grad_values, tbar, tcbar, h_mode)
-        else:
-            xbar = _backward_pc(trace, coeffs, schedule, grid, model, xbar, cache,
-                                grad_values, tbar, tcbar, h_mode)
+        xbar = _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache,
+                                   grad_values, tbar, tcbar)
 
     result = AdjointResult(grad_coeffs=grad_values, grad_x0=xbar, grad_steps=tbar,
                            grad_score_times=tcbar, loss_value=loss_value)
@@ -165,48 +153,25 @@ def _dot(a, b) -> float:
     return float(np.sum(a * b))
 
 
-def _backward_lms(trace, coeffs, schedule, grid, model, xbar, cache,
-                  grad_values, tbar, tcbar, h_mode):
+def _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache,
+                        grad_values, tbar, tcbar):
     n = coeffs.n_steps
-    ebar = [None] * len(cache)
+    ebar = [np.zeros_like(xbar) for _ in cache]
+
+    def release(m, x):
+        """Cotangent on the point x where evaluation m was made."""
+        tc = float(grid.score_times[m])
+        tcbar[m] += _eval_time_dot(model, coeffs.prediction, schedule, x, tc, ebar[m])
+        return _eval_vjp(model, coeffs.prediction, schedule, x, tc, ebar[m])
+
     for i in range(n, 0, -1):
         q = coeffs.q(i)
-        b = coeffs.values[coeffs.b_slice(i)]
+        correct = coeffs.kind == "pc" and (i < n or trace.final_corrector)
         R, S, _ = wrapper_factors(schedule, grid.steps[i - 1], grid.steps[i],
-                                  coeffs.prediction, h_mode)
-        delta = sum(b[j] * cache[i - 1 - j] for j in range(q))
-        rbar, sbar = _dot(xbar, trace.states[i - 1]), -_dot(xbar, delta)
-        gb = grad_values[coeffs.b_slice(i)]
-        for j in range(q):
-            gb[j] += -S * _dot(xbar, cache[i - 1 - j])
-            contrib = (-S * b[j]) * xbar
-            ebar[i - 1 - j] = contrib if ebar[i - 1 - j] is None else ebar[i - 1 - j] + contrib
-        xprev_bar = R * xbar
-        if ebar[i - 1] is not None:
-            tc = float(grid.score_times[i - 1])
-            xprev_bar = xprev_bar + _eval_vjp(model, coeffs.prediction, schedule,
-                                              trace.states[i - 1], tc, ebar[i - 1])
-            tcbar[i - 1] += _eval_time_dot(model, coeffs.prediction, schedule,
-                                           trace.states[i - 1], tc, ebar[i - 1])
-        dR_p, dR_n, dS_p, dS_n = _wrapper_derivatives(
-            schedule, grid.steps[i - 1], grid.steps[i], coeffs.prediction, h_mode)
-        tbar[i] += rbar * dR_n + sbar * dS_n
-        tbar[i - 1] += rbar * dR_p + sbar * dS_p
-        xbar = xprev_bar
-    return xbar
-
-
-def _backward_pc(trace, coeffs, schedule, grid, model, xbar, cache,
-                 grad_values, tbar, tcbar, h_mode):
-    n = coeffs.n_steps
-    ebar = [None] * len(cache)
-    for i in range(n, 0, -1):
-        q = coeffs.q(i)
-        correct = trace.final_corrector or i < n
-        R, S, _ = wrapper_factors(schedule, grid.steps[i - 1], grid.steps[i],
-                                  coeffs.prediction, h_mode)
+                                  coeffs.prediction)
         rbar = sbar = 0.0
-        if correct:
+        pbar = xbar                      # the prediction is the state ...
+        if correct:                      # ... unless a corrector row replaces it
             w = coeffs.corrector_weights(i)
             pool = [i] + [i - 1 - j for j in range(q)]
             delta_c = sum(w[u] * cache[pool[u]] for u in range(q + 1))
@@ -216,18 +181,11 @@ def _backward_pc(trace, coeffs, schedule, grid, model, xbar, cache,
             # free weights; the oldest pool weight is 1 - sum(free)
             grad_values[coeffs.corrector_slice(i)] += wbar[:-1] - wbar[-1]
             for u, m in enumerate(pool):
-                contrib = (-S * w[u]) * xbar
-                ebar[m] = contrib if ebar[m] is None else ebar[m] + contrib
-            xprev_bar = R * xbar
-            # the new evaluation lives at the predicted state; release it now
-            tc_i = float(grid.score_times[i])
-            pstate = trace.pred_states[i - 1]
-            pbar = _eval_vjp(model, coeffs.prediction, schedule, pstate, tc_i, ebar[i])
-            tcbar[i] += _eval_time_dot(model, coeffs.prediction, schedule,
-                                       pstate, tc_i, ebar[i])
-        else:
-            xprev_bar = np.zeros_like(xbar)
-            pbar = xbar
+                ebar[m] += (-S * w[u]) * xbar
+            pbar = np.zeros_like(xbar)
+        if i < len(cache):
+            # the evaluation made at step i lives at its prediction; release it now
+            pbar = pbar + release(i, trace.pred_states[i - 1])
         b = coeffs.values[coeffs.b_slice(i)]
         delta_p = sum(b[j] * cache[i - 1 - j] for j in range(q))
         rbar += _dot(pbar, trace.states[i - 1])
@@ -235,32 +193,27 @@ def _backward_pc(trace, coeffs, schedule, grid, model, xbar, cache,
         gb = grad_values[coeffs.b_slice(i)]
         for j in range(q):
             gb[j] += -S * _dot(pbar, cache[i - 1 - j])
-            contrib = (-S * b[j]) * pbar
-            ebar[i - 1 - j] = contrib if ebar[i - 1 - j] is None else ebar[i - 1 - j] + contrib
-        xprev_bar = xprev_bar + R * pbar
+            ebar[i - 1 - j] += (-S * b[j]) * pbar
+        xprev_bar = R * pbar
+        if correct:
+            xprev_bar = R * xbar + xprev_bar
         dR_p, dR_n, dS_p, dS_n = _wrapper_derivatives(
-            schedule, grid.steps[i - 1], grid.steps[i], coeffs.prediction, h_mode)
+            schedule, grid.steps[i - 1], grid.steps[i], coeffs.prediction)
         tbar[i] += rbar * dR_n + sbar * dS_n
         tbar[i - 1] += rbar * dR_p + sbar * dS_p
         xbar = xprev_bar
-    if ebar[0] is not None:
-        tc0 = float(grid.score_times[0])
-        xbar = xbar + _eval_vjp(model, coeffs.prediction, schedule,
-                                trace.states[0], tc0, ebar[0])
-        tcbar[0] += _eval_time_dot(model, coeffs.prediction, schedule,
-                                   trace.states[0], tc0, ebar[0])
-    return xbar
+    return xbar + release(0, trace.states[0])
 
 
 def _backward_ss(trace, coeffs, schedule, grid, model, xbar,
-                 grad_values, tbar, tcbar, h_mode):
+                 grad_values, tbar, tcbar):
     n, k = coeffs.n_steps, coeffs.order
     for i in range(n, 0, -1):
         rec = trace.stage_records[i - 1]
         b = coeffs.values[coeffs.ss_b_slice(i)]
         amat = coeffs.ss_a_matrix(i)
         R, S, _ = wrapper_factors(schedule, grid.steps[i - 1], grid.steps[i],
-                                  coeffs.prediction, h_mode)
+                                  coeffs.prediction)
         delta = sum(b[j] * rec.kappas[j] for j in range(k))
         rbar, sbar = _dot(xbar, trace.states[i - 1]), -_dot(xbar, delta)
         gb = grad_values[coeffs.ss_b_slice(i)]
@@ -286,7 +239,7 @@ def _backward_ss(trace, coeffs, schedule, grid, model, xbar,
                 kbar[l] = kbar[l] + amat[j, l] * zbar
                 ga[j, l] += _dot(zbar, rec.kappas[l])
         dR_p, dR_n, dS_p, dS_n = _wrapper_derivatives(
-            schedule, grid.steps[i - 1], grid.steps[i], coeffs.prediction, h_mode)
+            schedule, grid.steps[i - 1], grid.steps[i], coeffs.prediction)
         tbar[i] += rbar * dR_n + sbar * dS_n
         tbar[i - 1] += rbar * dR_p + sbar * dS_p
         xbar = xprev_bar
@@ -306,7 +259,6 @@ def check_gradients(
     grid: TimeGrid | None = None,
     params: LearnableTimeParams | None = None,
     fd_step: float = 1e-5,
-    h_mode: str = "lambda",
 ):
     """Compare backward() against central finite differences on a squared loss.
 
@@ -318,7 +270,7 @@ def check_gradients(
 
     def run(cfs, pms, x):
         g = materialize(pms, schedule) if pms is not None else grid
-        trace = solve(cfs, schedule, g, model, x, h_mode=h_mode)
+        trace = solve(cfs, schedule, g, model, x)
         y = trace.terminal
         resid = y - target
         return trace, float(np.mean(resid * resid)), 2.0 * resid / resid.size

@@ -3,13 +3,15 @@
 Layout: magic, little-endian u32 header length, JSON header (version, config
 hash, solver metadata, coefficient index map, array directory), then raw
 little-endian float64 buffers in directory order.  Loading refuses to proceed
-on a config-hash mismatch unless forced.
+on a config-hash mismatch unless forced, and on a file whose length differs
+from what its header describes.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -55,24 +57,40 @@ def save_checkpoint(path, coeffs: SolverCoefficients, config_hash: str,
 
 
 def load_checkpoint(path, expected_hash: str | None = None, force: bool = False):
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise CompatibilityError(f"{path} is not a checkpoint file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen))
-        if header.get("version") != CHECKPOINT_VERSION:
+    """Read a checkpoint; CompatibilityError naming ``path`` if it is cut short,
+    overlong, of another version, or (unless ``force``) of another config."""
+    blob = Path(path).read_bytes()
+    if blob[: len(_MAGIC)] != _MAGIC:
+        raise CompatibilityError(f"{path} is not a checkpoint file")
+    start = len(_MAGIC) + 4
+    if len(blob) < start:
+        raise CompatibilityError(f"{path}: truncated checkpoint header")
+    (hlen,) = struct.unpack_from("<I", blob, len(_MAGIC))
+    if len(blob) < start + hlen:
+        raise CompatibilityError(f"{path}: truncated checkpoint header")
+    try:
+        header = json.loads(blob[start : start + hlen])
+    except ValueError as exc:
+        raise CompatibilityError(f"{path}: unreadable checkpoint header ({exc})") from None
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CompatibilityError(
+            f"unsupported checkpoint version {header.get('version')}")
+    if expected_hash is not None and header["config_hash"] != expected_hash:
+        if not force:
             raise CompatibilityError(
-                f"unsupported checkpoint version {header.get('version')}")
-        if expected_hash is not None and header["config_hash"] != expected_hash:
-            if not force:
-                raise CompatibilityError(
-                    "checkpoint was written under a different configuration "
-                    f"(hash {header['config_hash'][:12]} != {expected_hash[:12]}); "
-                    "pass force to override")
-        data = {}
-        for entry in header["arrays"]:
-            buf = fh.read(entry["size"] * 8)
-            data[entry["name"]] = np.frombuffer(buf, dtype="<f8").astype(float)
+                "checkpoint was written under a different configuration "
+                f"(hash {header['config_hash'][:12]} != {expected_hash[:12]}); "
+                "pass force to override")
+    offset = start + hlen
+    expected = offset + 8 * sum(entry["size"] for entry in header["arrays"])
+    if len(blob) != expected:
+        raise CompatibilityError(f"{path}: {len(blob)} bytes where the header describes "
+                                 f"{expected} (truncated or trailing bytes)")
+    data = {}
+    for entry in header["arrays"]:
+        data[entry["name"]] = np.frombuffer(blob, dtype="<f8", count=entry["size"],
+                                            offset=offset).astype(float)
+        offset += entry["size"] * 8
 
     meta = header["solver"]
     coeffs = SolverCoefficients(kind=meta["kind"], order=meta["order"],

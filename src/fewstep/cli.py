@@ -28,8 +28,7 @@ from .schedules import phi_functions
 from .scores import default_mixture
 from .solvers import solve
 from .teachers import dataset_checksum, generate_dataset, load_dataset, save_dataset
-from .training import (TrainConfig, evaluate, train_joint, train_s4s,
-                       train_s4s_alt, train_schedule_only)
+from .training import TRAIN_MODES, evaluate, train_in_mode
 
 
 @click.group()
@@ -70,8 +69,7 @@ def cli_generate_teacher(config_path, out_path, seed):
 @main.command("train")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True))
-@click.option("--mode", type=click.Choice(["s4s", "s4s-alt", "joint", "schedule-only"]),
-              default="s4s")
+@click.option("--mode", type=click.Choice(TRAIN_MODES), default="s4s")
 @click.option("--nfe", type=int, default=None, help="Step count; default: first nfe_list entry.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cli_train(config_path, dataset_path, mode, nfe, out_dir):
@@ -91,14 +89,8 @@ def cli_train(config_path, dataset_path, mode, nfe, out_dir):
     coeffs = init_preset(cfg.solver.kind, cfg.solver.order, nfe, cfg.solver.preset,
                          schedule=schedule, grid=grid, prediction=cfg.solver.prediction,
                          seed=cfg.seed, tied=cfg.solver.tied)
-    train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed)
-    if mode == "s4s":
-        result = train_s4s(dataset, coeffs, grid, schedule, model, train_cfg)
-    else:
-        params = LearnableTimeParams.from_grid(grid, schedule, cfg.grid.clip_fraction)
-        trainer = {"s4s-alt": train_s4s_alt, "joint": train_joint,
-                   "schedule-only": train_schedule_only}[mode]
-        result = trainer(dataset, coeffs, params, schedule, model, train_cfg)
+    result = train_in_mode(mode, dataset, coeffs, grid, schedule, model,
+                           dataclasses.replace(cfg.train, seed=cfg.seed), cfg.grid.clip_fraction)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -155,7 +147,7 @@ def cli_evaluate(ckpt_path, config_path, out_path, force, seed):
         grid = (materialize(params, schedule) if params is not None
                 else heuristic_grid(schedule, nfe, cfg.grid.kind, rho=cfg.grid.rho))
         metrics = evaluate(coeffs, schedule, model, teacher, grid=grid,
-                           n_eval=200, seed=cfg.seed, h_mode=cfg.train.h_mode)
+                           n_eval=200, seed=cfg.seed)
         row.update(mean_error=metrics["mean_error"], median_error=metrics["median_error"],
                    max_error=metrics["max_error"],
                    mean_error_normalized=metrics["mean_error_normalized"],

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import ConfigError
-from .grids import GRID_KINDS, LearnableTimeParams, TimeGrid, heuristic_grid
+from .grids import GRID_KINDS
 from .schedules import SCHEDULE_KINDS, NoiseSchedule
 from .scores import GaussianMixtureScore, default_mixture
 from .teachers import TEACHER_KINDS, TeacherConfig
@@ -56,7 +56,6 @@ class SolverSpec:
 class GridSpec:
     kind: str = "logsnr"
     rho: float = 7.0
-    learnable: bool = False
     clip_fraction: float = 0.5
 
 
@@ -212,12 +211,3 @@ def build_teacher(spec: TeacherSpec) -> TeacherConfig:
     return TeacherConfig(kind=spec.kind, rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
                          fine_nfe=spec.fine_nfe, fine_order=spec.fine_order,
                          fine_grid=spec.fine_grid)
-
-
-def build_grid(cfg: ExperimentConfig, schedule: NoiseSchedule, n_steps: int):
-    """Fixed grid plus, when requested, learnable parameters reproducing it."""
-    grid = heuristic_grid(schedule, n_steps, cfg.grid.kind, rho=cfg.grid.rho)
-    params = None
-    if cfg.grid.learnable:
-        params = LearnableTimeParams.from_grid(grid, schedule, cfg.grid.clip_fraction)
-    return grid, params

@@ -32,12 +32,11 @@ import numpy as np
 from .coeffs import init_preset
 from .configs import (ExperimentConfig, build_model, build_schedule, build_teacher,
                       config_to_dict)
-from .grids import LearnableTimeParams, heuristic_grid
+from .grids import heuristic_grid
 from .teachers import _write_atomic, generate_dataset, load_dataset, save_dataset
-from .training import (evaluate, evaluation_reference, train_joint, train_s4s,
-                       train_s4s_alt, train_schedule_only)
+from .training import TRAIN_MODES, evaluate, evaluation_reference, train_in_mode
 
-MODES = ("baseline", "s4s", "s4s-alt", "joint", "schedule-only")
+MODES = ("baseline",) + TRAIN_MODES
 N_EVAL = 200  # fresh-noise draws per cell evaluation
 
 RESULT_COLUMNS = [
@@ -153,7 +152,7 @@ def run_cell(cfg: ExperimentConfig, nfe: int, mode: str, cache_dir=None) -> dict
         eval_seed = _cell_seed(cfg.seed, f"eval:{cfg.schedule.kind}:{nfe}")
         reference = _reference_for(cfg, schedule, model, teacher, eval_seed, cache_dir)
         baseline = evaluate(coeffs, schedule, model, teacher, grid=grid, n_eval=N_EVAL,
-                            seed=eval_seed, h_mode=cfg.train.h_mode, reference=reference)
+                            seed=eval_seed, reference=reference)
         row["baseline_mean_error"] = baseline["mean_error"]
         if mode == "baseline":
             row.update(mean_error=baseline["mean_error"],
@@ -164,19 +163,13 @@ def run_cell(cfg: ExperimentConfig, nfe: int, mode: str, cache_dir=None) -> dict
                        final_train_loss="", final_val_loss="", r="")
             return row
         dataset = _dataset_for(cfg, schedule, model, teacher, cache_dir)
-        train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed)
-        if mode == "s4s":
-            result = train_s4s(dataset, coeffs, grid, schedule, model, train_cfg)
-        else:
-            params = LearnableTimeParams.from_grid(grid, schedule, cfg.grid.clip_fraction)
-            trainer = {"s4s-alt": train_s4s_alt, "joint": train_joint,
-                       "schedule-only": train_schedule_only}[mode]
-            result = trainer(dataset, coeffs, params, schedule, model, train_cfg)
+        result = train_in_mode(mode, dataset, coeffs, grid, schedule, model,
+                               dataclasses.replace(cfg.train, seed=cfg.seed),
+                               cfg.grid.clip_fraction)
         if result.status != "ok":
             row.update(status=result.status, message="training diverged")
         metrics = evaluate(result.coeffs, schedule, model, teacher, grid=result.grid,
-                           n_eval=N_EVAL, seed=eval_seed, h_mode=cfg.train.h_mode,
-                           reference=reference)
+                           n_eval=N_EVAL, seed=eval_seed, reference=reference)
         row.update(mean_error=metrics["mean_error"], median_error=metrics["median_error"],
                    max_error=metrics["max_error"],
                    mean_error_normalized=metrics["mean_error_normalized"],

@@ -226,18 +226,16 @@ class CountingScoreModel:
         self.n_vjp += x2.shape[0] if x2.ndim == 2 else 1
         return self.inner.epsilon_vjp(schedule, x, t, cotangent)
 
-    def epsilon_alpha_sigma_partials(self, x2, alpha, sigma):
-        self.n_time_partial += np.atleast_2d(np.asarray(x2)).shape[0]
-        return self.inner.epsilon_alpha_sigma_partials(x2, alpha, sigma)
-
     def epsilon_time_partial(self, schedule, x, t):
+        self.n_time_partial += np.atleast_2d(np.asarray(x)).shape[0]
         return self.inner.epsilon_time_partial(schedule, x, t)
 
+    # the transforms of epsilon call the counted epsilon, so each counts once
     def data_prediction(self, schedule, x, t):
-        return self.inner.data_prediction(schedule, x, t)
+        return GaussianMixtureScore.data_prediction(self, schedule, x, t)
 
     def score(self, schedule, x, t):
-        return self.inner.score(schedule, x, t)
+        return GaussianMixtureScore.score(self, schedule, x, t)
 
     def epsilon_fn(self, schedule):
         return lambda x, t: self.epsilon(schedule, x, t)

@@ -10,6 +10,10 @@ data prediction, h_i the per-step log-SNR gap.  The increment is the
 coefficient-weighted combination of score evaluations defined by the family.
 Score evaluations happen at the grid's score times; wrapper factors always
 use the step times.
+
+``lms`` and ``pc`` run one multistep loop: each step predicts with its
+multistep row and evaluates the model at the prediction; ``pc`` then
+applies its corrector row, while for ``lms`` the prediction is the state.
 """
 
 from __future__ import annotations
@@ -23,18 +27,11 @@ from .errors import DivergenceError, StateError
 from .grids import TimeGrid
 from .schedules import NoiseSchedule
 
-H_MODES = ("lambda", "time")
-
 
 def wrapper_factors(schedule: NoiseSchedule, t_prev: float, t_next: float,
-                    prediction: str, h_mode: str = "lambda"):
+                    prediction: str):
     """(R, S, h) of the update wrapper for one step."""
-    if h_mode == "lambda":
-        h = float(schedule.lam(t_next) - schedule.lam(t_prev))
-    elif h_mode == "time":
-        h = float(t_next - t_prev)
-    else:
-        raise ValueError(f"unknown h mode {h_mode!r}")
+    h = float(schedule.lam(t_next) - schedule.lam(t_prev))
     if prediction == "noise":
         R = float(schedule.alpha(t_next) / schedule.alpha(t_prev))
         S = float(schedule.sigma(t_next)) * float(np.expm1(h))
@@ -78,12 +75,11 @@ class SolveTrace:
 
     states: list
     eps_cache: list | None
-    pred_states: list | None
+    pred_states: list | None     # lms/pc: each step's prediction (the lms state)
     stage_records: list | None
     nfe_used: int
     diagnostics: list
     kind: str
-    h_mode: str
     final_corrector: bool
 
     @property
@@ -92,49 +88,25 @@ class SolveTrace:
 
 
 def lms_step(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
-             i: int, x_prev: np.ndarray, eps_history, h_mode: str = "lambda"):
+             i: int, x_prev: np.ndarray, eps_history):
     """Multistep update at step i; eps_history is most-recent-first."""
     q = coeffs.q(i)
     if eps_history is None or len(eps_history) < q:
         raise StateError(f"step {i} needs {q} cached evaluations, got "
                          f"{0 if eps_history is None else len(eps_history)}")
     R, S, _ = wrapper_factors(schedule, grid.steps[i - 1], grid.steps[i],
-                              coeffs.prediction, h_mode)
+                              coeffs.prediction)
     b = coeffs.values[coeffs.b_slice(i)]
     delta = sum(b[j] * eps_history[j] for j in range(q))
     return R * x_prev - S * delta
 
 
-def pc_step(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
-            i: int, x_prev: np.ndarray, eps_history, model,
-            apply_corrector: bool = True, h_mode: str = "lambda"):
-    """Predict with the multistep row, evaluate at the prediction, correct.
-
-    Returns (x_next, new_evaluation, predicted_state); the new evaluation is
-    the one cached for subsequent steps, so a full solve spends one extra
-    model call only at the terminal step.
-    """
-    pred = lms_step(coeffs, schedule, grid, i, x_prev, eps_history, h_mode)
-    if not apply_corrector:
-        return pred, None, pred
-    q = coeffs.q(i)
-    new_eval = _evaluate(model, coeffs, schedule, pred, float(grid.score_times[i]),
-                         step_index=i)
-    R, S, _ = wrapper_factors(schedule, grid.steps[i - 1], grid.steps[i],
-                              coeffs.prediction, h_mode)
-    w = coeffs.corrector_weights(i)           # [new, recent, ..., oldest]
-    pool = [new_eval] + [eps_history[j] for j in range(q)]
-    delta = sum(w[u] * pool[u] for u in range(q + 1))
-    return R * x_prev - S * delta, new_eval, pred
-
-
 def ss_step(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
-            i: int, x_prev: np.ndarray, model, h_mode: str = "lambda",
-            diagnostics: list | None = None):
+            i: int, x_prev: np.ndarray, model, diagnostics: list | None = None):
     """Single-step update: k internal stages at learnable log-SNR offsets."""
     k = coeffs.order
     R, S, _ = wrapper_factors(schedule, grid.steps[i - 1], grid.steps[i],
-                              coeffs.prediction, h_mode)
+                              coeffs.prediction)
     lam_prev = float(schedule.lam(grid.steps[i - 1]))
     lam_lo, lam_hi = schedule.lambda_range()
     c_full = np.concatenate([[0.0], coeffs.values[coeffs.ss_c_slice(i)]])
@@ -164,17 +136,16 @@ def ss_step(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
 
 
 def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
-          model, x_init: np.ndarray, h_mode: str = "lambda",
-          final_corrector: bool = True) -> SolveTrace:
+          model, x_init: np.ndarray, final_corrector: bool = True) -> SolveTrace:
     """Run the solver from t_0 = T down to t_N = t_min.
 
     x_init may be a single state (d,) or a batch (B, d); the trace keeps the
     given shape.  nfe_used counts score-model calls per sample, matching the
     per-step accounting of the solver family.
     """
-    if grid.n_steps != coeffs.n_steps:
-        raise ValueError(f"grid has {grid.n_steps} steps but coefficients expect "
-                         f"{coeffs.n_steps}")
+    n = coeffs.n_steps
+    if grid.n_steps != n:
+        raise ValueError(f"grid has {grid.n_steps} steps but coefficients expect {n}")
     x = np.asarray(x_init, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DivergenceError("initial state is not finite", step_index=0)
@@ -188,9 +159,8 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
 
     if coeffs.kind == "ss":
         stage_records = []
-        for i in range(1, coeffs.n_steps + 1):
-            x, record = ss_step(coeffs, schedule, grid, i, x, model,
-                                h_mode=h_mode, diagnostics=diagnostics)
+        for i in range(1, n + 1):
+            x, record = ss_step(coeffs, schedule, grid, i, x, model, diagnostics=diagnostics)
             nfe += coeffs.order
             stage_records.append(record)
             if not np.all(np.isfinite(x)):
@@ -200,30 +170,29 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
         eps_cache = [_evaluate(model, coeffs, schedule, x, float(grid.score_times[0]),
                                step_index=0)]
         nfe += 1
-        if coeffs.kind == "pc":
-            pred_states = []
-        for i in range(1, coeffs.n_steps + 1):
-            history = eps_cache[i - 1 :: -1][: coeffs.q(i)]
-            if coeffs.kind == "lms":
-                x = lms_step(coeffs, schedule, grid, i, x, history, h_mode)
-                if i < coeffs.n_steps:
-                    eps_cache.append(
-                        _evaluate(model, coeffs, schedule, x, float(grid.score_times[i]),
-                                  step_index=i)
-                    )
-                    nfe += 1
+        pred_states = []
+        for i in range(1, n + 1):
+            q = coeffs.q(i)
+            pred = lms_step(coeffs, schedule, grid, i, x, eps_cache[i - 1 :: -1][:q])
+            correct = coeffs.kind == "pc" and (i < n or final_corrector)
+            if i < n or correct:
+                # the evaluation at the prediction is the next cache entry
+                eps_cache.append(_evaluate(model, coeffs, schedule, pred,
+                                           float(grid.score_times[i]), step_index=i))
+                nfe += 1
+            if correct:
+                R, S, _ = wrapper_factors(schedule, grid.steps[i - 1], grid.steps[i],
+                                          coeffs.prediction)
+                w = coeffs.corrector_weights(i)           # [new, recent, ..., oldest]
+                pool = eps_cache[i :: -1][: q + 1]
+                x = R * x - S * sum(w[u] * pool[u] for u in range(q + 1))
             else:
-                correct = final_corrector or i < coeffs.n_steps
-                x, new_eval, pred = pc_step(coeffs, schedule, grid, i, x, history,
-                                            model, apply_corrector=correct, h_mode=h_mode)
-                pred_states.append(pred)
-                if correct:
-                    eps_cache.append(new_eval)
-                    nfe += 1
+                x = pred
+            pred_states.append(pred)
             if not np.all(np.isfinite(x)):
                 raise DivergenceError(f"state diverged at step {i}", step_index=i)
             states.append(x)
 
     return SolveTrace(states=states, eps_cache=eps_cache, pred_states=pred_states,
                       stage_records=stage_records, nfe_used=nfe, diagnostics=diagnostics,
-                      kind=coeffs.kind, h_mode=h_mode, final_corrector=final_corrector)
+                      kind=coeffs.kind, final_corrector=final_corrector)

@@ -28,6 +28,7 @@ from .solvers import solve
 from .teachers import Dataset, TeacherConfig, teacher_solve
 
 LOSS_KINDS = ("l2", "l2_normalized")
+TRAIN_MODES = ("s4s", "s4s-alt", "joint", "schedule-only")
 
 
 @dataclasses.dataclass
@@ -44,7 +45,6 @@ class TrainConfig:
     radius_override: float | None = None
     consistency: bool = False
     seed: int = 0
-    h_mode: str = "lambda"
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -175,7 +175,7 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
         g = current_grid()
         xs = np.stack([rec.x_init for rec in dataset.val_records])
         ys = np.stack([rec.teacher_out for rec in dataset.val_records])
-        out = solve(coeffs, schedule, g, model, xs, h_mode=config.h_mode).terminal
+        out = solve(coeffs, schedule, g, model, xs).terminal
         return loss_and_cotangent(out, ys, config.loss)[0]
 
     # per-block optimizer state persists across alternations
@@ -197,7 +197,7 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
                 targets = np.stack([rec.teacher_out for rec in batch])
                 g = current_grid()
                 try:
-                    trace = solve(coeffs, schedule, g, model, xp, h_mode=config.h_mode)
+                    trace = solve(coeffs, schedule, g, model, xp)
                 except DivergenceError:
                     status = "diverged"
                     break
@@ -283,6 +283,22 @@ def train_joint(dataset, coeffs, params, schedule, model, config) -> TrainResult
                   phases=[("both", config.epochs)], params=params)
 
 
+def train_in_mode(mode: str, dataset, coeffs, grid, schedule, model, config,
+                  clip_fraction: float) -> TrainResult:
+    """Train with one of ``TRAIN_MODES``, starting from ``grid``.
+
+    ``s4s`` keeps the grid fixed; every other mode learns time parameters
+    initialized to reproduce it (score-time offsets clipped at
+    ``clip_fraction`` of the smallest gap).
+    """
+    if mode == "s4s":
+        return train_s4s(dataset, coeffs, grid, schedule, model, config)
+    trainer = {"s4s-alt": train_s4s_alt, "joint": train_joint,
+               "schedule-only": train_schedule_only}[mode]
+    params = LearnableTimeParams.from_grid(grid, schedule, clip_fraction)
+    return trainer(dataset, coeffs, params, schedule, model, config)
+
+
 def _fresh_noise(schedule, model, n_eval, seed):
     rng = np.random.default_rng(seed)
     return schedule.tilde_sigma * rng.standard_normal((n_eval, model.dim))
@@ -297,8 +313,7 @@ def evaluation_reference(teacher_config: TeacherConfig, schedule, model,
 
 def evaluate(coeffs, schedule, model, teacher_config: TeacherConfig,
              grid: TimeGrid | None = None, params: LearnableTimeParams | None = None,
-             n_eval: int = 100, seed: int = 0, h_mode: str = "lambda",
-             reference: np.ndarray | None = None) -> dict:
+             n_eval: int = 100, seed: int = 0, reference: np.ndarray | None = None) -> dict:
     """Terminal-error metrics on fresh noise (never the trained inputs).
 
     ``reference``, when given, is ``evaluation_reference`` for the same
@@ -315,7 +330,7 @@ def evaluate(coeffs, schedule, model, teacher_config: TeacherConfig,
     elif np.shape(reference) != xs.shape:
         raise ValueError(f"reference has shape {np.shape(reference)}, "
                          f"the evaluation draws {xs.shape}")
-    trace = solve(coeffs, schedule, grid, model, xs, h_mode=h_mode)
+    trace = solve(coeffs, schedule, grid, model, xs)
     err = np.linalg.norm(trace.terminal - reference, axis=-1)
     ref_norm = np.maximum(np.linalg.norm(reference, axis=-1), 1e-12)
     return {

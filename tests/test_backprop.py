@@ -56,9 +56,10 @@ class TestFiniteDifferenceAgreement:
         report = check_gradients(coeffs, ve, mixture, x0, target, params=params)
         assert report["max_relative_deviation"] <= 1e-5
 
-    def test_data_prediction_blocks_match_fd(self, ve, mixture, rng):
+    @pytest.mark.parametrize("kind", ["lms", "pc"])
+    def test_data_prediction_blocks_match_fd(self, ve, mixture, rng, kind):
         grid = heuristic_grid(ve, 4, "logsnr")
-        coeffs = init_preset("lms", 2, 4, "gaussian", seed=11)
+        coeffs = init_preset(kind, 2, 4, "gaussian", seed=11)
         coeffs.prediction = "data"
         x0 = ve.tilde_sigma * rng.standard_normal(2)
         report = check_gradients(coeffs, ve, mixture, x0, rng.standard_normal(2), grid=grid)
@@ -120,10 +121,11 @@ def test_tied_gradient_is_sum_of_untied_rows(ve, mixture, rng):
 class TestRematerialization:
     def test_dropped_cache_reproduces_gradients(self, ve, mixture, rng):
         grid = heuristic_grid(ve, 5, "logsnr")
-        for kind, preset in (("lms", "ipndm"), ("pc", "unipc")):
+        for kind, preset, final_corrector in (("lms", "ipndm", True), ("pc", "unipc", True),
+                                              ("pc", "unipc", False)):
             coeffs = init_preset(kind, 2, 5, preset, schedule=ve, grid=grid)
             x = rng.standard_normal(2)
-            trace = solve(coeffs, ve, grid, mixture, x)
+            trace = solve(coeffs, ve, grid, mixture, x, final_corrector=final_corrector)
             cot = rng.standard_normal(2)
             with_cache = backward(trace, coeffs, ve, mixture, cot, grid=grid)
             trace.eps_cache = None
@@ -145,6 +147,8 @@ class TestRematerialization:
         backward(trace, coeffs, ve, counted, np.ones(2), grid=grid)
         assert counted.n_epsilon <= forward_evals
         assert counted.n_epsilon + counted.n_vjp <= 2 * forward_evals
+        # one time partial per released evaluation
+        assert counted.n_time_partial == forward_evals == 6
 
 
 def test_mismatched_trace_rejected(ve, mixture):

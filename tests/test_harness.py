@@ -11,9 +11,9 @@ from fewstep.checkpoints import load_checkpoint, save_checkpoint
 from fewstep.cli import main as cli_main
 from fewstep.coeffs import init_preset
 from fewstep.configs import (DatasetSpec, ExperimentConfig, GridSpec, ModelSpec,
-                             ScheduleSpec, SolverSpec, TeacherSpec, build_grid,
-                             build_model, build_schedule, config_from_dict,
-                             config_hash, config_to_dict, load_config, save_config)
+                             ScheduleSpec, SolverSpec, TeacherSpec, build_model,
+                             build_schedule, config_from_dict, config_hash,
+                             config_to_dict, load_config, save_config)
 from fewstep.errors import CompatibilityError, ConfigError
 from fewstep import experiments
 from fewstep.experiments import ResultTable, SweepSpec, run_cell, run_sweep, sweep_cells
@@ -69,11 +69,7 @@ class TestConfig:
         schedule = build_schedule(cfg.schedule)
         model = build_model(cfg.model)
         assert model.dim == 2
-        grid, params = build_grid(cfg, schedule, 6)
-        assert grid.n_steps == 6 and params is None
-        cfg2 = tiny_config(grid=GridSpec(kind="logsnr", learnable=True))
-        _, params = build_grid(cfg2, schedule, 6)
-        assert isinstance(params, LearnableTimeParams)
+        assert schedule.T == 10.0
 
     def test_custom_mixture_spec(self):
         spec = ModelSpec(kind="gaussian_mixture", dim=1, weights=[0.4, 0.6],
@@ -107,6 +103,36 @@ class TestCheckpoints:
             load_checkpoint(path, "b" * 64)
         back, _, _, _ = load_checkpoint(path, "b" * 64, force=True)
         assert np.array_equal(back.values, coeffs.values)
+
+    def _saved(self, tmp_path, ve):
+        grid = heuristic_grid(ve, 5, "logsnr")
+        coeffs = init_preset("pc", 2, 5, "unipc", schedule=ve, grid=grid)
+        path = tmp_path / "model.fsc"
+        save_checkpoint(path, coeffs, "a" * 64, params=LearnableTimeParams.from_grid(grid, ve),
+                        x_prime_snapshot=np.arange(6.0).reshape(3, 2))
+        return path, path.read_bytes()
+
+    # (bytes kept of the whole file, JSON header length); the arrays end the
+    # file in directory order: coefficients, xi (5 floats), xi_c (4 floats),
+    # then the 3 x 2 x_prime snapshot (48 bytes)
+    @pytest.mark.parametrize("cut", [
+        lambda n, h: 10,           # inside the header length
+        lambda n, h: 12 + h // 2,  # inside the JSON header
+        lambda n, h: n - 48 - 12,  # inside xi_c
+        lambda n, h: n - 8,        # inside x_prime
+        lambda n, h: n - 1,
+    ], ids=["header-length", "header-json", "xi_c", "x_prime", "last-byte"])
+    def test_truncated_file_rejected(self, tmp_path, ve, cut):
+        path, blob = self._saved(tmp_path, ve)
+        path.write_bytes(blob[: cut(len(blob), int.from_bytes(blob[8:12], "little"))])
+        with pytest.raises(CompatibilityError, match="model.fsc"):
+            load_checkpoint(path, "a" * 64)
+
+    def test_trailing_bytes_rejected(self, tmp_path, ve):
+        path, blob = self._saved(tmp_path, ve)
+        path.write_bytes(blob + b"\0" * 4)
+        with pytest.raises(CompatibilityError, match="model.fsc"):
+            load_checkpoint(path, "a" * 64)
 
 
 class TestCells:
@@ -361,7 +387,7 @@ def test_default_dataset_spec_is_700_200():
 
 def test_cli_train_alternating_mode(tmp_path):
     runner = CliRunner()
-    cfg = tiny_config(grid=GridSpec(kind="logsnr", learnable=True))
+    cfg = tiny_config()
     cfg_path = tmp_path / "config.json"
     save_config(cfg, cfg_path)
     data_path = tmp_path / "data.fsd"

@@ -8,7 +8,7 @@ from fewstep.errors import DivergenceError, StateError
 from fewstep.grids import heuristic_grid
 from fewstep.schedules import VeSchedule, exact_step_integrand
 from fewstep.scores import CountingScoreModel, GaussianMixtureScore, default_mixture
-from fewstep.solvers import lms_step, pc_step, solve, ss_step
+from fewstep.solvers import lms_step, solve, ss_step
 from fewstep.teachers import exact_gaussian_solution
 
 
@@ -191,9 +191,11 @@ class TestSolve:
         ):
             grid = heuristic_grid(ve, 8, "logsnr")
             coeffs = init_preset(kind, order, 8, preset, schedule=ve, grid=grid)
-            counted = CountingScoreModel(mixture)
-            trace = solve(coeffs, ve, grid, counted, x)
-            assert trace.nfe_used == expected == counted.n_epsilon
+            for prediction in ("noise", "data"):
+                coeffs.prediction = prediction
+                counted = CountingScoreModel(mixture)
+                trace = solve(coeffs, ve, grid, counted, x)
+                assert trace.nfe_used == expected == counted.n_epsilon
 
     def test_divergence_carries_step_index(self, ve, mixture):
         grid = heuristic_grid(ve, 4, "logsnr")
@@ -208,13 +210,6 @@ class TestSolve:
         grid = heuristic_grid(ve, 5, "logsnr")
         with pytest.raises(ValueError):
             solve(coeffs, ve, grid, mixture, np.ones(2))
-
-    def test_time_domain_h_mode_runs(self, ve, mixture):
-        grid = heuristic_grid(ve, 4, "logsnr")
-        coeffs = init_preset("lms", 2, 4, "ipndm", schedule=ve, grid=grid)
-        a = solve(coeffs, ve, grid, mixture, np.ones(2), h_mode="time").terminal
-        b = solve(coeffs, ve, grid, mixture, np.ones(2)).terminal
-        assert np.all(np.isfinite(a)) and not np.allclose(a, b)
 
 
 class TestDataPrediction:
