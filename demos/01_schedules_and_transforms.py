@@ -9,7 +9,7 @@ integrator, and the slow reference step used as a test oracle.
 import numpy as np
 
 from fewstep import (EdmSchedule, VeSchedule, VpLinearSchedule,
-                     exact_step_integrand, ode_coefficients, phi_functions)
+                     exact_step_integrand, phi_functions)
 from fewstep.scores import GaussianMixtureScore
 
 print("=== Schedule kinds ===")
@@ -20,14 +20,13 @@ for schedule in (VpLinearSchedule(), VeSchedule(), EdmSchedule()):
 
 print("\n=== t <-> lambda round trip (VP schedule) ===")
 vp = VpLinearSchedule()
-worst = max(abs(vp.time_from_lambda(float(vp.lam(t))) - t)
-            for t in np.linspace(vp.t_min, vp.T, 500))
+ts = np.linspace(vp.t_min, vp.T, 500)
+worst = np.max(np.abs(vp.time_from_lambda(vp.lam(ts)) - ts))
 print(f"worst |t - t_lambda(lambda(t))| over 500 samples: {worst:.2e}")
 
 print("\n=== Probability-flow ODE coefficients at a few times ===")
 for t in (0.1, 0.5, 0.9):
-    c = ode_coefficients(vp, t)
-    print(f"t={t}: drift f(t)={c.f_t:+.4f}  diffusion g^2(t)={c.g_sq_t:+.4f}")
+    print(f"t={t}: drift f(t)={vp.f(t):+.4f}  diffusion g^2(t)={vp.g_sq(t):+.4f}")
 
 print("\n=== phi functions ===")
 print("phi_k(0) = 1/k!:", phi_functions(0.0, 4).values)

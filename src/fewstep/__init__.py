@@ -13,9 +13,8 @@ harness (:mod:`~fewstep.configs`, :mod:`~fewstep.experiments`,
 from .backprop import AdjointResult, backward, check_gradients
 from .coeffs import SolverCoefficients, init_preset, table_param_count
 from .grids import LearnableTimeParams, TimeGrid, grid_gradient_vjp, heuristic_grid, materialize
-from .schedules import (EdmSchedule, NoiseSchedule, OdeCoefficients, PhiTable,
-                        VeSchedule, VpLinearSchedule, exact_step_integrand,
-                        ode_coefficients, phi_functions)
+from .schedules import (EdmSchedule, NoiseSchedule, PhiTable, VeSchedule, VpLinearSchedule,
+                        exact_step_integrand, phi_functions)
 from .scores import CountingScoreModel, GaussianMixtureScore, default_mixture
 from .solvers import SolveTrace, lms_step, solve, ss_step
 from .teachers import (Dataset, TeacherConfig, TrainRecord, generate_dataset,
@@ -30,9 +29,8 @@ __all__ = [
     "AdjointResult", "backward", "check_gradients",
     "SolverCoefficients", "init_preset", "table_param_count",
     "LearnableTimeParams", "TimeGrid", "grid_gradient_vjp", "heuristic_grid", "materialize",
-    "EdmSchedule", "NoiseSchedule", "OdeCoefficients", "PhiTable",
-    "VeSchedule", "VpLinearSchedule", "exact_step_integrand",
-    "ode_coefficients", "phi_functions",
+    "EdmSchedule", "NoiseSchedule", "PhiTable", "VeSchedule", "VpLinearSchedule",
+    "exact_step_integrand", "phi_functions",
     "CountingScoreModel", "GaussianMixtureScore", "default_mixture",
     "SolveTrace", "lms_step", "solve", "ss_step",
     "Dataset", "TeacherConfig", "TrainRecord", "generate_dataset",

@@ -6,7 +6,9 @@ parameters (through the schedule's analytic derivatives and the grid
 parametrization), and the initial state.  Score-model Jacobian information
 enters only through the model's closed-form vjp and time partials, so memory
 stays linear in the number of steps; cached score evaluations are reused when
-the trace kept them and recomputed otherwise.
+the trace kept them and recomputed otherwise.  The update wrapper and its
+t-partials come from :mod:`~fewstep.solvers` (``wrapper_factors`` and
+``wrapper_partials``), once per sweep.
 
 ``lms`` and ``pc`` share one reverse sweep (``lms`` is ``pc`` without
 corrector rows): each evaluation made at step i lives at that step's
@@ -26,7 +28,7 @@ from .coeffs import SolverCoefficients
 from .errors import StateError
 from .grids import LearnableTimeParams, TimeGrid, grid_gradient_vjp, materialize
 from .schedules import NoiseSchedule
-from .solvers import SolveTrace, wrapper_factors
+from .solvers import SolveTrace, _evaluate, wrapper_factors, wrapper_partials
 
 
 @dataclasses.dataclass
@@ -40,29 +42,6 @@ class AdjointResult:
     grad_xi: np.ndarray | None = None
     grad_xi_c: np.ndarray | None = None
     loss_value: float = 0.0
-
-
-def _wrapper_derivatives(schedule, t_prev, t_next, prediction):
-    """d(R, S)/d(t_prev, t_next) for the update wrapper."""
-    a_p, s_p = float(schedule.alpha(t_prev)), float(schedule.sigma(t_prev))
-    a_n, s_n = float(schedule.alpha(t_next)), float(schedule.sigma(t_next))
-    da_p, ds_p = float(schedule.d_alpha(t_prev)), float(schedule.d_sigma(t_prev))
-    da_n, ds_n = float(schedule.d_alpha(t_next)), float(schedule.d_sigma(t_next))
-    h = float(schedule.lam(t_next) - schedule.lam(t_prev))
-    dh_p, dh_n = -float(schedule.d_lam(t_prev)), float(schedule.d_lam(t_next))
-    if prediction == "noise":
-        dR_p = -a_n * da_p / (a_p * a_p)
-        dR_n = da_n / a_p
-        eh = np.exp(h)
-        dS_p = s_n * eh * dh_p
-        dS_n = ds_n * np.expm1(h) + s_n * eh * dh_n
-    else:
-        dR_p = -s_n * ds_p / (s_p * s_p)
-        dR_n = ds_n / s_p
-        emh = np.exp(-h)
-        dS_p = a_n * emh * dh_p
-        dS_n = da_n * np.expm1(-h) - a_n * emh * dh_n
-    return dR_p, dR_n, float(dS_p), float(dS_n)
 
 
 def _eval_vjp(model, prediction, schedule, x, t, cot):
@@ -84,16 +63,10 @@ def _eval_time_dot(model, prediction, schedule, x, t, cot) -> float:
     return float(np.sum(cot * dxhat))
 
 
-def _evaluate(model, prediction, schedule, x, t):
-    if prediction == "noise":
-        return model.epsilon(schedule, x, t)
-    return model.data_prediction(schedule, x, t)
-
-
 def _rematerialize_cache(trace, coeffs, schedule, grid, model):
     # evaluation m sits at the initial state (m = 0) or at step m's prediction
     points = [trace.states[0]] + trace.pred_states[: trace.nfe_used - 1]
-    return [_evaluate(model, coeffs.prediction, schedule, x, float(grid.score_times[m]))
+    return [_evaluate(model, coeffs, schedule, x, float(grid.score_times[m]))
             for m, x in enumerate(points)]
 
 
@@ -157,6 +130,8 @@ def _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache,
                         grad_values, tbar, tcbar):
     n = coeffs.n_steps
     ebar = [np.zeros_like(xbar) for _ in cache]
+    Rs, Ss = wrapper_factors(schedule, grid.steps, coeffs.prediction)
+    dR_p, dR_n, dS_p, dS_n = wrapper_partials(schedule, grid.steps, coeffs.prediction)
 
     def release(m, x):
         """Cotangent on the point x where evaluation m was made."""
@@ -167,8 +142,7 @@ def _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache,
     for i in range(n, 0, -1):
         q = coeffs.q(i)
         correct = coeffs.kind == "pc" and (i < n or trace.final_corrector)
-        R, S, _ = wrapper_factors(schedule, grid.steps[i - 1], grid.steps[i],
-                                  coeffs.prediction)
+        R, S = Rs[i - 1], Ss[i - 1]
         rbar = sbar = 0.0
         pbar = xbar                      # the prediction is the state ...
         if correct:                      # ... unless a corrector row replaces it
@@ -197,10 +171,8 @@ def _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache,
         xprev_bar = R * pbar
         if correct:
             xprev_bar = R * xbar + xprev_bar
-        dR_p, dR_n, dS_p, dS_n = _wrapper_derivatives(
-            schedule, grid.steps[i - 1], grid.steps[i], coeffs.prediction)
-        tbar[i] += rbar * dR_n + sbar * dS_n
-        tbar[i - 1] += rbar * dR_p + sbar * dS_p
+        tbar[i] += rbar * dR_n[i - 1] + sbar * dS_n[i - 1]
+        tbar[i - 1] += rbar * dR_p[i - 1] + sbar * dS_p[i - 1]
         xbar = xprev_bar
     return xbar + release(0, trace.states[0])
 
@@ -208,12 +180,13 @@ def _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache,
 def _backward_ss(trace, coeffs, schedule, grid, model, xbar,
                  grad_values, tbar, tcbar):
     n, k = coeffs.n_steps, coeffs.order
+    Rs, Ss = wrapper_factors(schedule, grid.steps, coeffs.prediction)
+    dR_p, dR_n, dS_p, dS_n = wrapper_partials(schedule, grid.steps, coeffs.prediction)
     for i in range(n, 0, -1):
         rec = trace.stage_records[i - 1]
         b = coeffs.values[coeffs.ss_b_slice(i)]
         amat = coeffs.ss_a_matrix(i)
-        R, S, _ = wrapper_factors(schedule, grid.steps[i - 1], grid.steps[i],
-                                  coeffs.prediction)
+        R, S = Rs[i - 1], Ss[i - 1]
         delta = sum(b[j] * rec.kappas[j] for j in range(k))
         rbar, sbar = _dot(xbar, trace.states[i - 1]), -_dot(xbar, delta)
         gb = grad_values[coeffs.ss_b_slice(i)]
@@ -238,10 +211,8 @@ def _backward_ss(trace, coeffs, schedule, grid, model, xbar,
             for l in range(j):
                 kbar[l] = kbar[l] + amat[j, l] * zbar
                 ga[j, l] += _dot(zbar, rec.kappas[l])
-        dR_p, dR_n, dS_p, dS_n = _wrapper_derivatives(
-            schedule, grid.steps[i - 1], grid.steps[i], coeffs.prediction)
-        tbar[i] += rbar * dR_n + sbar * dS_n
-        tbar[i - 1] += rbar * dR_p + sbar * dS_p
+        tbar[i] += rbar * dR_n[i - 1] + sbar * dS_n[i - 1]
+        tbar[i - 1] += rbar * dR_p[i - 1] + sbar * dS_p[i - 1]
         xbar = xprev_bar
     return xbar
 

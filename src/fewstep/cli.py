@@ -22,7 +22,7 @@ from .coeffs import SolverCoefficients, init_preset, table_param_count
 from .configs import (ExperimentConfig, build_model, build_schedule, build_teacher,
                       config_from_dict, config_hash, load_config)
 from .errors import CompatibilityError, ConfigError
-from .experiments import MODES, ResultTable, SweepSpec, run_cell, run_sweep
+from .experiments import MODES, ResultTable, SweepSpec, run_sweep
 from .grids import LearnableTimeParams, heuristic_grid, materialize
 from .schedules import phi_functions
 from .scores import default_mixture
@@ -238,7 +238,7 @@ def cli_selftest():
 
     vp = VpLinearSchedule()
     ts = np.linspace(vp.t_min, vp.T, 200)
-    rt = max(abs(vp.time_from_lambda(float(vp.lam(t))) - t) for t in ts)
+    rt = np.max(np.abs(vp.time_from_lambda(vp.lam(ts)) - ts))
     check("lambda round trip <= 1e-10", rt <= 1e-10)
 
     lo = phi_functions(1e-4 - 1e-12, 4).values

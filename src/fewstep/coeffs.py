@@ -372,14 +372,15 @@ def _init_ss_preset(coeffs, preset, schedule, lams):
         raise ValueError("the midpoint single-step preset is defined for noise prediction")
     if coeffs.order > 2:
         raise ValueError("the midpoint single-step preset stops at order 2")
+    hs = np.diff(lams)
+    sigma_mid = schedule.sigma(schedule.time_from_lambda(lams[:-1] + 0.5 * hs))
     for i in range(1, coeffs.n_steps + 1):
         b = coeffs.values[coeffs.ss_b_slice(i)]
         if coeffs.order == 1:
             b[:] = [1.0]
             continue
-        h = lams[i] - lams[i - 1]
+        h = hs[i - 1]
         b[:] = [0.0, 1.0]
         coeffs.values[coeffs.ss_c_slice(i)] = [0.5 * h]
-        s_mid = schedule.time_from_lambda(lams[i - 1] + 0.5 * h)
         amat = coeffs.ss_a_matrix(i)
-        amat[1, 0] = -float(schedule.sigma(s_mid)) * np.expm1(0.5 * h)
+        amat[1, 0] = -float(sigma_mid[i - 1]) * np.expm1(0.5 * h)

@@ -60,15 +60,14 @@ def heuristic_grid(schedule: NoiseSchedule, n_steps: int, kind: str, rho: float 
     elif kind == "quadratic":
         steps = T + frac**2 * (eps - T)
     elif kind == "logsnr":
-        lam_T, lam_eps = schedule.lambda_range()[0], float(schedule.lam(eps))
-        lams = lam_T + frac * (lam_eps - lam_T)
-        steps = np.array([schedule.time_from_lambda(l) for l in lams])
+        lam_T, lam_eps = schedule.lambda_range()
+        steps = schedule.time_from_lambda(lam_T + frac * (lam_eps - lam_T))
     elif kind == "edm":
         if rho <= 0:
             raise ValueError(f"rho must be positive, got {rho}")
         k_T, k_eps = float(schedule.kappa(T)), float(schedule.kappa(eps))
         ks = (k_T ** (1.0 / rho) + frac * (k_eps ** (1.0 / rho) - k_T ** (1.0 / rho))) ** rho
-        steps = np.array([schedule.time_from_kappa(k) for k in ks])
+        steps = schedule.time_from_lambda(-np.log(ks))
     else:
         raise ValueError(f"unknown grid kind {kind!r}; expected one of {GRID_KINDS}")
     steps[0], steps[-1] = T, eps

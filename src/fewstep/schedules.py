@@ -5,8 +5,8 @@ sigma_t^2 I)`` on ``[t_min, T]`` and everything derived from it: the log-SNR
 ``lam(t) = log(alpha_t / sigma_t)``, the drift/diffusion coefficients of the
 probability-flow ODE, and the phi functions that appear when the ODE is solved
 in the log-SNR variable.  All schedules here are smooth with strictly
-decreasing SNR, so ``lam`` is strictly decreasing and invertible; the inverse
-is computed by bisection in ``log t`` so every schedule kind shares one path.
+decreasing SNR, so ``lam`` is strictly decreasing and invertible; each kind
+inverts it in closed form, on scalars or whole arrays of log-SNR values.
 
 Solving runs from ``T`` down to ``t_min`` (never to 0, for numerical
 stability); ``tilde_sigma`` is the noise scale of the terminal marginal used
@@ -23,10 +23,6 @@ from scipy.integrate import solve_ivp
 
 from .errors import DomainError, NumericalError
 
-# Bisection budget for inverting lam(t); performed in log t so the resolution
-# is uniform across schedules with wide time ranges.
-_BISECT_ITERS = 50
-
 # Below this |h| the closed forms of the phi functions cancel catastrophically
 # in double precision; switch to the (rapidly convergent) Taylor series.
 PHI_SERIES_CUTOFF = 1e-4
@@ -35,7 +31,8 @@ _PHI_SERIES_TERMS = 10
 
 @dataclasses.dataclass(frozen=True)
 class NoiseSchedule:
-    """Base class; concrete kinds implement ``alpha/sigma`` and their t-derivatives."""
+    """Base class; concrete kinds implement ``alpha/sigma``, their t-derivatives,
+    and ``_time_from_lambda``, the closed-form inverse of ``lam``."""
 
     T: float = 1.0
     t_min: float = 1e-3
@@ -107,38 +104,19 @@ class NoiseSchedule:
         """(lam(T), lam(t_min)) — the increasing span traversed by reverse solves."""
         return float(self.lam(self.T)), float(self.lam(self.t_min))
 
-    def time_from_lambda(self, lam_target, tol=1e-10):
-        """Invert lam(t) by monotone bisection in log t to |dlam| <= tol."""
+    def time_from_lambda(self, lam):
+        """Invert lam(t) in closed form: a float for a scalar, an array for an array."""
         lam_lo, lam_hi = self.lambda_range()
+        lam = np.asarray(lam, dtype=float)
         slack = 1e-9 * (lam_hi - lam_lo)
-        lam_target = float(lam_target)
-        if lam_target < lam_lo - slack or lam_target > lam_hi + slack:
-            raise DomainError(
-                f"lambda {lam_target} outside [{lam_lo}, {lam_hi}]"
-            )
-        if lam_target <= lam_lo:
-            return self.T
-        if lam_target >= lam_hi:
-            return self.t_min
-        # lam decreases in t, hence increases toward lo_log.
-        lo, hi = math.log(self.t_min), math.log(self.T)
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if float(self.lam(math.exp(mid))) > lam_target:
-                lo = mid
-            else:
-                hi = mid
-        t = math.exp(0.5 * (lo + hi))
-        if abs(float(self.lam(t)) - lam_target) > tol:
-            raise NumericalError(
-                "lambda inversion did not reach tolerance",
-                {"target": lam_target, "achieved": float(self.lam(t)), "tol": tol},
-            )
-        return t
+        if np.any(lam < lam_lo - slack) or np.any(lam > lam_hi + slack):
+            raise DomainError(f"lambda {lam} outside [{lam_lo}, {lam_hi}]")
+        t = np.where(lam <= lam_lo, self.T,
+                     np.where(lam >= lam_hi, self.t_min, self._time_from_lambda(lam)))
+        return float(t) if t.ndim == 0 else t
 
-    def time_from_kappa(self, kappa_target):
-        """Invert kappa(t) = sigma_t/alpha_t via kappa = exp(-lam)."""
-        return self.time_from_lambda(-math.log(float(kappa_target)))
+    def _time_from_lambda(self, lam):
+        raise NotImplementedError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,6 +150,14 @@ class VpLinearSchedule(NoiseSchedule):
         a = self.alpha(t)
         return 0.5 * self.beta(t) * a * a / self.sigma(t)
 
+    def _time_from_lambda(self, lam):
+        # alpha^2 = sigmoid(2 lam), so c = -log(alpha) = a t^2 + b t; take the
+        # positive root in the form that does not cancel (and allows b = 0)
+        c = 0.5 * np.logaddexp(0.0, -2.0 * lam)
+        a = (self.beta_max - self.beta_min) / (4.0 * self.T)
+        b = 0.5 * self.beta_min
+        return 2.0 * c / (b + np.sqrt(b * b + 4.0 * a * c))
+
     def _default_tilde_sigma(self) -> float:
         return 1.0
 
@@ -195,6 +181,9 @@ class VeSchedule(NoiseSchedule):
     def d_sigma(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
 
+    def _time_from_lambda(self, lam):
+        return np.exp(-lam)
+
 
 @dataclasses.dataclass(frozen=True)
 class EdmSchedule(VeSchedule):
@@ -210,19 +199,6 @@ SCHEDULE_KINDS = {
     "ve": VeSchedule,
     "edm": EdmSchedule,
 }
-
-
-@dataclasses.dataclass(frozen=True)
-class OdeCoefficients:
-    """Drift f(t) and squared diffusion g^2(t) of the probability-flow ODE."""
-
-    f_t: float
-    g_sq_t: float
-
-
-def ode_coefficients(schedule: NoiseSchedule, t) -> OdeCoefficients:
-    t = schedule.check_time(t)
-    return OdeCoefficients(f_t=float(schedule.f(t)), g_sq_t=float(schedule.g_sq(t)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -315,10 +291,9 @@ def exact_step_integrand(
     def quadrature(n_nodes):
         nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
         mid, half = 0.5 * (lam_p + lam_n), 0.5 * (lam_n - lam_p)
+        lams = mid + half * nodes
         total = np.zeros_like(x_prev)
-        for z, w in zip(nodes, weights):
-            lam = mid + half * z
-            t = schedule.time_from_lambda(lam)
+        for lam, t, w in zip(lams, schedule.time_from_lambda(lams), weights):
             x = sol.sol(lam).reshape(x_prev.shape)
             total += w * math.exp(-lam) * eps_fn(x, t)
         return half * total

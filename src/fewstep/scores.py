@@ -17,7 +17,6 @@ import dataclasses
 
 import numpy as np
 
-from .errors import DomainError
 from .schedules import NoiseSchedule
 
 

@@ -9,7 +9,10 @@ prediction and R_i = sigma_i/sigma_{i-1}, S_i = alpha_i (e^{-h_i} - 1) for
 data prediction, h_i the per-step log-SNR gap.  The increment is the
 coefficient-weighted combination of score evaluations defined by the family.
 Score evaluations happen at the grid's score times; wrapper factors always
-use the step times.
+use the step times.  :func:`wrapper_factors` (and its t-partials,
+:func:`wrapper_partials`, for the reverse pass) is the one place this formula
+lives; it answers for a whole grid at once, so a solve asks the schedule once
+per grid, not once per step.
 
 ``lms`` and ``pc`` run one multistep loop: each step predicts with its
 multistep row and evaluates the model at the prediction; ``pc`` then
@@ -28,17 +31,28 @@ from .grids import TimeGrid
 from .schedules import NoiseSchedule
 
 
-def wrapper_factors(schedule: NoiseSchedule, t_prev: float, t_next: float,
-                    prediction: str):
-    """(R, S, h) of the update wrapper for one step."""
-    h = float(schedule.lam(t_next) - schedule.lam(t_prev))
+def wrapper_factors(schedule: NoiseSchedule, steps: np.ndarray, prediction: str):
+    """(R, S) of the update wrapper for every step of a grid; entry i-1 is step i."""
+    alpha, sigma = schedule.alpha(steps), schedule.sigma(steps)
+    h = np.diff(np.log(alpha) - np.log(sigma))
     if prediction == "noise":
-        R = float(schedule.alpha(t_next) / schedule.alpha(t_prev))
-        S = float(schedule.sigma(t_next)) * float(np.expm1(h))
-    else:
-        R = float(schedule.sigma(t_next) / schedule.sigma(t_prev))
-        S = float(schedule.alpha(t_next)) * float(np.expm1(-h))
-    return R, S, h
+        return alpha[1:] / alpha[:-1], sigma[1:] * np.expm1(h)
+    return sigma[1:] / sigma[:-1], alpha[1:] * np.expm1(-h)
+
+
+def wrapper_partials(schedule: NoiseSchedule, steps: np.ndarray, prediction: str):
+    """(dR_prev, dR_next, dS_prev, dS_next): the t-partials of wrapper_factors per step."""
+    a, s = schedule.alpha(steps), schedule.sigma(steps)
+    da, ds = schedule.d_alpha(steps), schedule.d_sigma(steps)
+    h = np.diff(np.log(a) - np.log(s))
+    dlam = da / a - ds / s
+    if prediction != "noise":
+        # data prediction is noise prediction with alpha and sigma swapped,
+        # which negates the log-SNR
+        a, s, da, ds, h, dlam = s, a, ds, da, -h, -dlam
+    e_h = np.exp(h)
+    return (-a[1:] * da[:-1] / (a[:-1] * a[:-1]), da[1:] / a[:-1],
+            -s[1:] * e_h * dlam[:-1], ds[1:] * np.expm1(h) + s[1:] * e_h * dlam[1:])
 
 
 def _evaluate(model, coeffs, schedule, x, t, step_index=None):
@@ -87,26 +101,26 @@ class SolveTrace:
         return self.states[-1]
 
 
-def lms_step(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
-             i: int, x_prev: np.ndarray, eps_history):
-    """Multistep update at step i; eps_history is most-recent-first."""
+def lms_step(coeffs: SolverCoefficients, R: np.ndarray, S: np.ndarray, i: int,
+             x_prev: np.ndarray, eps_history):
+    """Multistep update at step i; eps_history is most-recent-first.
+
+    R and S are the grid's wrapper factors (see :func:`wrapper_factors`).
+    """
     q = coeffs.q(i)
     if eps_history is None or len(eps_history) < q:
         raise StateError(f"step {i} needs {q} cached evaluations, got "
                          f"{0 if eps_history is None else len(eps_history)}")
-    R, S, _ = wrapper_factors(schedule, grid.steps[i - 1], grid.steps[i],
-                              coeffs.prediction)
     b = coeffs.values[coeffs.b_slice(i)]
     delta = sum(b[j] * eps_history[j] for j in range(q))
-    return R * x_prev - S * delta
+    return R[i - 1] * x_prev - S[i - 1] * delta
 
 
 def ss_step(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
-            i: int, x_prev: np.ndarray, model, diagnostics: list | None = None):
+            R: np.ndarray, S: np.ndarray, i: int, x_prev: np.ndarray, model,
+            diagnostics: list | None = None):
     """Single-step update: k internal stages at learnable log-SNR offsets."""
     k = coeffs.order
-    R, S, _ = wrapper_factors(schedule, grid.steps[i - 1], grid.steps[i],
-                              coeffs.prediction)
     lam_prev = float(schedule.lam(grid.steps[i - 1]))
     lam_lo, lam_hi = schedule.lambda_range()
     c_full = np.concatenate([[0.0], coeffs.values[coeffs.ss_c_slice(i)]])
@@ -117,7 +131,7 @@ def ss_step(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
         for j in np.nonzero(clamped)[0]:
             diagnostics.append({"event": "stage_clamp", "step": i, "stage": int(j + 1),
                                 "requested": float(raw_lams[j]), "used": float(stage_lams[j])})
-    stage_times = np.array([schedule.time_from_lambda(l) for l in stage_lams])
+    stage_times = schedule.time_from_lambda(stage_lams)
     amat = coeffs.ss_a_matrix(i)
     b = coeffs.values[coeffs.ss_b_slice(i)]
 
@@ -132,7 +146,7 @@ def ss_step(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
     delta = sum(b[j] * kappas[j] for j in range(k))
     record = StageRecord(stage_x=stage_x, kappas=kappas, stage_lams=stage_lams,
                          stage_times=stage_times, clamped=clamped)
-    return R * x_prev - S * delta, record
+    return R[i - 1] * x_prev - S[i - 1] * delta, record
 
 
 def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
@@ -156,11 +170,13 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
     eps_cache: list | None = None
     pred_states: list | None = None
     stage_records: list | None = None
+    R, S = wrapper_factors(schedule, grid.steps, coeffs.prediction)
 
     if coeffs.kind == "ss":
         stage_records = []
         for i in range(1, n + 1):
-            x, record = ss_step(coeffs, schedule, grid, i, x, model, diagnostics=diagnostics)
+            x, record = ss_step(coeffs, schedule, grid, R, S, i, x, model,
+                                diagnostics=diagnostics)
             nfe += coeffs.order
             stage_records.append(record)
             if not np.all(np.isfinite(x)):
@@ -173,7 +189,7 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
         pred_states = []
         for i in range(1, n + 1):
             q = coeffs.q(i)
-            pred = lms_step(coeffs, schedule, grid, i, x, eps_cache[i - 1 :: -1][:q])
+            pred = lms_step(coeffs, R, S, i, x, eps_cache[i - 1 :: -1][:q])
             correct = coeffs.kind == "pc" and (i < n or final_corrector)
             if i < n or correct:
                 # the evaluation at the prediction is the next cache entry
@@ -181,11 +197,9 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
                                            float(grid.score_times[i]), step_index=i))
                 nfe += 1
             if correct:
-                R, S, _ = wrapper_factors(schedule, grid.steps[i - 1], grid.steps[i],
-                                          coeffs.prediction)
                 w = coeffs.corrector_weights(i)           # [new, recent, ..., oldest]
                 pool = eps_cache[i :: -1][: q + 1]
-                x = R * x - S * sum(w[u] * pool[u] for u in range(q + 1))
+                x = R[i - 1] * x - S[i - 1] * sum(w[u] * pool[u] for u in range(q + 1))
             else:
                 x = pred
             pred_states.append(pred)

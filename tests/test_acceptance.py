@@ -5,7 +5,6 @@ later calibration.  The training criteria share one projection-violation
 ledger that the invariant criterion checks at the end.
 """
 
-import dataclasses
 import time
 
 import numpy as np

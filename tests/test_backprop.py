@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fewstep.backprop import backward, check_gradients
-from fewstep.coeffs import SolverCoefficients, init_preset
+from fewstep.coeffs import init_preset
 from fewstep.grids import LearnableTimeParams, heuristic_grid, materialize
 from fewstep.scores import CountingScoreModel
 from fewstep.solvers import solve
@@ -63,6 +63,17 @@ class TestFiniteDifferenceAgreement:
         coeffs.prediction = "data"
         x0 = ve.tilde_sigma * rng.standard_normal(2)
         report = check_gradients(coeffs, ve, mixture, x0, rng.standard_normal(2), grid=grid)
+        assert report["max_relative_deviation"] <= 1e-5
+
+    @pytest.mark.parametrize("schedule", ["ve", "vp"])
+    def test_data_prediction_time_blocks_match_fd(self, schedule, mixture, rng, request):
+        schedule = request.getfixturevalue(schedule)
+        params = _random_params(schedule, 4, rng)
+        coeffs = init_preset("lms", 2, 4, "ipndm", schedule=schedule,
+                             grid=materialize(params, schedule), prediction="data")
+        x0 = schedule.tilde_sigma * rng.standard_normal(2)
+        report = check_gradients(coeffs, schedule, mixture, x0, rng.standard_normal(2),
+                                 params=params)
         assert report["max_relative_deviation"] <= 1e-5
 
     def test_zero_loss_gives_zero_gradients(self, ve, mixture):

@@ -317,8 +317,7 @@ class TestCli:
         assert "train.epochz" in result.output
 
     def test_train_matches_library_call(self, tmp_path, ve, mixture):
-        from fewstep.teachers import generate_dataset, load_dataset, save_dataset
-        from fewstep.teachers import TeacherConfig
+        from fewstep.teachers import load_dataset
         from fewstep.training import train_s4s
 
         runner = CliRunner()

@@ -8,8 +8,7 @@ from scipy.integrate import solve_ivp
 
 from fewstep.errors import DomainError
 from fewstep.schedules import (EdmSchedule, VeSchedule, VpLinearSchedule,
-                               exact_step_integrand, ode_coefficients,
-                               phi_functions)
+                               exact_step_integrand, phi_functions)
 
 ALL_SCHEDULES = [VpLinearSchedule(), VeSchedule(), EdmSchedule()]
 
@@ -83,12 +82,36 @@ def test_ode_coefficients_match_finite_differences(schedule):
     ts = np.linspace(schedule.t_min * 2, schedule.T * 0.98, 7)
     for t in ts:
         h = 1e-6 * schedule.T
-        c = ode_coefficients(schedule, t)
         fd_f = (np.log(schedule.alpha(t + h)) - np.log(schedule.alpha(t - h))) / (2 * h)
-        assert abs(c.f_t - fd_f) <= 1e-6 * max(abs(fd_f), 1e-3)
+        assert abs(schedule.f(t) - fd_f) <= 1e-6 * max(abs(fd_f), 1e-3)
         sig_sq = lambda u: float(schedule.sigma(u)) ** 2
         fd_g = (sig_sq(t + h) - sig_sq(t - h)) / (2 * h) - 2 * fd_f * sig_sq(t)
-        assert abs(c.g_sq_t - fd_g) <= 1e-6 * max(abs(fd_g), 1e-3)
+        assert abs(schedule.g_sq(t) - fd_g) <= 1e-6 * max(abs(fd_g), 1e-3)
+
+
+class TestClosedFormInverse:
+    @pytest.mark.parametrize("schedule", ALL_SCHEDULES, ids=["vp", "ve", "edm"])
+    def test_array_matches_scalar_calls(self, schedule):
+        lams = np.linspace(*schedule.lambda_range(), 37)
+        out = schedule.time_from_lambda(lams)
+        assert isinstance(out, np.ndarray) and out.shape == lams.shape
+        assert np.array_equal(out, [schedule.time_from_lambda(float(l)) for l in lams])
+        assert isinstance(schedule.time_from_lambda(float(lams[5])), float)
+
+    @pytest.mark.parametrize("schedule", ALL_SCHEDULES, ids=["vp", "ve", "edm"])
+    def test_one_entry_out_of_range_rejects_the_array(self, schedule):
+        lam_lo, lam_hi = schedule.lambda_range()
+        lams = np.linspace(lam_lo, lam_hi, 5)
+        lams[2] = lam_hi + 1e-3 * (lam_hi - lam_lo)
+        with pytest.raises(DomainError):
+            schedule.time_from_lambda(lams)
+
+    @pytest.mark.parametrize("schedule", ALL_SCHEDULES + [VpLinearSchedule(beta_min=0.0)],
+                             ids=["vp", "ve", "edm", "vp-beta-min-0"])
+    def test_round_trip_relative_error(self, schedule):
+        ts = np.geomspace(schedule.t_min, schedule.T, 2000)
+        back = schedule.time_from_lambda(schedule.lam(ts))
+        assert np.max(np.abs(back - ts) / ts) <= 1e-13
 
 
 class TestPhiFunctions:

@@ -7,8 +7,8 @@ from fewstep.coeffs import SolverCoefficients, init_preset
 from fewstep.errors import DivergenceError, StateError
 from fewstep.grids import heuristic_grid
 from fewstep.schedules import VeSchedule, exact_step_integrand
-from fewstep.scores import CountingScoreModel, GaussianMixtureScore, default_mixture
-from fewstep.solvers import lms_step, solve, ss_step
+from fewstep.scores import CountingScoreModel
+from fewstep.solvers import lms_step, solve, ss_step, wrapper_factors
 from fewstep.teachers import exact_gaussian_solution
 
 
@@ -19,7 +19,7 @@ class TestLmsStep:
         coeffs.values[:] = 1.0
         x = np.array([1.0, -2.0])
         eps = mixture.epsilon(ve, x, float(grid.steps[0]))
-        out = lms_step(coeffs, ve, grid, 1, x, [eps])
+        out = lms_step(coeffs, *wrapper_factors(ve, grid.steps, "noise"), 1, x, [eps])
         t0, t1 = grid.steps[0], grid.steps[1]
         h = float(ve.lam(t1) - ve.lam(t0))
         expected = (float(ve.alpha(t1) / ve.alpha(t0)) * x
@@ -31,14 +31,14 @@ class TestLmsStep:
         coeffs = SolverCoefficients(kind="lms", order=2, n_steps=4)
         x = np.array([0.5, 0.25])
         eps = mixture.epsilon(ve, x, float(grid.steps[0]))
-        out = lms_step(coeffs, ve, grid, 1, x, [eps])
+        out = lms_step(coeffs, *wrapper_factors(ve, grid.steps, "noise"), 1, x, [eps])
         assert np.allclose(out, float(ve.alpha(grid.steps[1]) / ve.alpha(grid.steps[0])) * x)
 
     def test_empty_history_raises(self, ve):
         grid = heuristic_grid(ve, 4, "logsnr")
         coeffs = SolverCoefficients(kind="lms", order=2, n_steps=4)
         with pytest.raises(StateError):
-            lms_step(coeffs, ve, grid, 2, np.zeros(2), [])
+            lms_step(coeffs, *wrapper_factors(ve, grid.steps, "noise"), 2, np.zeros(2), [])
 
     def test_classical_two_step_row_has_third_order_local_error(self, ve, gauss):
         # one step with (3/2, -1/2) against the quadrature reference; halving h
@@ -58,7 +58,7 @@ class TestLmsStep:
             coeffs = SolverCoefficients(kind="lms", order=2, n_steps=2)
             coeffs.values[coeffs.b_slice(2)] = [1.5, -0.5]
             g = TimeGrid(steps=times, score_times=times.copy())
-            out = lms_step(coeffs, ve, g, 2, x1, eps_hist)
+            out = lms_step(coeffs, *wrapper_factors(ve, g.steps, "noise"), 2, x1, eps_hist)
             return np.linalg.norm(out - ref)
 
         ratio = local_error(0.2) / local_error(0.1)
@@ -74,8 +74,9 @@ class TestSingleStep:
         lms.values[lms.b_slice(1)] = [0.8]
         x = np.array([1.0, 1.0])
         eps = mixture.epsilon(ve, x, float(grid.steps[0]))
-        out_ss, _ = ss_step(ss, ve, grid, 1, x, mixture)
-        out_lms = lms_step(lms, ve, grid, 1, x, [eps])
+        R, S = wrapper_factors(ve, grid.steps, "noise")
+        out_ss, _ = ss_step(ss, ve, grid, R, S, 1, x, mixture)
+        out_lms = lms_step(lms, R, S, 1, x, [eps])
         assert np.allclose(out_ss, out_lms, rtol=1e-14)
 
     def test_midpoint_preset_matches_handcoded_reference(self, ve, mixture):

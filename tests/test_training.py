@@ -163,8 +163,6 @@ class TestEvaluate:
         teacher = TeacherConfig(kind="fine_fixed", fine_nfe=50, fine_order=3)
         grid = heuristic_grid(ve, 50, "logsnr")
         coeffs = init_preset("pc", 3, 50, "unipc", schedule=ve, grid=grid)
-        from fewstep.solvers import solve as _solve  # same construction as the teacher
-
         metrics = evaluate(coeffs, ve, mixture, teacher, grid=grid, n_eval=20, seed=5)
         assert metrics["mean_error"] <= 1e-10
 
