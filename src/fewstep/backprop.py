@@ -4,9 +4,11 @@ Given the cotangent of a terminal-state loss, walk the solver recursion
 backwards and return cotangents for the coefficient vector, the time
 parameters (through the schedule's analytic derivatives and the grid
 parametrization), and the initial state.  Score-model Jacobian information
-enters only through the model's closed-form vjp and time partials, so memory
-stays linear in the number of steps; cached score evaluations are reused when
-the trace kept them and recomputed otherwise.  The update wrapper and its
+enters only through the model's ``linearize(schedule, x, t)``: the evaluation
+plus one pullback giving its vjp and its time derivative contracted with the
+cotangent, so each released evaluation is linearized once and memory stays
+linear in the number of steps.  Cached score evaluations are reused when the
+trace kept them and recomputed otherwise.  The update wrapper and its
 t-partials come from :mod:`~fewstep.solvers` (``wrapper_factors`` and
 ``wrapper_partials``), once per sweep.
 
@@ -44,23 +46,21 @@ class AdjointResult:
     loss_value: float = 0.0
 
 
-def _eval_vjp(model, prediction, schedule, x, t, cot):
-    if prediction == "noise":
-        return model.epsilon_vjp(schedule, x, t, cot)
-    a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
-    return (cot - s * model.epsilon_vjp(schedule, x, t, cot)) / a
+def _dot(a, b) -> float:
+    return float(np.sum(a * b))
 
 
-def _eval_time_dot(model, prediction, schedule, x, t, cot) -> float:
+def _release(model, prediction, schedule, x, t, cot):
+    """(cotangent on x, cot . d(evaluation)/dt) of one evaluation, from one linearization."""
+    eps, pullback = model.linearize(schedule, x, t)
     if prediction == "noise":
-        return float(np.sum(cot * model.epsilon_time_partial(schedule, x, t)))
+        return pullback(cot)
+    # x_hat = (x - sigma eps) / alpha, linear in eps
     a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
     da, ds = float(schedule.d_alpha(t)), float(schedule.d_sigma(t))
-    eps = model.epsilon(schedule, x, t)
-    deps = model.epsilon_time_partial(schedule, x, t)
+    xbar, tdot = pullback((-s / a) * cot)
     xhat = (np.asarray(x, dtype=float) - s * eps) / a
-    dxhat = (-ds * eps - s * deps - xhat * da) / a
-    return float(np.sum(cot * dxhat))
+    return xbar + cot / a, tdot - (ds * _dot(cot, eps) + da * _dot(cot, xhat)) / a
 
 
 def _rematerialize_cache(trace, coeffs, schedule, grid, model):
@@ -122,10 +122,6 @@ def backward(
     return result
 
 
-def _dot(a, b) -> float:
-    return float(np.sum(a * b))
-
-
 def _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache,
                         grad_values, tbar, tcbar):
     n = coeffs.n_steps
@@ -135,9 +131,10 @@ def _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache,
 
     def release(m, x):
         """Cotangent on the point x where evaluation m was made."""
-        tc = float(grid.score_times[m])
-        tcbar[m] += _eval_time_dot(model, coeffs.prediction, schedule, x, tc, ebar[m])
-        return _eval_vjp(model, coeffs.prediction, schedule, x, tc, ebar[m])
+        zbar, tdot = _release(model, coeffs.prediction, schedule, x,
+                              float(grid.score_times[m]), ebar[m])
+        tcbar[m] += tdot
+        return zbar
 
     for i in range(n, 0, -1):
         q = coeffs.q(i)
@@ -182,6 +179,9 @@ def _backward_ss(trace, coeffs, schedule, grid, model, xbar,
     n, k = coeffs.n_steps, coeffs.order
     Rs, Ss = wrapper_factors(schedule, grid.steps, coeffs.prediction)
     dR_p, dR_n, dS_p, dS_n = wrapper_partials(schedule, grid.steps, coeffs.prediction)
+    stage_times = np.array([rec.stage_times for rec in trace.stage_records])
+    d_lam = schedule.d_lam(np.concatenate([stage_times.ravel(), grid.steps]))
+    d_lam_stages, d_lam_steps = d_lam[: n * k].reshape(n, k), d_lam[n * k :]
     for i in range(n, 0, -1):
         rec = trace.stage_records[i - 1]
         b = coeffs.values[coeffs.ss_b_slice(i)]
@@ -199,14 +199,13 @@ def _backward_ss(trace, coeffs, schedule, grid, model, xbar,
         gc = grad_values[coeffs.ss_c_slice(i)]
         for j in range(k - 1, -1, -1):
             s_j = float(rec.stage_times[j])
-            zbar = _eval_vjp(model, coeffs.prediction, schedule, rec.stage_x[j], s_j, kbar[j])
-            tdot = _eval_time_dot(model, coeffs.prediction, schedule,
-                                  rec.stage_x[j], s_j, kbar[j])
+            zbar, tdot = _release(model, coeffs.prediction, schedule, rec.stage_x[j], s_j,
+                                  kbar[j])
             if not rec.clamped[j]:
-                ds_dlam = 1.0 / float(schedule.d_lam(s_j))
+                ds_dlam = 1.0 / float(d_lam_stages[i - 1, j])
                 if j >= 1:
                     gc[j - 1] += tdot * ds_dlam
-                tbar[i - 1] += tdot * ds_dlam * float(schedule.d_lam(grid.steps[i - 1]))
+                tbar[i - 1] += tdot * ds_dlam * float(d_lam_steps[i - 1])
             xprev_bar = xprev_bar + zbar
             for l in range(j):
                 kbar[l] = kbar[l] + amat[j, l] * zbar

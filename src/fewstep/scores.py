@@ -75,7 +75,8 @@ class GaussianMixtureScore:
         return x2, single
 
     def _parts(self, x2, alpha, sigma):
-        """Responsibilities gamma (B,J) and scaled residuals u = (x - alpha mu)/v (B,J,d)."""
+        """Variances v (J,), residuals r = x - alpha mu (B,J,d), their squared norms
+        (B,J), scaled residuals u = r/v (B,J,d) and responsibilities gamma (B,J)."""
         v = alpha * alpha * self.scales**2 + sigma * sigma          # (J,)
         r = x2[:, None, :] - alpha * self.means[None, :, :]          # (B,J,d)
         sq = np.sum(r * r, axis=-1)                                  # (B,J)
@@ -87,7 +88,7 @@ class GaussianMixtureScore:
         gamma = np.exp(ell)
         gamma /= gamma.sum(axis=1, keepdims=True)
         u = r / v[None, :, None]
-        return v, r, u, gamma
+        return v, r, sq, u, gamma
 
     # -- forward -------------------------------------------------------------
     def epsilon(self, schedule: NoiseSchedule, x, t):
@@ -98,7 +99,7 @@ class GaussianMixtureScore:
         return eps[0] if single else eps
 
     def _epsilon_raw(self, x2, alpha, sigma):
-        _, _, u, gamma = self._parts(x2, alpha, sigma)
+        _, _, _, u, gamma = self._parts(x2, alpha, sigma)
         return sigma * np.einsum("bj,bjd->bd", gamma, u)
 
     def score(self, schedule: NoiseSchedule, x, t):
@@ -123,20 +124,57 @@ class GaussianMixtureScore:
         return out[0] if single else out
 
     def _epsilon_vjp_raw(self, x2, cot2, alpha, sigma):
-        v, _, u, gamma = self._parts(x2, alpha, sigma)
+        v, _, _, u, gamma = self._parts(x2, alpha, sigma)
+        ubar = np.einsum("bj,bjd->bd", gamma, u)
+        return self._pull_x(v, u, gamma, ubar, cot2, sigma)[0]
+
+    @staticmethod
+    def _pull_x(v, u, gamma, ubar, cot2, sigma):
+        """(d eps/d x)^T cot2, plus dots = u.cot2 (B,J) and gamma.dots (B,)."""
         # d eps/d x = sigma [ sum_j gamma_j / v_j I - sum_j gamma_j (u_j - ubar) u_j^T ],
         # symmetric, applied without forming the matrix.
-        ubar = np.einsum("bj,bjd->bd", gamma, u)
         dots = np.einsum("bjd,bd->bj", u, cot2)
+        gdots = np.einsum("bj,bj->b", gamma, dots)
         diag = np.einsum("bj,j->b", gamma, 1.0 / v)[:, None] * cot2
-        mix = np.einsum("bj,bjd,bj->bd", gamma, u, dots) - ubar * np.einsum(
-            "bj,bj->b", gamma, dots
-        )[:, None]
-        return sigma * (diag - mix)
+        mix = np.einsum("bj,bjd,bj->bd", gamma, u, dots) - ubar * gdots[:, None]
+        return sigma * (diag - mix), dots, gdots
+
+    def linearize(self, schedule: NoiseSchedule, x, t):
+        """(eps, pullback) at (x, t), both from one evaluation of the mixture internals.
+
+        ``pullback(cot)`` returns ``((d eps/d x)^T cot, cot . d eps/d t)``: the
+        first equals :meth:`epsilon_vjp` bit for bit, the second is the
+        cotangent contracted with :meth:`epsilon_time_partial` (a float summed
+        over the batch), formed from (B, J) terms only.
+        """
+        t = float(schedule.check_time(t))
+        x2, single = self._prepare(x)
+        alpha, sigma = float(schedule.alpha(t)), float(schedule.sigma(t))
+        d_alpha, d_sigma = float(schedule.d_alpha(t)), float(schedule.d_sigma(t))
+        v, r, sq, u, gamma = self._parts(x2, alpha, sigma)
+        ubar = np.einsum("bj,bjd->bd", gamma, u)
+        eps = sigma * ubar
+
+        def pullback(cot):
+            cot = np.asarray(cot, dtype=float)
+            cot2 = cot[None, :] if single else cot
+            xbar, dots, gdots = self._pull_x(v, u, gamma, ubar, cot2, sigma)
+            # d eps/dt = sigma' ubar + sigma sum_j (d gamma_j/dt u_j + gamma_j d u_j/dt), with
+            # d gamma_j/dt = gamma_j (dln_j - gamma.dln), dln_j = d log N_j/dt, and
+            # cot.(d u_j/dt) = -alpha'(cot.mu_j)/v_j - dots_j v_j'/v_j; so only (B,J) terms
+            rate = 2.0 * (alpha * d_alpha * self.scales**2 + sigma * d_sigma) / v   # v_j'/v_j
+            shift = d_alpha / v
+            rmu = np.einsum("bjd,jd->bj", r, self.means)
+            dln = shift * rmu + (0.5 * rate / v) * sq - 0.5 * self.dim * rate
+            terms = dln * (dots - gdots[:, None]) - rate * dots - shift * (cot2 @ self.means.T)
+            tdot = d_sigma * np.sum(gdots) + sigma * np.einsum("bj,bj->", gamma, terms)
+            return (xbar[0] if single else xbar), float(tdot)
+
+        return (eps[0] if single else eps), pullback
 
     def epsilon_alpha_sigma_partials(self, x2, alpha, sigma):
         """(d eps/d alpha, d eps/d sigma), each (B, d); inputs must be batched."""
-        v, r, u, gamma = self._parts(x2, alpha, sigma)
+        v, r, sq, u, gamma = self._parts(x2, alpha, sigma)
         mu = self.means
         dv_da = 2.0 * alpha * self.scales**2                        # (J,)
         dv_ds = 2.0 * sigma * np.ones_like(v)
@@ -145,7 +183,6 @@ class GaussianMixtureScore:
         du_da = -mu[None, :, :] / v[None, :, None] - r * (dv_da / v**2)[None, :, None]
         du_ds = -r * (dv_ds / v**2)[None, :, None]
 
-        sq = np.sum(r * r, axis=-1)
         rmu = np.einsum("bjd,jd->bj", r, mu)
         # d log N_j for each parameter
         dln_da = -0.5 * self.dim * (dv_da / v)[None, :] + rmu / v[None, :] \
@@ -197,7 +234,8 @@ def default_mixture(dim: int = 2) -> GaussianMixtureScore:
 
 
 class CountingScoreModel:
-    """Wraps a score model and counts evaluation / vjp / time-partial calls.
+    """Wraps a score model and counts evaluation / vjp / time-partial /
+    linearization rows.
 
     Used to assert NFE accounting and the rematerialization memory contract.
     """
@@ -210,6 +248,7 @@ class CountingScoreModel:
         self.n_epsilon = 0
         self.n_vjp = 0
         self.n_time_partial = 0
+        self.n_linearize = 0
 
     @property
     def dim(self):
@@ -228,6 +267,10 @@ class CountingScoreModel:
     def epsilon_time_partial(self, schedule, x, t):
         self.n_time_partial += np.atleast_2d(np.asarray(x)).shape[0]
         return self.inner.epsilon_time_partial(schedule, x, t)
+
+    def linearize(self, schedule, x, t):
+        self.n_linearize += np.atleast_2d(np.asarray(x)).shape[0]
+        return self.inner.linearize(schedule, x, t)
 
     # the transforms of epsilon call the counted epsilon, so each counts once
     def data_prediction(self, schedule, x, t):

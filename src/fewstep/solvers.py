@@ -116,22 +116,36 @@ def lms_step(coeffs: SolverCoefficients, R: np.ndarray, S: np.ndarray, i: int,
     return R[i - 1] * x_prev - S[i - 1] * delta
 
 
+def _ss_stages(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid):
+    """Requested and clamped stage log-SNRs, clamp flags and stage times, each (n, k).
+
+    Row i-1 is step i: stage 1 sits at the step start, stage j+1 at the learned
+    offset ``c`` from it, clipped to the schedule's log-SNR range.
+    """
+    n = coeffs.n_steps
+    offsets = np.array([coeffs.values[coeffs.ss_c_slice(i)] for i in range(1, n + 1)])
+    raw_lams = schedule.lam(grid.steps[:-1])[:, None] + np.concatenate(
+        [np.zeros((n, 1)), offsets], axis=1)
+    stage_lams = np.clip(raw_lams, *schedule.lambda_range())
+    return raw_lams, stage_lams, stage_lams != raw_lams, schedule.time_from_lambda(stage_lams)
+
+
 def ss_step(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
             R: np.ndarray, S: np.ndarray, i: int, x_prev: np.ndarray, model,
-            diagnostics: list | None = None):
-    """Single-step update: k internal stages at learnable log-SNR offsets."""
+            diagnostics: list | None = None, stages=None):
+    """Single-step update: k internal stages at learnable log-SNR offsets.
+
+    ``stages`` is the grid's stage table (``_ss_stages``), which a solve
+    computes once; it is computed here when not given.
+    """
     k = coeffs.order
-    lam_prev = float(schedule.lam(grid.steps[i - 1]))
-    lam_lo, lam_hi = schedule.lambda_range()
-    c_full = np.concatenate([[0.0], coeffs.values[coeffs.ss_c_slice(i)]])
-    raw_lams = lam_prev + c_full
-    stage_lams = np.clip(raw_lams, lam_lo, lam_hi)
-    clamped = stage_lams != raw_lams
+    if stages is None:
+        stages = _ss_stages(coeffs, schedule, grid)
+    raw_lams, stage_lams, clamped, stage_times = (table[i - 1] for table in stages)
     if diagnostics is not None:
         for j in np.nonzero(clamped)[0]:
             diagnostics.append({"event": "stage_clamp", "step": i, "stage": int(j + 1),
                                 "requested": float(raw_lams[j]), "used": float(stage_lams[j])})
-    stage_times = schedule.time_from_lambda(stage_lams)
     amat = coeffs.ss_a_matrix(i)
     b = coeffs.values[coeffs.ss_b_slice(i)]
 
@@ -174,9 +188,10 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
 
     if coeffs.kind == "ss":
         stage_records = []
+        stages = _ss_stages(coeffs, schedule, grid)
         for i in range(1, n + 1):
             x, record = ss_step(coeffs, schedule, grid, R, S, i, x, model,
-                                diagnostics=diagnostics)
+                                diagnostics=diagnostics, stages=stages)
             nfe += coeffs.order
             stage_records.append(record)
             if not np.all(np.isfinite(x)):

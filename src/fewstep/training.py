@@ -60,20 +60,24 @@ def radius_for(config: TrainConfig, n_params: int) -> float:
     return config.radius_scale / float(n_params) ** 2.5
 
 
+def _norm(diff):
+    # matches np.linalg.norm of each row bit for bit, for (d,) and (B, d) alike
+    return np.sqrt(np.vecdot(diff, diff))
+
+
 def project_ball(x_prime, x, r, sigma_tilde):
-    """Radial projection of x_prime onto the ball of radius r*sigma_tilde about x."""
+    """Radial projection of x_prime onto the ball of radius r*sigma_tilde about x.
+
+    A (B, d) batch projects each row on its own; rows inside the ball are
+    returned unchanged.
+    """
     x_prime = np.asarray(x_prime, dtype=float)
     x = np.asarray(x, dtype=float)
     diff = x_prime - x
     radius = r * sigma_tilde
-    if diff.ndim == 1:
-        nrm = float(np.linalg.norm(diff))
-        if nrm <= radius:
-            return x_prime.copy()
-        return x + (radius / nrm) * diff
-    nrm = np.linalg.norm(diff, axis=-1, keepdims=True)
-    scale = np.where(nrm > radius, radius / np.maximum(nrm, 1e-300), 1.0)
-    return x + diff * scale
+    nrm = _norm(diff)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 only for rows kept as is
+        return np.where(nrm <= radius, x_prime, x + (radius / nrm) * diff)
 
 
 def loss_and_cotangent(outputs, targets, kind: str):
@@ -216,11 +220,11 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
                     adam_xi.step(params.xi, res.grad_xi)
                     adam_xi_c.step(params.xi_c, res.grad_xi_c)
                 new_xp = xp - (config.lr_noise * sigma_tilde) * res.grad_x0
-                for row, rec in enumerate(batch):
-                    projected = project_ball(new_xp[row], rec.x_init, r, sigma_tilde)
-                    if np.linalg.norm(projected - rec.x_init) > radius + 1e-12:
-                        violations += 1
-                    rec.x_prime = projected
+                x_init = np.stack([rec.x_init for rec in batch])
+                projected = project_ball(new_xp, x_init, r, sigma_tilde)
+                violations += int(np.count_nonzero(_norm(projected - x_init) > radius + 1e-12))
+                for rec, row in zip(batch, projected):
+                    rec.x_prime = row
                 iteration += 1
                 history.append({"iteration": iteration, "phase": phase_name,
                                 "train_loss": loss, "val_loss": float("nan"), "r": r})

@@ -158,8 +158,9 @@ class TestRematerialization:
         backward(trace, coeffs, ve, counted, np.ones(2), grid=grid)
         assert counted.n_epsilon <= forward_evals
         assert counted.n_epsilon + counted.n_vjp <= 2 * forward_evals
-        # one time partial per released evaluation
-        assert counted.n_time_partial == forward_evals == 6
+        # one linearization (vjp and time derivative together) per released evaluation
+        assert counted.n_linearize == forward_evals == 6
+        assert counted.n_vjp == counted.n_time_partial == 0
 
 
 def test_mismatched_trace_rejected(ve, mixture):

@@ -121,6 +121,34 @@ class TestDerivatives:
             assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-8)
 
 
+def _wide_mixture():
+    rng = np.random.default_rng(64)
+    return GaussianMixtureScore(weights=np.full(64, 1.0 / 64), means=rng.normal(size=(64, 64)),
+                                scales=rng.uniform(0.2, 1.0, size=64))
+
+
+class TestLinearize:
+    @pytest.mark.parametrize("schedule_name", ["ve", "vp", "edm"])
+    @pytest.mark.parametrize("wide", [False, True], ids=["default", "d64j64"])
+    @pytest.mark.parametrize("batch", [None, 5], ids=["single", "batched"])
+    def test_matches_separate_derivatives(self, request, schedule_name, wide, batch, rng):
+        schedule = request.getfixturevalue(schedule_name)
+        model = _wide_mixture() if wide else default_mixture(2)
+        shape = (model.dim,) if batch is None else (batch, model.dim)
+        for _ in range(10):
+            t = float(rng.uniform(schedule.t_min, schedule.T))
+            x = float(schedule.sigma(t)) * rng.uniform(0.5, 2.0) * rng.normal(size=shape)
+            cot = rng.normal(size=shape)
+            eps, pullback = model.linearize(schedule, x, t)
+            xbar, tdot = pullback(cot)
+            assert np.array_equal(eps, model.epsilon(schedule, x, t))
+            assert np.array_equal(xbar, model.epsilon_vjp(schedule, x, t, cot))
+            # relative to the scale of the dot product, which itself can cancel
+            terms = cot * model.epsilon_time_partial(schedule, x, t)
+            assert isinstance(tdot, float)
+            assert abs(tdot - np.sum(terms)) <= 1e-12 * np.sum(np.abs(terms))
+
+
 class TestDataPrediction:
     def test_round_trip_identity(self, ve, mixture, rng):
         for _ in range(20):
@@ -139,3 +167,13 @@ def test_counting_wrapper_tracks_calls(ve, mixture):
     assert counted.n_epsilon == 3 and counted.n_vjp == 1
     counted.reset()
     assert counted.n_epsilon == 0
+
+
+def test_counting_wrapper_counts_linearized_rows(ve, mixture):
+    counted = CountingScoreModel(mixture)
+    eps, pullback = counted.linearize(ve, np.ones((4, 2)), 1.0)
+    pullback(np.ones((4, 2)))
+    counted.linearize(ve, np.ones(2), 1.0)
+    assert counted.n_linearize == 5
+    assert counted.n_epsilon == counted.n_vjp == counted.n_time_partial == 0
+    assert np.array_equal(eps, mixture.epsilon(ve, np.ones((4, 2)), 1.0))

@@ -51,6 +51,25 @@ class TestProjectBall:
         out = project_ball(xp, x, 0.1, 1.0)
         assert np.all(np.linalg.norm(out - x, axis=-1) <= 0.1 + 1e-12)
 
+    @pytest.mark.parametrize("d", [2, 64])
+    def test_batched_equals_per_row_loop(self, d, rng):
+        x = rng.standard_normal((400, d))
+        xp = x + rng.uniform(0.0, 2.0, size=(400, 1)) * rng.standard_normal((400, d))
+        radius = 0.5 * np.sqrt(d)
+        inside = np.linalg.norm(xp - x, axis=-1) <= radius
+        assert 0 < inside.sum() < len(x)
+
+        def per_row(xp_row, x_row):
+            diff = xp_row - x_row
+            nrm = float(np.linalg.norm(diff))
+            return xp_row.copy() if nrm <= radius else x_row + (radius / nrm) * diff
+
+        batched = project_ball(xp, x, radius, 1.0)
+        assert np.array_equal(batched, np.stack([per_row(a, b) for a, b in zip(xp, x)]))
+        assert np.array_equal(batched, np.stack([project_ball(a, b, radius, 1.0)
+                                                 for a, b in zip(xp, x)]))
+        assert np.array_equal(batched[inside], xp[inside])
+
 
 def test_radius_rule():
     cfg = TrainConfig()
