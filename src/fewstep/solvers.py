@@ -130,17 +130,15 @@ def _ss_stages(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGr
     return raw_lams, stage_lams, stage_lams != raw_lams, schedule.time_from_lambda(stage_lams)
 
 
-def ss_step(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
+def ss_step(coeffs: SolverCoefficients, schedule: NoiseSchedule, stages,
             R: np.ndarray, S: np.ndarray, i: int, x_prev: np.ndarray, model,
-            diagnostics: list | None = None, stages=None):
+            diagnostics: list | None = None):
     """Single-step update: k internal stages at learnable log-SNR offsets.
 
-    ``stages`` is the grid's stage table (``_ss_stages``), which a solve
-    computes once; it is computed here when not given.
+    ``stages`` is the grid's stage table (``_ss_stages``) and R, S its wrapper
+    factors (see :func:`wrapper_factors`).
     """
     k = coeffs.order
-    if stages is None:
-        stages = _ss_stages(coeffs, schedule, grid)
     raw_lams, stage_lams, clamped, stage_times = (table[i - 1] for table in stages)
     if diagnostics is not None:
         for j in np.nonzero(clamped)[0]:
@@ -190,8 +188,8 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
         stage_records = []
         stages = _ss_stages(coeffs, schedule, grid)
         for i in range(1, n + 1):
-            x, record = ss_step(coeffs, schedule, grid, R, S, i, x, model,
-                                diagnostics=diagnostics, stages=stages)
+            x, record = ss_step(coeffs, schedule, stages, R, S, i, x, model,
+                                diagnostics=diagnostics)
             nfe += coeffs.order
             stage_records.append(record)
             if not np.all(np.isfinite(x)):

@@ -61,7 +61,8 @@ def radius_for(config: TrainConfig, n_params: int) -> float:
 
 
 def _norm(diff):
-    # matches np.linalg.norm of each row bit for bit, for (d,) and (B, d) alike
+    # np.vecdot (NumPy >= 2.0) matches np.linalg.norm of each row bit for bit,
+    # for (d,) and (B, d) alike
     return np.sqrt(np.vecdot(diff, diff))
 
 

@@ -8,7 +8,7 @@ from fewstep.errors import DivergenceError, StateError
 from fewstep.grids import heuristic_grid
 from fewstep.schedules import VeSchedule, exact_step_integrand
 from fewstep.scores import CountingScoreModel
-from fewstep.solvers import lms_step, solve, ss_step, wrapper_factors
+from fewstep.solvers import _ss_stages, lms_step, solve, ss_step, wrapper_factors
 from fewstep.teachers import exact_gaussian_solution
 
 
@@ -75,7 +75,7 @@ class TestSingleStep:
         x = np.array([1.0, 1.0])
         eps = mixture.epsilon(ve, x, float(grid.steps[0]))
         R, S = wrapper_factors(ve, grid.steps, "noise")
-        out_ss, _ = ss_step(ss, ve, grid, R, S, 1, x, mixture)
+        out_ss, _ = ss_step(ss, ve, _ss_stages(ss, ve, grid), R, S, 1, x, mixture)
         out_lms = lms_step(lms, R, S, 1, x, [eps])
         assert np.allclose(out_ss, out_lms, rtol=1e-14)
 
