@@ -29,9 +29,9 @@ for t in (0.1, 0.5, 0.9):
     print(f"t={t}: drift f(t)={vp.f(t):+.4f}  diffusion g^2(t)={vp.g_sq(t):+.4f}")
 
 print("\n=== phi functions ===")
-print("phi_k(0) = 1/k!:", phi_functions(0.0, 4).values)
+print("phi_k(0) = 1/k!:", phi_functions(0.0, 4))
 for h in (0.5, 2.0):
-    table = phi_functions(h, 3).values
+    table = phi_functions(h, 3)
     recur = (table[0] - 1.0) / h
     print(f"h={h}: phi_1..3 = {np.round(table, 6)}  "
           f"recurrence check |phi_2 - (phi_1 - 1)/h| = {abs(table[1] - recur):.1e}")

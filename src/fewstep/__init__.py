@@ -13,7 +13,7 @@ harness (:mod:`~fewstep.configs`, :mod:`~fewstep.experiments`,
 from .backprop import AdjointResult, backward, check_gradients
 from .coeffs import SolverCoefficients, init_preset, table_param_count
 from .grids import LearnableTimeParams, TimeGrid, grid_gradient_vjp, heuristic_grid, materialize
-from .schedules import (EdmSchedule, NoiseSchedule, PhiTable, VeSchedule, VpLinearSchedule,
+from .schedules import (EdmSchedule, NoiseSchedule, VeSchedule, VpLinearSchedule,
                         exact_step_integrand, phi_functions)
 from .scores import CountingScoreModel, GaussianMixtureScore, default_mixture
 from .solvers import SolveTrace, lms_step, solve, ss_step
@@ -29,7 +29,7 @@ __all__ = [
     "AdjointResult", "backward", "check_gradients",
     "SolverCoefficients", "init_preset", "table_param_count",
     "LearnableTimeParams", "TimeGrid", "grid_gradient_vjp", "heuristic_grid", "materialize",
-    "EdmSchedule", "NoiseSchedule", "PhiTable", "VeSchedule", "VpLinearSchedule",
+    "EdmSchedule", "NoiseSchedule", "VeSchedule", "VpLinearSchedule",
     "exact_step_integrand", "phi_functions",
     "CountingScoreModel", "GaussianMixtureScore", "default_mixture",
     "SolveTrace", "lms_step", "solve", "ss_step",

@@ -19,15 +19,17 @@ import numpy as np
 from .backprop import check_gradients
 from .checkpoints import load_checkpoint, save_checkpoint
 from .coeffs import SolverCoefficients, init_preset, table_param_count
-from .configs import (ExperimentConfig, build_model, build_schedule, build_teacher,
-                      config_from_dict, config_hash, load_config)
+from .configs import (ExperimentConfig, ScheduleSpec, SolverSpec, _parse_section,
+                      build_model, build_schedule, build_teacher, config_from_dict,
+                      config_hash, load_config)
 from .errors import CompatibilityError, ConfigError
-from .experiments import MODES, ResultTable, SweepSpec, run_sweep
+from .experiments import (MODES, N_EVAL, ResultTable, SweepSpec, _dataset_for, build_cell,
+                          metric_columns, run_sweep)
 from .grids import LearnableTimeParams, heuristic_grid, materialize
 from .schedules import phi_functions
 from .scores import default_mixture
 from .solvers import solve
-from .teachers import dataset_checksum, generate_dataset, load_dataset, save_dataset
+from .teachers import dataset_checksum, load_dataset, save_dataset
 from .training import TRAIN_MODES, evaluate, train_in_mode
 
 
@@ -52,16 +54,11 @@ def cli_generate_teacher(config_path, out_path, seed):
     cfg = _load(config_path)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
-    count = cfg.dataset.n_train + cfg.dataset.n_val
-    if count < 1:
-        raise click.ClickException("dataset.n_train + dataset.n_val must be >= 1")
-    schedule = build_schedule(cfg.schedule)
-    model = build_model(cfg.model)
-    teacher = build_teacher(cfg.teacher)
-    dataset = generate_dataset(teacher, schedule, model, count, cfg.seed,
-                               val_fraction=cfg.dataset.n_val / count)
+    dataset = _dataset_for(cfg, build_schedule(cfg.schedule), build_model(cfg.model),
+                           build_teacher(cfg.teacher))
     save_dataset(dataset, out_path)
-    click.echo(f"records: {count} (train {dataset.n_train} / val {dataset.n_val})")
+    click.echo(f"records: {dataset.n_train + dataset.n_val} "
+               f"(train {dataset.n_train} / val {dataset.n_val})")
     click.echo(f"dim: {dataset.dim}  teacher: {dataset.teacher_kind}")
     click.echo(f"checksum: {dataset_checksum(dataset)}")
 
@@ -70,25 +67,21 @@ def cli_generate_teacher(config_path, out_path, seed):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True))
 @click.option("--mode", type=click.Choice(TRAIN_MODES), default="s4s")
-@click.option("--nfe", type=int, default=None, help="Step count; default: first nfe_list entry.")
+@click.option("--nfe", type=click.IntRange(min=1), default=None,
+              help="Step count; default: first nfe_list entry.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cli_train(config_path, dataset_path, mode, nfe, out_dir):
     """Train a solver on an existing dataset; writes checkpoint + history CSV."""
     cfg = _load(config_path)
-    nfe = nfe or cfg.nfe_list[0]
+    nfe = cfg.nfe_list[0] if nfe is None else nfe
     if cfg.solver.order > nfe:
         raise click.ClickException(
             f"solver order {cfg.solver.order} exceeds step count {nfe}")
-    schedule = build_schedule(cfg.schedule)
-    model = build_model(cfg.model)
+    schedule, model, _, grid, coeffs = build_cell(cfg, nfe)
     dataset = load_dataset(dataset_path)
     if dataset.dim != model.dim:
         raise click.ClickException(
             f"dataset dim {dataset.dim} does not match model dim {model.dim}")
-    grid = heuristic_grid(schedule, nfe, cfg.grid.kind, rho=cfg.grid.rho)
-    coeffs = init_preset(cfg.solver.kind, cfg.solver.order, nfe, cfg.solver.preset,
-                         schedule=schedule, grid=grid, prediction=cfg.solver.prediction,
-                         seed=cfg.seed, tied=cfg.solver.tied)
     result = train_in_mode(mode, dataset, coeffs, grid, schedule, model,
                            dataclasses.replace(cfg.train, seed=cfg.seed), cfg.grid.clip_fraction)
 
@@ -114,47 +107,59 @@ def cli_train(config_path, dataset_path, mode, nfe, out_dir):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--force", is_flag=True, help="Evaluate despite a config-hash mismatch.")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=int, default=None,
+              help="Seed of the evaluation noise; default: the config seed.")
 def cli_evaluate(ckpt_path, config_path, out_path, force, seed):
     """Evaluate a checkpoint on fresh noise; writes a result-table CSV."""
     cfg = _load(config_path)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
     try:
         coeffs, params, _, header = load_checkpoint(ckpt_path, config_hash(cfg), force)
-    except CompatibilityError as exc:
+        schedule, model, teacher, grid, _ = build_cell(cfg, coeffs.n_steps)
+    except (CompatibilityError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
-    schedule = build_schedule(cfg.schedule)
-    model = build_model(cfg.model)
     snap_shape = header.get("x_prime_shape")
     if snap_shape and snap_shape[-1] != model.dim:
         raise click.ClickException(
             f"checkpoint was trained at dim {snap_shape[-1]} but the config "
             f"model has dim {model.dim}")
-    teacher = build_teacher(cfg.teacher)
+    if params is not None:
+        grid = materialize(params, schedule)
+    seed = cfg.seed if seed is None else seed
     table = ResultTable()
     for nfe in cfg.nfe_list:
         row = {"schedule": cfg.schedule.kind, "solver": coeffs.kind,
                "order": coeffs.order, "preset": cfg.solver.preset,
                "prediction": coeffs.prediction, "mode": header["extra"].get("mode", ""),
-               "nfe": nfe, "seed": cfg.seed, "message": "", "status": "ok"}
+               "nfe": nfe, "seed": seed, "message": "", "status": "ok"}
         if coeffs.order > nfe or coeffs.n_steps != nfe:
             row.update(status="infeasible",
                        message="checkpoint step count does not cover this NFE"
                        if coeffs.n_steps != nfe else "order exceeds step count")
-            table.add(row)
-            continue
-        grid = (materialize(params, schedule) if params is not None
-                else heuristic_grid(schedule, nfe, cfg.grid.kind, rho=cfg.grid.rho))
-        metrics = evaluate(coeffs, schedule, model, teacher, grid=grid,
-                           n_eval=200, seed=cfg.seed)
-        row.update(mean_error=metrics["mean_error"], median_error=metrics["median_error"],
-                   max_error=metrics["max_error"],
-                   mean_error_normalized=metrics["mean_error_normalized"],
-                   nfe_used=metrics["nfe_used"])
+        else:
+            row.update(metric_columns(evaluate(coeffs, schedule, model, teacher, grid=grid,
+                                               n_eval=N_EVAL, seed=seed)))
         table.add(row)
     table.write_csv(out_path)
     click.echo(table.formatted())
+
+
+def _sweep_spec(doc) -> SweepSpec:
+    """Parse a sweep document; its ``version`` and ``nfe_list`` follow the config rules."""
+    for key in doc:
+        if key not in ("version", "base", "schedules", "solvers", "nfe_list", "modes"):
+            raise ConfigError(f"unknown key {key}", key=key)
+    # the sweep's own version and nfe_list replace the base's, and are checked with it
+    base = config_from_dict({**doc.get("base", {}),
+                             **{key: doc[key] for key in ("version", "nfe_list") if key in doc}})
+    modes = list(doc.get("modes", ["baseline", "s4s"]))
+    for mode in modes:
+        if mode not in MODES:
+            raise ConfigError(f"unknown mode {mode!r}", key="modes")
+    return SweepSpec(
+        base=base,
+        schedules=[_parse_section(ScheduleSpec, s, "schedules") for s in doc["schedules"]],
+        solvers=[_parse_section(SolverSpec, s, "solvers") for s in doc["solvers"]],
+        nfe_list=base.nfe_list, modes=modes)
 
 
 @main.command("sweep")
@@ -164,24 +169,12 @@ def cli_evaluate(ckpt_path, config_path, out_path, force, seed):
               help="Worker processes; default env FEWSTEP_WORKERS or 1.")
 def cli_sweep(config_path, out_dir, workers):
     """Run the cross-product sweep described by a sweep config document."""
-    from .configs import ScheduleSpec, SolverSpec, _parse_section
-
     with open(config_path) as fh:
         doc = json.load(fh)
-    for key in doc:
-        if key not in ("version", "base", "schedules", "solvers", "nfe_list", "modes"):
-            raise click.ClickException(f"unknown key {key}")
-    base = config_from_dict(doc.get("base", {}))
-    spec = SweepSpec(
-        base=base,
-        schedules=[_parse_section(ScheduleSpec, s, "schedules") for s in doc["schedules"]],
-        solvers=[_parse_section(SolverSpec, s, "solvers") for s in doc["solvers"]],
-        nfe_list=list(doc.get("nfe_list", base.nfe_list)),
-        modes=list(doc.get("modes", ["baseline", "s4s"])),
-    )
-    for mode in spec.modes:
-        if mode not in MODES:
-            raise click.ClickException(f"unknown mode {mode!r}")
+    try:
+        spec = _sweep_spec(doc)
+    except ConfigError as exc:
+        raise click.ClickException(str(exc)) from exc
     table = run_sweep(spec, out_dir, workers=workers, progress=click.echo)
     click.echo(table.formatted())
     failures = [r for r in table.ordered() if r["status"] == "failed"]
@@ -241,8 +234,8 @@ def cli_selftest():
     rt = np.max(np.abs(vp.time_from_lambda(vp.lam(ts)) - ts))
     check("lambda round trip <= 1e-10", rt <= 1e-10)
 
-    lo = phi_functions(1e-4 - 1e-12, 4).values
-    hi = phi_functions(1e-4 + 1e-12, 4).values
+    lo = phi_functions(1e-4 - 1e-12, 4)
+    hi = phi_functions(1e-4 + 1e-12, 4)
     check("phi series/closed-form crossover", np.allclose(lo, hi, atol=1e-10))
 
     counts_ok = all(

@@ -238,7 +238,7 @@ def _lagrange_row(past_lams: np.ndarray, lam_lo: float, lam_hi: float, mode: str
 
 def _phi_ratio_rhs(h: float, count: int) -> np.ndarray:
     """g_i = i! h phi_{i+1}(h) / (e^h - 1) for i = 1..count."""
-    phis = phi_functions(h, count + 1).values
+    phis = phi_functions(h, count + 1)
     fact = 1.0
     out = np.empty(count)
     for i in range(1, count + 1):

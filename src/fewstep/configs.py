@@ -18,7 +18,7 @@ from .grids import GRID_KINDS
 from .schedules import SCHEDULE_KINDS, NoiseSchedule
 from .scores import GaussianMixtureScore, default_mixture
 from .teachers import TEACHER_KINDS, TeacherConfig
-from .training import LOSS_KINDS, TrainConfig
+from .training import TrainConfig
 
 CONFIG_VERSION = 1
 
@@ -168,8 +168,6 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(f"unknown grid.kind {cfg.grid.kind!r}", key="grid.kind")
     if cfg.teacher.kind not in TEACHER_KINDS:
         raise ConfigError(f"unknown teacher.kind {cfg.teacher.kind!r}", key="teacher.kind")
-    if cfg.train.loss not in LOSS_KINDS:
-        raise ConfigError(f"unknown train.loss {cfg.train.loss!r}", key="train.loss")
     if cfg.dataset.n_train < 1:
         raise ConfigError("dataset.n_train must be >= 1", key="dataset.n_train")
     if cfg.dataset.n_val < 0:

@@ -125,6 +125,27 @@ def _reference_for(cfg: ExperimentConfig, schedule, model, teacher, seed, cache_
     return reference
 
 
+def build_cell(cfg: ExperimentConfig, nfe: int):
+    """The problem of one cell: ``(schedule, model, teacher, grid, coeffs)``.
+
+    ``grid`` is the config's heuristic grid with ``nfe`` steps and ``coeffs``
+    the solver preset on it, the point every training mode starts from.
+    """
+    schedule = build_schedule(cfg.schedule)
+    model, teacher = build_model(cfg.model), build_teacher(cfg.teacher)
+    grid = heuristic_grid(schedule, nfe, cfg.grid.kind, rho=cfg.grid.rho)
+    coeffs = init_preset(cfg.solver.kind, cfg.solver.order, nfe, cfg.solver.preset,
+                         schedule=schedule, grid=grid, prediction=cfg.solver.prediction,
+                         seed=cfg.seed, tied=cfg.solver.tied)
+    return schedule, model, teacher, grid, coeffs
+
+
+def metric_columns(metrics: dict) -> dict:
+    """The result-table columns of one ``evaluate`` result."""
+    return {key: metrics[key] for key in ("mean_error", "median_error", "max_error",
+                                          "mean_error_normalized", "nfe_used")}
+
+
 def run_cell(cfg: ExperimentConfig, nfe: int, mode: str, cache_dir=None) -> dict:
     """One experiment cell; failures become the row's status, never exceptions."""
     row = {
@@ -141,25 +162,14 @@ def run_cell(cfg: ExperimentConfig, nfe: int, mode: str, cache_dir=None) -> dict
         return row
     started = time.perf_counter()
     try:
-        schedule = build_schedule(cfg.schedule)
-        model = build_model(cfg.model)
-        teacher = build_teacher(cfg.teacher)
-        grid = heuristic_grid(schedule, nfe, cfg.grid.kind, rho=cfg.grid.rho)
-        coeffs = init_preset(cfg.solver.kind, cfg.solver.order, nfe, cfg.solver.preset,
-                             schedule=schedule, grid=grid,
-                             prediction=cfg.solver.prediction, seed=cfg.seed,
-                             tied=cfg.solver.tied)
+        schedule, model, teacher, grid, coeffs = build_cell(cfg, nfe)
         eval_seed = _cell_seed(cfg.seed, f"eval:{cfg.schedule.kind}:{nfe}")
         reference = _reference_for(cfg, schedule, model, teacher, eval_seed, cache_dir)
         baseline = evaluate(coeffs, schedule, model, teacher, grid=grid, n_eval=N_EVAL,
                             seed=eval_seed, reference=reference)
         row["baseline_mean_error"] = baseline["mean_error"]
         if mode == "baseline":
-            row.update(mean_error=baseline["mean_error"],
-                       median_error=baseline["median_error"],
-                       max_error=baseline["max_error"],
-                       mean_error_normalized=baseline["mean_error_normalized"],
-                       delta_vs_baseline=0.0, nfe_used=baseline["nfe_used"],
+            row.update(metric_columns(baseline), delta_vs_baseline=0.0,
                        final_train_loss="", final_val_loss="", r="")
             return row
         dataset = _dataset_for(cfg, schedule, model, teacher, cache_dir)
@@ -170,13 +180,10 @@ def run_cell(cfg: ExperimentConfig, nfe: int, mode: str, cache_dir=None) -> dict
             row.update(status=result.status, message="training diverged")
         metrics = evaluate(result.coeffs, schedule, model, teacher, grid=result.grid,
                            n_eval=N_EVAL, seed=eval_seed, reference=reference)
-        row.update(mean_error=metrics["mean_error"], median_error=metrics["median_error"],
-                   max_error=metrics["max_error"],
-                   mean_error_normalized=metrics["mean_error_normalized"],
+        row.update(metric_columns(metrics),
                    delta_vs_baseline=metrics["mean_error"] - baseline["mean_error"],
                    final_train_loss=result.final_train_loss,
-                   final_val_loss=result.final_val_loss, r=result.r,
-                   nfe_used=metrics["nfe_used"])
+                   final_val_loss=result.final_val_loss, r=result.r)
     except Exception as exc:  # cell isolation: failures become rows
         row.update(status="failed", message=f"{type(exc).__name__}: {exc}")
     finally:

@@ -201,21 +201,13 @@ SCHEDULE_KINDS = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class PhiTable:
-    """phi_1(h) ... phi_order(h) for one step h.
+def phi_functions(h: float, order: int) -> np.ndarray:
+    """phi_1(h) ... phi_order(h) as an ``(order,)`` array.
 
     phi_k(z) = int_0^1 e^{(1-u) z} u^{k-1}/(k-1)! du, with phi_k(0) = 1/k! and
-    the recurrence phi_{k+1}(z) = (phi_k(z) - phi_k(0)) / z.
+    the recurrence phi_{k+1}(z) = (phi_k(z) - phi_k(0)) / z.  The series is
+    used for small |h|.
     """
-
-    order: int
-    h: float
-    values: np.ndarray
-
-
-def phi_functions(h: float, order: int) -> PhiTable:
-    """Evaluate phi_1..phi_order at h, switching to the series for small |h|."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     h = float(h)
@@ -243,7 +235,7 @@ def phi_functions(h: float, order: int) -> PhiTable:
         values[order - 1] = top
         for k in range(order - 1, 0, -1):
             values[k - 1] = h * values[k] + 1.0 / math.factorial(k)
-    return PhiTable(order=order, h=h, values=values)
+    return values
 
 
 def exact_step_integrand(

@@ -78,7 +78,6 @@ class StageRecord:
 
     stage_x: list
     kappas: list
-    stage_lams: np.ndarray
     stage_times: np.ndarray
     clamped: np.ndarray
 
@@ -156,8 +155,8 @@ def ss_step(coeffs: SolverCoefficients, schedule: NoiseSchedule, stages,
         kappas.append(_evaluate(model, coeffs, schedule, z, float(stage_times[j]),
                                 step_index=i))
     delta = sum(b[j] * kappas[j] for j in range(k))
-    record = StageRecord(stage_x=stage_x, kappas=kappas, stage_lams=stage_lams,
-                         stage_times=stage_times, clamped=clamped)
+    record = StageRecord(stage_x=stage_x, kappas=kappas, stage_times=stage_times,
+                         clamped=clamped)
     return R[i - 1] * x_prev - S[i - 1] * delta, record
 
 

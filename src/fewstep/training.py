@@ -27,7 +27,6 @@ from .schedules import NoiseSchedule
 from .solvers import solve
 from .teachers import Dataset, TeacherConfig, teacher_solve
 
-LOSS_KINDS = ("l2", "l2_normalized")
 TRAIN_MODES = ("s4s", "s4s-alt", "joint", "schedule-only")
 
 
@@ -40,18 +39,10 @@ class TrainConfig:
     lr_coeffs: float = 1e-2
     lr_time: float = 1e-2
     lr_noise: float = 0.1            # multiplied by tilde_sigma
-    loss: str = "l2"
     radius_scale: float = 8.818      # c in r = c / m^{5/2}; ~0.1 at m = 6
     radius_override: float | None = None
     consistency: bool = False
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.loss not in LOSS_KINDS:
-            raise ValueError(f"unknown loss {self.loss!r}")
 
 
 def radius_for(config: TrainConfig, n_params: int) -> float:
@@ -81,23 +72,19 @@ def project_ball(x_prime, x, r, sigma_tilde):
         return np.where(nrm <= radius, x_prime, x + (radius / nrm) * diff)
 
 
-def loss_and_cotangent(outputs, targets, kind: str):
+def loss_and_cotangent(outputs, targets):
+    """Mean squared error over every entry, and its gradient in ``outputs``."""
     resid = outputs - targets
-    if kind == "l2":
-        loss = float(np.mean(resid * resid))
-        return loss, 2.0 * resid / resid.size
-    denom = np.mean(targets * targets, axis=-1, keepdims=True) + 1e-12
-    per = np.mean(resid * resid, axis=-1, keepdims=True) / denom
-    loss = float(np.mean(per))
-    b = outputs.shape[0] if outputs.ndim > 1 else 1
-    return loss, 2.0 * resid / (resid.shape[-1] * denom * b)
+    return float(np.mean(resid * resid)), 2.0 * resid / resid.size
 
 
 class Adam:
-    """Minimal in-place Adam on one flat vector."""
+    """Minimal in-place Adam on one flat vector, with Kingma & Ba's default constants."""
 
-    def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, size, lr):
+        self.lr = lr
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
@@ -181,17 +168,14 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
         xs = np.stack([rec.x_init for rec in dataset.val_records])
         ys = np.stack([rec.teacher_out for rec in dataset.val_records])
         out = solve(coeffs, schedule, g, model, xs).terminal
-        return loss_and_cotangent(out, ys, config.loss)[0]
+        return loss_and_cotangent(out, ys)[0]
 
     # per-block optimizer state persists across alternations
-    adam_coeffs = Adam(coeffs.values.size, config.lr_coeffs,
-                       config.adam_beta1, config.adam_beta2, config.adam_eps)
+    adam_coeffs = Adam(coeffs.values.size, config.lr_coeffs)
     adam_xi = adam_xi_c = None
     if params is not None:
-        adam_xi = Adam(params.xi.size, config.lr_time, config.adam_beta1,
-                       config.adam_beta2, config.adam_eps)
-        adam_xi_c = Adam(params.xi_c.size, config.lr_time, config.adam_beta1,
-                         config.adam_beta2, config.adam_eps)
+        adam_xi = Adam(params.xi.size, config.lr_time)
+        adam_xi_c = Adam(params.xi_c.size, config.lr_time)
 
     for phase_name, phase_epochs in phases:
         for _ in range(phase_epochs):
@@ -206,7 +190,7 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
                 except DivergenceError:
                     status = "diverged"
                     break
-                loss, cot = loss_and_cotangent(trace.terminal, targets, config.loss)
+                loss, cot = loss_and_cotangent(trace.terminal, targets)
                 if not np.isfinite(loss):
                     status = "diverged"
                     break

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import pathlib
 import shutil
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 from fewstep.checkpoints import load_checkpoint, save_checkpoint
-from fewstep.cli import main as cli_main
+from fewstep import training
+from fewstep.cli import _sweep_spec, main as cli_main
 from fewstep.coeffs import init_preset
 from fewstep.configs import (DatasetSpec, ExperimentConfig, GridSpec, ModelSpec,
                              ScheduleSpec, SolverSpec, TeacherSpec, build_model,
@@ -18,7 +20,11 @@ from fewstep.errors import CompatibilityError, ConfigError
 from fewstep import experiments
 from fewstep.experiments import ResultTable, SweepSpec, run_cell, run_sweep, sweep_cells
 from fewstep.grids import LearnableTimeParams, heuristic_grid
+from fewstep.schedules import VeSchedule
+from fewstep.scores import GaussianMixtureScore
 from fewstep.training import TrainConfig
+
+DEMO_CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def tiny_config(**overrides):
@@ -63,6 +69,19 @@ class TestConfig:
             config_from_dict({"nfe_list": []})
         with pytest.raises(ConfigError):
             config_from_dict({"version": 99})
+
+    @pytest.mark.parametrize("key, value", [("loss", "l2"), ("adam_beta1", 0.9),
+                                            ("adam_beta2", 0.999), ("adam_eps", 1e-8)])
+    def test_removed_train_keys_named(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"train": {key: value}})
+        assert err.value.key == f"train.{key}" and f"train.{key}" in str(err.value)
+
+    def test_shipped_demo_configs_parse(self):
+        cfg = load_config(DEMO_CONFIGS / "benchmark.json")
+        assert cfg.nfe_list == [4, 6, 8]
+        spec = _sweep_spec(json.loads((DEMO_CONFIGS / "sweep.json").read_text()))
+        assert len(sweep_cells(spec)) == 24
 
     def test_builders(self):
         cfg = tiny_config()
@@ -152,6 +171,21 @@ class TestCells:
         assert row["status"] == "ok"
         assert row["mean_error"] == row["baseline_mean_error"] + row["delta_vs_baseline"]
         assert np.isfinite(row["final_train_loss"])
+
+    def test_s4s_cell_trains_through_module_attribute(self, monkeypatch):
+        calls = []
+        original = training.train_s4s
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(training, "train_s4s", recording)
+        row = run_cell(tiny_config(), nfe=4, mode="s4s")
+        assert row["status"] == "ok" and len(calls) == 1
+        (args,) = calls
+        assert isinstance(args[3], VeSchedule)
+        assert isinstance(args[4], GaussianMixtureScore) and args[4].dim == 2
 
     def test_failure_recorded_not_raised(self):
         cfg = tiny_config(model=ModelSpec(kind="gaussian_mixture", dim=2,
@@ -298,7 +332,7 @@ class TestCli:
         cfg = tiny_config(dataset=DatasetSpec(n_train=1, n_val=0))
         cfg_path = self._write_config(tmp_path, dataclasses.replace(
             cfg, dataset=DatasetSpec(n_train=1, n_val=0)))
-        # zero total is unrepresentable through validation; check the CLI guard
+        # config validation rejects a zero total before any record is drawn
         doc = json.loads(cfg_path.read_text())
         doc["dataset"] = {"n_train": 0, "n_val": 0}
         cfg_path.write_text(json.dumps(doc))
@@ -306,6 +340,8 @@ class TestCli:
         result = runner.invoke(cli_main, ["generate-teacher", "--config", str(cfg_path),
                                           "--out", str(tmp_path / "x.fsd")])
         assert result.exit_code != 0
+        assert "dataset.n_train" in result.output
+        assert not (tmp_path / "x.fsd").exists()
 
     def test_malformed_config_names_key(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -368,6 +404,54 @@ class TestCli:
             rows = {int(r["nfe"]): r for r in csv.DictReader(fh)}
         assert rows[4]["status"] == "ok"
         assert rows[6]["status"] == "infeasible"  # checkpoint trained at N=4
+
+    def test_evaluate_seed_changes_only_the_noise(self, tmp_path):
+        runner = CliRunner()
+        cfg_path = self._write_config(tmp_path)
+        data_path = tmp_path / "data.fsd"
+        runner.invoke(cli_main, ["generate-teacher", "--config", str(cfg_path),
+                                 "--out", str(data_path)])
+        result = runner.invoke(cli_main, ["train", "--config", str(cfg_path), "--dataset",
+                                          str(data_path), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 0, result.output
+        ckpt = tmp_path / "run" / "checkpoint.fsc"
+        rows = {}
+        for seed in (None, 7):
+            csv_path = tmp_path / f"eval_{seed}.csv"
+            args = ["evaluate", "--checkpoint", str(ckpt), "--config", str(cfg_path),
+                    "--out", str(csv_path)] + ([] if seed is None else ["--seed", str(seed)])
+            result = runner.invoke(cli_main, args)
+            assert result.exit_code == 0, result.output
+            with open(csv_path) as fh:
+                rows[seed] = {int(r["nfe"]): r for r in csv.DictReader(fh)}[4]
+        assert rows[None]["seed"] == "5" and rows[7]["seed"] == "7"
+        assert rows[7]["status"] == "ok"
+        assert rows[7]["mean_error"] != rows[None]["mean_error"]
+
+    def test_train_rejects_zero_nfe(self, tmp_path):
+        runner = CliRunner()
+        cfg_path = self._write_config(tmp_path)
+        data_path = tmp_path / "data.fsd"
+        runner.invoke(cli_main, ["generate-teacher", "--config", str(cfg_path),
+                                 "--out", str(data_path)])
+        result = runner.invoke(cli_main, ["train", "--config", str(cfg_path), "--dataset",
+                                          str(data_path), "--nfe", "0", "--out",
+                                          str(tmp_path / "run")])
+        assert result.exit_code != 0 and "--nfe" in result.output
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, value", [("version", 7), ("nfe_list", [0])],
+                             ids=["version", "nfe_list"])
+    def test_sweep_rejects_what_a_config_rejects(self, tmp_path, key, value):
+        doc = {"base": config_to_dict(tiny_config()), "schedules": [{"kind": "ve"}],
+               "solvers": [{"kind": "lms", "order": 1, "preset": "ipndm"}],
+               "modes": ["baseline"], key: value}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(cli_main, ["sweep", "--config", str(path),
+                                               "--out", str(tmp_path / "out")])
+        assert result.exit_code != 0 and key in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_selftest_passes(self):
         result = CliRunner().invoke(cli_main, ["selftest"])

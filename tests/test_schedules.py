@@ -116,29 +116,29 @@ class TestClosedFormInverse:
 
 class TestPhiFunctions:
     def test_values_at_zero(self):
-        assert np.allclose(phi_functions(0.0, 3).values, [1.0, 0.5, 1.0 / 6.0])
+        assert np.allclose(phi_functions(0.0, 3), [1.0, 0.5, 1.0 / 6.0])
 
     def test_closed_forms_at_one(self):
-        vals = phi_functions(1.0, 2).values
+        vals = phi_functions(1.0, 2)
         assert abs(vals[0] - (math.e - 1.0)) < 1e-14
         assert abs(vals[1] - (math.e - 2.0)) < 1e-14
 
     def test_direct_formula_agreement(self):
         for h in (0.3, 1.7, -0.9):
-            vals = phi_functions(h, 2).values
+            vals = phi_functions(h, 2)
             assert abs(vals[0] - math.expm1(h) / h) < 1e-14
             assert abs(vals[1] - (math.expm1(h) - h) / h**2) < 1e-12
 
     def test_recurrence(self):
-        vals = phi_functions(0.5, 4).values
+        vals = phi_functions(0.5, 4)
         assert abs(vals[1] - (vals[0] - 1.0) / 0.5) < 1e-12
         for k in (2, 3):
             recur = (vals[k - 1] - 1.0 / math.factorial(k)) / 0.5
             assert abs(vals[k] - recur) < 1e-12 * abs(vals[k])
 
     def test_branch_crossover(self):
-        below = phi_functions(np.nextafter(1e-4, 0.0), 4).values
-        above = phi_functions(np.nextafter(1e-4, 1.0), 4).values
+        below = phi_functions(np.nextafter(1e-4, 0.0), 4)
+        above = phi_functions(np.nextafter(1e-4, 1.0), 4)
         assert np.max(np.abs(below - above)) <= 1e-10
 
     def test_order_validation(self):
