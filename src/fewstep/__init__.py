@@ -5,9 +5,10 @@ The package factors into: noise schedules and log-SNR transforms
 time discretizations (:mod:`~fewstep.grids`), the generalized solver family
 (:mod:`~fewstep.coeffs`, :mod:`~fewstep.solvers`), reverse-mode gradients
 (:mod:`~fewstep.backprop`), reference teachers (:mod:`~fewstep.teachers`),
-the distillation trainers (:mod:`~fewstep.training`), and the experiment
+the distillation trainers (:mod:`~fewstep.training`), the experiment
 harness (:mod:`~fewstep.configs`, :mod:`~fewstep.experiments`,
-:mod:`~fewstep.cli`).
+:mod:`~fewstep.cli`), and the one file writer and artifact container they
+all use (:mod:`~fewstep.artifacts`).
 """
 
 from .backprop import AdjointResult, backward, check_gradients
@@ -17,8 +18,8 @@ from .schedules import (EdmSchedule, NoiseSchedule, VeSchedule, VpLinearSchedule
                         exact_step_integrand, phi_functions)
 from .scores import CountingScoreModel, GaussianMixtureScore, default_mixture
 from .solvers import SolveTrace, lms_step, solve, ss_step
-from .teachers import (Dataset, TeacherConfig, TrainRecord, generate_dataset,
-                       load_dataset, save_dataset, teacher_solve)
+from .teachers import (Dataset, TeacherConfig, generate_dataset, load_dataset,
+                       save_dataset, teacher_solve)
 from .training import (TrainConfig, TrainResult, evaluate, evaluation_reference,
                        project_ball, train_in_mode, train_joint, train_s4s, train_s4s_alt,
                        train_schedule_only)
@@ -33,7 +34,7 @@ __all__ = [
     "exact_step_integrand", "phi_functions",
     "CountingScoreModel", "GaussianMixtureScore", "default_mixture",
     "SolveTrace", "lms_step", "solve", "ss_step",
-    "Dataset", "TeacherConfig", "TrainRecord", "generate_dataset",
+    "Dataset", "TeacherConfig", "generate_dataset",
     "load_dataset", "save_dataset", "teacher_solve",
     "TrainConfig", "TrainResult", "evaluate", "evaluation_reference", "project_ball",
     "train_in_mode", "train_joint", "train_s4s", "train_s4s_alt", "train_schedule_only",

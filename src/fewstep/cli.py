@@ -7,7 +7,6 @@ its seed, so reruns reproduce outputs bit for bit.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import sys
@@ -16,12 +15,13 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import artifacts
 from .backprop import check_gradients
 from .checkpoints import load_checkpoint, save_checkpoint
 from .coeffs import SolverCoefficients, init_preset, table_param_count
 from .configs import (ExperimentConfig, ScheduleSpec, SolverSpec, _parse_section,
                       build_model, build_schedule, build_teacher, config_from_dict,
-                      config_hash, load_config)
+                      config_hash, load_config, validate_config)
 from .errors import CompatibilityError, ConfigError
 from .experiments import (MODES, N_EVAL, ResultTable, SweepSpec, _dataset_for, build_cell,
                           metric_columns, run_sweep)
@@ -78,7 +78,10 @@ def cli_train(config_path, dataset_path, mode, nfe, out_dir):
         raise click.ClickException(
             f"solver order {cfg.solver.order} exceeds step count {nfe}")
     schedule, model, _, grid, coeffs = build_cell(cfg, nfe)
-    dataset = load_dataset(dataset_path)
+    try:
+        dataset = load_dataset(dataset_path)
+    except CompatibilityError as exc:
+        raise click.ClickException(str(exc)) from exc
     if dataset.dim != model.dim:
         raise click.ClickException(
             f"dataset dim {dataset.dim} does not match model dim {model.dim}")
@@ -87,15 +90,11 @@ def cli_train(config_path, dataset_path, mode, nfe, out_dir):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    snapshot = np.stack([rec.x_prime for rec in dataset.records])
     save_checkpoint(out / "checkpoint.fsc", result.coeffs, config_hash(cfg),
-                    params=result.params, x_prime_snapshot=snapshot,
+                    params=result.params, x_prime_snapshot=dataset.x_prime,
                     extra={"mode": mode, "nfe": nfe, "status": result.status})
-    with open(out / "history.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["iteration", "phase", "train_loss",
-                                                "val_loss", "r"])
-        writer.writeheader()
-        writer.writerows(result.history)
+    artifacts.write_csv(out / "history.csv",
+                        ["iteration", "phase", "train_loss", "val_loss", "r"], result.history)
     click.echo(f"status: {result.status}  r: {result.r:.6g}  "
                f"final train loss: {result.final_train_loss:.6g}")
     if result.status != "ok":
@@ -155,11 +154,14 @@ def _sweep_spec(doc) -> SweepSpec:
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}", key="modes")
-    return SweepSpec(
-        base=base,
-        schedules=[_parse_section(ScheduleSpec, s, "schedules") for s in doc["schedules"]],
-        solvers=[_parse_section(SolverSpec, s, "solvers") for s in doc["solvers"]],
-        nfe_list=base.nfe_list, modes=modes)
+    schedules = [_parse_section(ScheduleSpec, s, "schedules") for s in doc["schedules"]]
+    solvers = [_parse_section(SolverSpec, s, "solvers") for s in doc["solvers"]]
+    for schedule in schedules:
+        validate_config(dataclasses.replace(base, schedule=schedule))
+    for solver in solvers:
+        validate_config(dataclasses.replace(base, solver=solver))
+    return SweepSpec(base=base, schedules=schedules, solvers=solvers,
+                     nfe_list=base.nfe_list, modes=modes)
 
 
 @main.command("sweep")

@@ -13,6 +13,8 @@ import json
 
 import numpy as np
 
+from . import artifacts
+from .coeffs import KINDS, PREDICTIONS, _canon_preset
 from .errors import ConfigError
 from .grids import GRID_KINDS
 from .schedules import SCHEDULE_KINDS, NoiseSchedule
@@ -147,9 +149,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path):
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+    artifacts.write_atomic(path, text.encode())
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -164,6 +165,17 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(f"unknown model.kind {cfg.model.kind!r}", key="model.kind")
     if cfg.model.dim < 1:
         raise ConfigError("model.dim must be >= 1", key="model.dim")
+    if cfg.solver.kind not in KINDS:
+        raise ConfigError(f"unknown solver.kind {cfg.solver.kind!r}", key="solver.kind")
+    if cfg.solver.prediction not in PREDICTIONS:
+        raise ConfigError(f"unknown solver.prediction {cfg.solver.prediction!r}",
+                          key="solver.prediction")
+    try:
+        _canon_preset(cfg.solver.preset)
+    except (AttributeError, ValueError) as exc:
+        raise ConfigError(f"solver.preset: {exc}", key="solver.preset") from None
+    if cfg.solver.order < 1:
+        raise ConfigError("solver.order must be >= 1", key="solver.order")
     if cfg.grid.kind not in GRID_KINDS:
         raise ConfigError(f"unknown grid.kind {cfg.grid.kind!r}", key="grid.kind")
     if cfg.teacher.kind not in TEACHER_KINDS:

@@ -38,4 +38,4 @@ class ConfigError(ValueError):
 
 
 class CompatibilityError(RuntimeError):
-    """Checkpoint and configuration disagree (dimension, step count, hash)."""
+    """A file is unusable: wrong format, version or length, or another config."""

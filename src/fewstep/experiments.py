@@ -7,37 +7,37 @@ solution of that noise.  A sweep runs its cells in the calling process, or
 in a process pool when ``workers > 1``, and writes one JSON result file per
 cell under ``<out>/cells``; it resumes by skipping cells whose files parse
 and re-running the rest.  ``<out>/datasets`` caches the teacher's training
-datasets and evaluation references, so each is solved once per sweep and
-reused by every cell, worker and resume that needs it.  Every file is
-written atomically (temporary file, then rename), so a killed run never
-leaves a half-written artifact behind under its final name.  Aggregation
-collects the rows into one CSV.  Cell failures are recorded in place and
-never abort the sweep.
+datasets (``.fsd``) and evaluation references (``.fsr``), so each is
+solved once per sweep and reused by every cell, worker and resume that
+needs it; a cached file that fails its load check fails its cells.  Every
+file is written atomically (temporary file, then rename), so a killed run
+never leaves a half-written artifact behind under its final name.
+Aggregation collects the rows into one CSV.  Cell failures are recorded in
+place and never abort the sweep.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
+from . import artifacts
 from .coeffs import init_preset
 from .configs import (ExperimentConfig, build_model, build_schedule, build_teacher,
                       config_to_dict)
 from .grids import heuristic_grid
-from .teachers import _write_atomic, generate_dataset, load_dataset, save_dataset
+from .errors import CompatibilityError
+from .teachers import generate_dataset, load_dataset, save_dataset
 from .training import TRAIN_MODES, evaluate, evaluation_reference, train_in_mode
 
 MODES = ("baseline",) + TRAIN_MODES
 N_EVAL = 200  # fresh-noise draws per cell evaluation
+_REFERENCE_MAGIC, _REFERENCE_VERSION = b"FSTREFS1", 1
 
 RESULT_COLUMNS = [
     "schedule", "solver", "order", "preset", "prediction", "mode", "nfe",
@@ -62,11 +62,7 @@ class ResultTable:
         return [self.rows[key] for key in sorted(self.rows)]
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-            writer.writeheader()
-            for row in self.ordered():
-                writer.writerow({col: row.get(col, "") for col in RESULT_COLUMNS})
+        artifacts.write_csv(path, RESULT_COLUMNS, self.ordered())
 
     def formatted(self) -> str:
         lines = [f"{'schedule':<10} {'solver':<6} {'mode':<13} {'nfe':>4} "
@@ -110,18 +106,18 @@ def _reference_for(cfg: ExperimentConfig, schedule, model, teacher, seed, cache_
     """The teacher's solution of the fresh noise every evaluation with ``seed`` draws."""
     if cache_dir is None:
         return evaluation_reference(teacher, schedule, model, N_EVAL, seed)
-    path = Path(cache_dir) / f"reference_{_cache_tag(cfg, N_EVAL, seed)}.npy"
+    path = Path(cache_dir) / f"reference_{_cache_tag(cfg, N_EVAL, seed)}.fsr"
+    shape = [N_EVAL, model.dim]
     if path.exists():
-        reference = np.load(path)
-        if reference.shape != (N_EVAL, model.dim):
-            raise ValueError(f"{path} holds shape {reference.shape}, "
-                             f"expected {(N_EVAL, model.dim)}")
-        return reference
+        header, arrays = artifacts.read(path, _REFERENCE_MAGIC, _REFERENCE_VERSION)
+        if header.get("shape") != shape:
+            raise CompatibilityError(f"{path} holds shape {header.get('shape')}, "
+                                     f"expected {shape}")
+        return arrays["reference"].reshape(shape)
     reference = evaluation_reference(teacher, schedule, model, N_EVAL, seed)
     path.parent.mkdir(parents=True, exist_ok=True)
-    buf = io.BytesIO()
-    np.save(buf, reference)
-    _write_atomic(path, buf.getvalue())
+    artifacts.write(path, _REFERENCE_MAGIC, {"version": _REFERENCE_VERSION, "shape": shape},
+                    {"reference": reference})
     return reference
 
 
@@ -250,8 +246,8 @@ def run_sweep(spec: SweepSpec, out_dir, workers: int | None = None,
         pending.append((key, cfg, nfe, mode, str(cache_dir)))
 
     def record(key, row):
-        _write_atomic(cell_dir / f"{key}.json",
-                      json.dumps(row, indent=2, sort_keys=True).encode())
+        artifacts.write_atomic(cell_dir / f"{key}.json",
+                               json.dumps(row, indent=2, sort_keys=True).encode())
         table.add(row)
         if progress:
             progress(f"done {key}: {row['status']}")

@@ -6,26 +6,21 @@ on the time-domain ODE, and a fine fixed-step run of the strongest preset
 solver (the teacher regime the learned solvers distill in practice, useful
 because it carries its own truncation error).
 
-A training record ties an initial noise draw to the teacher's output; the
-perturbed copy ``x_prime`` is what the trainer moves inside the trust ball
-and is persisted with the record.
+A :class:`Dataset` is columnar: row i stacks initial noise draw i, its
+perturbed copy ``x_prime`` (which the trainer moves in place) and the
+teacher's output; on disk it is an :mod:`~fewstep.artifacts` container
+(``.fsd``, version 2) holding that one array.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
-import io
-import json
-import os
-import struct
-import tempfile
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import artifacts
 from .coeffs import init_preset
 from .errors import AccuracyError
 from .grids import heuristic_grid
@@ -35,6 +30,7 @@ from .solvers import solve
 TEACHER_KINDS = ("exact_gaussian", "adaptive_rk", "fine_fixed")
 
 _DATASET_MAGIC = b"FSTDATA1"
+DATASET_VERSION = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,29 +48,36 @@ class TeacherConfig:
 
 
 @dataclasses.dataclass
-class TrainRecord:
-    record_id: int
-    x_init: np.ndarray
-    x_prime: np.ndarray
-    teacher_out: np.ndarray
-
-
-@dataclasses.dataclass
 class Dataset:
-    records: list
+    """Rows ``(x_init, x_prime, teacher_out)``; the first ``n_train`` train.
+
+    The column properties are views, so writing ``x_prime[idx]`` updates it.
+    """
+
+    records: np.ndarray          # (count, 3, dim)
     n_train: int
-    n_val: int
-    dim: int
     seed: int
     teacher_kind: str
 
     @property
-    def train_records(self):
-        return self.records[: self.n_train]
+    def n_val(self) -> int:
+        return len(self.records) - self.n_train
 
     @property
-    def val_records(self):
-        return self.records[self.n_train :]
+    def dim(self) -> int:
+        return self.records.shape[-1]
+
+    @property
+    def x_init(self) -> np.ndarray:
+        return self.records[:, 0]
+
+    @property
+    def x_prime(self) -> np.ndarray:
+        return self.records[:, 1]
+
+    @property
+    def teacher_out(self) -> np.ndarray:
+        return self.records[:, 2]
 
 
 def exact_gaussian_solution(schedule: NoiseSchedule, model, x_init, t_end=None):
@@ -146,94 +149,24 @@ def generate_dataset(
     rng = np.random.default_rng(seed)
     draws = schedule.tilde_sigma * rng.standard_normal((count, model.dim))
     outs = teacher_solve(config, schedule, model, draws)
-    records = [TrainRecord(record_id=i, x_init=draws[i].copy(),
-                           x_prime=draws[i].copy(), teacher_out=outs[i].copy())
-               for i in range(count)]
     n_val = int(round(count * val_fraction))
-    return Dataset(records=records, n_train=count - n_val, n_val=n_val,
-                   dim=model.dim, seed=seed, teacher_kind=config.kind)
-
-
-# ---------------------------------------------------------------------------
-# Binary persistence: versioned header, little-endian float64 payload
-# ---------------------------------------------------------------------------
-
-def _write_atomic(path, data: bytes):
-    """Write ``data`` to ``path`` so readers see the old file or the whole new one.
-
-    The bytes go to a temporary file in the target directory, which is
-    flushed to disk and then renamed over ``path``.  A process killed
-    mid-write leaves at most a stray ``.tmp`` file, and concurrent writers
-    of the same path never interleave.
-    """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
-def _records_payload(records) -> bytes:
-    buf = io.BytesIO()
-    for rec in records:
-        buf.write(struct.pack("<Q", rec.record_id))
-        for arr in (rec.x_init, rec.x_prime, rec.teacher_out):
-            buf.write(np.asarray(arr, dtype="<f8").tobytes())
-    return buf.getvalue()
+    return Dataset(records=np.stack([draws, draws, outs], axis=1), n_train=count - n_val,
+                   seed=seed, teacher_kind=config.kind)
 
 
 def save_dataset(dataset: Dataset, path):
-    header = {
-        "version": 1,
-        "count": len(dataset.records),
-        "n_train": dataset.n_train,
-        "n_val": dataset.n_val,
-        "dim": dataset.dim,
-        "seed": dataset.seed,
-        "teacher_kind": dataset.teacher_kind,
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
-    _write_atomic(path, _DATASET_MAGIC + struct.pack("<I", len(blob)) + blob
-                  + _records_payload(dataset.records))
+    header = {"version": DATASET_VERSION, "n_train": dataset.n_train, "dim": dataset.dim,
+              "seed": dataset.seed, "teacher_kind": dataset.teacher_kind}
+    artifacts.write(path, _DATASET_MAGIC, header, {"records": dataset.records})
 
 
 def load_dataset(path) -> Dataset:
-    """Read a ``.fsd`` file; ValueError naming ``path`` if it is cut short or overlong."""
-    data = Path(path).read_bytes()
-    if data[: len(_DATASET_MAGIC)] != _DATASET_MAGIC:
-        raise ValueError(f"{path} is not a dataset file")
-    start = len(_DATASET_MAGIC) + 4
-    if len(data) < start:
-        raise ValueError(f"{path}: truncated dataset header")
-    (hlen,) = struct.unpack_from("<I", data, len(_DATASET_MAGIC))
-    try:
-        header = json.loads(data[start : start + hlen])
-    except ValueError as exc:
-        raise ValueError(f"{path}: unreadable dataset header ({exc})") from None
-    if header.get("version") != 1:
-        raise ValueError(f"unsupported dataset version {header.get('version')}")
-    dim, count = header["dim"], header["count"]
-    record = np.dtype([("id", "<u8"), ("arrays", "<f8", (3, dim))])
-    payload = memoryview(data)[start + hlen :]
-    if len(payload) != count * record.itemsize:
-        raise ValueError(f"{path}: {len(payload)} payload bytes where {count} records "
-                         f"of dim {dim} take {count * record.itemsize} "
-                         "(truncated or trailing bytes)")
-    table = np.frombuffer(payload, dtype=record)
-    records = [TrainRecord(record_id=int(rid), x_init=arrays[0].astype(float),
-                           x_prime=arrays[1].astype(float),
-                           teacher_out=arrays[2].astype(float))
-               for rid, arrays in zip(table["id"], table["arrays"])]
-    return Dataset(records=records, n_train=header["n_train"], n_val=header["n_val"],
-                   dim=dim, seed=header["seed"], teacher_kind=header["teacher_kind"])
+    """Read a ``.fsd`` file; CompatibilityError naming ``path`` if the container rejects it."""
+    header, arrays = artifacts.read(path, _DATASET_MAGIC, DATASET_VERSION)
+    return Dataset(records=arrays["records"].reshape(-1, 3, header["dim"]),
+                   n_train=header["n_train"], seed=header["seed"],
+                   teacher_kind=header["teacher_kind"])
 
 
 def dataset_checksum(dataset: Dataset) -> str:
-    return hashlib.sha256(_records_payload(dataset.records)).hexdigest()
+    return hashlib.sha256(np.asarray(dataset.records, dtype="<f8").tobytes()).hexdigest()

@@ -5,9 +5,9 @@ between the student's terminal state started from a perturbed input and the
 teacher's output for the unperturbed input, with the perturbation kept inside
 a ball of radius r * tilde_sigma by projected SGD.  Coefficients and time
 parameters take momentum-based adaptive steps; the perturbed inputs take
-plain gradient steps followed by the radial projection, and persist with
-their records.  The ball radius follows r = c / m^{5/2} in the number of
-parameters being learned.
+plain gradient steps followed by the radial projection, written back into
+the dataset's ``x_prime`` column.  The ball radius follows r = c / m^{5/2}
+in the number of parameters being learned.
 
 Evaluation always starts from fresh noise: it has no access to the perturbed
 inputs, mirroring how the learned solver is used at inference time.
@@ -132,8 +132,7 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
            grid: TimeGrid | None = None, params: LearnableTimeParams | None = None):
     coeffs = coeffs.copy()
     if params is not None:
-        params = LearnableTimeParams(params.xi.copy(), params.xi_c.copy(),
-                                     params.clip_fraction)
+        params = dataclasses.replace(params)    # copies xi and xi_c
     if params is None and grid is None:
         raise ValueError("training needs a fixed grid or learnable time parameters")
 
@@ -151,24 +150,22 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
     radius = r * sigma_tilde
 
     rng = np.random.default_rng(config.seed)
-    train = dataset.train_records
+    n_train = dataset.n_train
+    x_init, x_prime, targets = dataset.x_init, dataset.x_prime, dataset.teacher_out
     history: list = []
     status = "ok"
     violations = 0
     iteration = 0
-    snapshot = _snapshot(coeffs, params, train)
+    snapshot = _snapshot(coeffs, params, x_prime[:n_train])
 
     def current_grid():
         return materialize(params, schedule) if params is not None else grid
 
     def val_loss():
-        if not dataset.val_records:
+        if not dataset.n_val:
             return float("nan")
-        g = current_grid()
-        xs = np.stack([rec.x_init for rec in dataset.val_records])
-        ys = np.stack([rec.teacher_out for rec in dataset.val_records])
-        out = solve(coeffs, schedule, g, model, xs).terminal
-        return loss_and_cotangent(out, ys)[0]
+        out = solve(coeffs, schedule, current_grid(), model, x_init[n_train:]).terminal
+        return loss_and_cotangent(out, targets[n_train:])[0]
 
     # per-block optimizer state persists across alternations
     adam_coeffs = Adam(coeffs.values.size, config.lr_coeffs)
@@ -179,18 +176,17 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
 
     for phase_name, phase_epochs in phases:
         for _ in range(phase_epochs):
-            order = rng.permutation(len(train))
-            for lo in range(0, len(train), config.batch_size):
-                batch = [train[idx] for idx in order[lo : lo + config.batch_size]]
-                xp = np.stack([rec.x_prime for rec in batch])
-                targets = np.stack([rec.teacher_out for rec in batch])
+            order = rng.permutation(n_train)
+            for lo in range(0, n_train, config.batch_size):
+                batch = order[lo : lo + config.batch_size]
+                xp = x_prime[batch]
                 g = current_grid()
                 try:
                     trace = solve(coeffs, schedule, g, model, xp)
                 except DivergenceError:
                     status = "diverged"
                     break
-                loss, cot = loss_and_cotangent(trace.terminal, targets)
+                loss, cot = loss_and_cotangent(trace.terminal, targets[batch])
                 if not np.isfinite(loss):
                     status = "diverged"
                     break
@@ -205,11 +201,10 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
                     adam_xi.step(params.xi, res.grad_xi)
                     adam_xi_c.step(params.xi_c, res.grad_xi_c)
                 new_xp = xp - (config.lr_noise * sigma_tilde) * res.grad_x0
-                x_init = np.stack([rec.x_init for rec in batch])
-                projected = project_ball(new_xp, x_init, r, sigma_tilde)
-                violations += int(np.count_nonzero(_norm(projected - x_init) > radius + 1e-12))
-                for rec, row in zip(batch, projected):
-                    rec.x_prime = row
+                x0 = x_init[batch]
+                projected = project_ball(new_xp, x0, r, sigma_tilde)
+                violations += int(np.count_nonzero(_norm(projected - x0) > radius + 1e-12))
+                x_prime[batch] = projected
                 iteration += 1
                 history.append({"iteration": iteration, "phase": phase_name,
                                 "train_loss": loss, "val_loss": float("nan"), "r": r})
@@ -217,32 +212,22 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
                 break
             if history:
                 history[-1]["val_loss"] = val_loss()
-            snapshot = _snapshot(coeffs, params, train)
+            snapshot = _snapshot(coeffs, params, x_prime[:n_train])
         if status != "ok":
             break
 
     if status == "diverged":
-        _restore(snapshot, coeffs, params, train)
+        coeffs, params, x_prime[:n_train] = snapshot
 
     return TrainResult(coeffs=coeffs, params=params, grid=current_grid(),
                        history=history, status=status, r=r, n_params=n_params,
                        projection_violations=violations)
 
 
-def _snapshot(coeffs, params, train):
-    return (coeffs.values.copy(),
-            None if params is None else (params.xi.copy(), params.xi_c.copy()),
-            [rec.x_prime.copy() for rec in train])
-
-
-def _restore(snapshot, coeffs, params, train):
-    values, time_state, primes = snapshot
-    coeffs.values[:] = values
-    if params is not None and time_state is not None:
-        params.xi[:] = time_state[0]
-        params.xi_c[:] = time_state[1]
-    for rec, saved in zip(train, primes):
-        rec.x_prime = saved
+def _snapshot(coeffs, params, x_prime):
+    """Copies of the training state, left untouched until a divergence restores them."""
+    return (coeffs.copy(), None if params is None else dataclasses.replace(params),
+            x_prime.copy())
 
 
 def train_s4s(dataset, coeffs, grid, schedule, model, config) -> TrainResult:

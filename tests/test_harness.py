@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from fewstep import artifacts
 from fewstep.checkpoints import load_checkpoint, save_checkpoint
 from fewstep import training
 from fewstep.cli import _sweep_spec, main as cli_main
@@ -25,6 +26,8 @@ from fewstep.scores import GaussianMixtureScore
 from fewstep.training import TrainConfig
 
 DEMO_CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "configs"
+# written by the checkpoint code before it became a container caller
+OLD_CHECKPOINT = pathlib.Path(__file__).resolve().parent / "data" / "checkpoint_v1.fsc"
 
 
 def tiny_config(**overrides):
@@ -82,6 +85,29 @@ class TestConfig:
         assert cfg.nfe_list == [4, 6, 8]
         spec = _sweep_spec(json.loads((DEMO_CONFIGS / "sweep.json").read_text()))
         assert len(sweep_cells(spec)) == 24
+
+    @pytest.mark.parametrize("key, value", [("kind", "lmz"), ("prediction", "x"),
+                                            ("preset", "nope"), ("order", 0)])
+    def test_solver_section_validated(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"solver": {key: value}})
+        assert err.value.key == f"solver.{key}" and f"solver.{key}" in str(err.value)
+
+    def test_preset_aliases_still_parse(self):
+        cfg = config_from_dict({"solver": {"kind": "pc", "preset": "UniPC-like"}})
+        assert cfg.solver.preset == "UniPC-like"
+
+    @pytest.mark.parametrize("section, entry, key", [
+        ("schedules", {"kind": "vee"}, "schedule.kind"),
+        ("solvers", {"kind": "lms", "order": 1, "preset": "nope"}, "solver.preset"),
+    ], ids=["schedule", "solver"])
+    def test_sweep_entries_validated_at_parse_time(self, section, entry, key):
+        doc = {"base": config_to_dict(tiny_config()), "schedules": [{"kind": "ve"}],
+               "solvers": [{"kind": "lms", "order": 1, "preset": "ipndm"}]}
+        doc[section] = [doc[section][0], entry]
+        with pytest.raises(ConfigError) as err:
+            _sweep_spec(doc)
+        assert err.value.key == key
 
     def test_builders(self):
         cfg = tiny_config()
@@ -152,6 +178,20 @@ class TestCheckpoints:
         path.write_bytes(blob + b"\0" * 4)
         with pytest.raises(CompatibilityError, match="model.fsc"):
             load_checkpoint(path, "a" * 64)
+
+    def test_old_checkpoint_loads_and_resaves_identically(self, tmp_path):
+        coeffs, params, snap, header = load_checkpoint(OLD_CHECKPOINT, "c" * 64)
+        assert (coeffs.kind, coeffs.order, coeffs.n_steps) == ("lms", 2, 4)
+        assert np.array_equal(coeffs.values, np.random.default_rng(7).standard_normal(7))
+        assert np.array_equal(params.xi, 0.25 * np.arange(5.0))
+        assert np.array_equal(params.xi_c, -0.01 * np.arange(5.0))
+        assert params.clip_fraction == 0.4
+        assert np.array_equal(snap, np.arange(6.0).reshape(3, 2) / 8.0)
+        assert header["extra"] == {"mode": "s4s-alt", "nfe": 4, "status": "ok"}
+        path = tmp_path / "again.fsc"
+        save_checkpoint(path, coeffs, header["config_hash"], params=params,
+                        x_prime_snapshot=snap, extra=header["extra"])
+        assert path.read_bytes() == OLD_CHECKPOINT.read_bytes()
 
 
 class TestCells:
@@ -279,7 +319,7 @@ class TestSharedReference:
         out = tmp_path / "sweep"
         table = run_sweep(spec, out, workers=1)
         assert len(counted) == 2
-        assert len(list((out / "datasets").glob("reference_*.npy"))) == 2
+        assert len(list((out / "datasets").glob("reference_*.fsr"))) == 2
         for key, cfg, nfe, mode in sweep_cells(spec):
             row = table.rows[(cfg.schedule.kind, cfg.solver.kind, nfe, mode)]
             assert _accuracy(row) == _accuracy(run_cell(cfg, nfe, mode)), key
@@ -300,11 +340,28 @@ class TestSharedReference:
                          nfe_list=[4], modes=["baseline"])
         out = tmp_path / "sweep"
         run_sweep(spec, out, workers=1)
-        (path,) = (out / "datasets").glob("reference_*.npy")
-        np.save(path, np.zeros((3, 2)))
+        (path,) = (out / "datasets").glob("reference_*.fsr")
+        artifacts.write(path, experiments._REFERENCE_MAGIC, {"version": 1, "shape": [3, 2]},
+                        {"reference": np.zeros((3, 2))})
         shutil.rmtree(out / "cells")
         (row,) = run_sweep(spec, out, workers=1).rows.values()
         assert row["status"] == "failed" and "shape" in row["message"]
+
+    @pytest.mark.parametrize("damage", [lambda blob: blob + b"\0" * 16,
+                                        lambda blob: blob[:-8]],
+                             ids=["trailing-bytes", "cut-short"])
+    def test_damaged_cached_reference_fails_the_cell(self, tmp_path, damage):
+        spec = SweepSpec(base=tiny_config(), schedules=[ScheduleSpec(kind="ve")],
+                         solvers=[SolverSpec(kind="lms", order=3, preset="ipndm")],
+                         nfe_list=[4], modes=["baseline"])
+        out = tmp_path / "sweep"
+        run_sweep(spec, out, workers=1)
+        (path,) = (out / "datasets").glob("reference_*.fsr")
+        path.write_bytes(damage(path.read_bytes()))
+        shutil.rmtree(out / "cells")
+        (row,) = run_sweep(spec, out, workers=1).rows.values()
+        assert row["status"] == "failed"
+        assert row["message"].startswith("CompatibilityError") and path.name in row["message"]
 
 
 class TestCli:
@@ -427,6 +484,17 @@ class TestCli:
         assert rows[None]["seed"] == "5" and rows[7]["seed"] == "7"
         assert rows[7]["status"] == "ok"
         assert rows[7]["mean_error"] != rows[None]["mean_error"]
+
+    def test_train_rejects_unreadable_dataset(self, tmp_path):
+        cfg_path = self._write_config(tmp_path)
+        data_path = tmp_path / "garbage.fsd"
+        data_path.write_bytes(b"FSTDATA1garbage")
+        result = CliRunner().invoke(cli_main, ["train", "--config", str(cfg_path),
+                                               "--dataset", str(data_path), "--out",
+                                               str(tmp_path / "run")])
+        assert result.exit_code == 1 and "garbage.fsd" in result.output
+        assert not isinstance(result.exception, CompatibilityError)
+        assert not (tmp_path / "run").exists()
 
     def test_train_rejects_zero_nfe(self, tmp_path):
         runner = CliRunner()

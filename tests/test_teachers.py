@@ -1,7 +1,11 @@
+import copy
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from fewstep.errors import AccuracyError
+from fewstep.errors import AccuracyError, CompatibilityError
 from fewstep.scores import GaussianMixtureScore
 from fewstep.teachers import (TeacherConfig, dataset_checksum, exact_gaussian_solution,
                               generate_dataset, load_dataset, save_dataset,
@@ -90,15 +94,23 @@ class TestDatasets:
     def test_perturbed_inputs_start_at_the_draws(self, ve, mixture):
         cfg = TeacherConfig(kind="fine_fixed", fine_nfe=40)
         ds = generate_dataset(cfg, ve, mixture, 9, seed=1)
-        for rec in ds.records:
-            assert np.array_equal(rec.x_init, rec.x_prime)
-            assert rec.x_prime is not rec.x_init
+        assert ds.records.shape == (9, 3, 2)
+        assert np.array_equal(ds.x_init, ds.x_prime)
+        assert not np.shares_memory(ds.x_prime, ds.x_init)
+
+    def test_deepcopy_has_independent_perturbed_inputs(self, ve, mixture):
+        ds = generate_dataset(TeacherConfig(kind="fine_fixed", fine_nfe=40), ve, mixture,
+                              5, seed=1)
+        clone = copy.deepcopy(ds)
+        clone.x_prime[:] += 1.0
+        assert np.array_equal(ds.x_init, ds.x_prime)
+        assert np.array_equal(clone.x_prime, ds.x_prime + 1.0)
 
     def test_default_split_fractions(self, ve, mixture):
         cfg = TeacherConfig(kind="fine_fixed", fine_nfe=40)
         ds = generate_dataset(cfg, ve, mixture, 900, seed=2)
         assert ds.n_train == 700 and ds.n_val == 200
-        assert len(ds.train_records) == 700 and len(ds.val_records) == 200
+        assert len(ds.records[: ds.n_train]) == 700 and len(ds.records[ds.n_train :]) == 200
 
     def test_round_trip_bit_exact(self, tmp_path, ve, mixture):
         cfg = TeacherConfig(kind="fine_fixed", fine_nfe=40)
@@ -110,7 +122,7 @@ class TestDatasets:
         assert back.n_train == ds.n_train and back.dim == ds.dim
 
     # (bytes kept of the whole file, payload size); 7 dim-2 records of
-    # u64 id + three float64 vectors make a 7 * 56 = 392-byte payload
+    # three float64 vectors make a 7 * 48 = 336-byte payload
     @pytest.mark.parametrize("keep", [
         lambda n, p: n - 1, lambda n, p: n - 16, lambda n, p: n - 40,
         lambda n, p: n - p,        # header only
@@ -124,8 +136,8 @@ class TestDatasets:
         path = tmp_path / "records.fsd"
         save_dataset(ds, path)
         blob = path.read_bytes()
-        path.write_bytes(blob[: keep(len(blob), 7 * 56)])
-        with pytest.raises(ValueError, match="records.fsd"):
+        path.write_bytes(blob[: keep(len(blob), 7 * 48)])
+        with pytest.raises(CompatibilityError, match="records.fsd"):
             load_dataset(path)
 
     def test_trailing_bytes_rejected(self, tmp_path, ve, mixture):
@@ -134,7 +146,7 @@ class TestDatasets:
         path = tmp_path / "records.fsd"
         save_dataset(ds, path)
         path.write_bytes(path.read_bytes() + b"\0" * 8)
-        with pytest.raises(ValueError, match="records.fsd"):
+        with pytest.raises(CompatibilityError, match="records.fsd"):
             load_dataset(path)
 
     def test_failed_save_keeps_previous_file(self, tmp_path, ve, mixture):
@@ -143,7 +155,8 @@ class TestDatasets:
         path = tmp_path / "records.fsd"
         save_dataset(ds, path)
         saved = dataset_checksum(ds)
-        ds.records[-1].teacher_out = np.array(["not a number", "x"])
+        ds.records = ds.records.astype(object)
+        ds.records[-1, 2] = ["not a number", "x"]
         with pytest.raises(ValueError):
             save_dataset(ds, path)
         assert dataset_checksum(load_dataset(path)) == saved
@@ -152,7 +165,31 @@ class TestDatasets:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.fsd"
         path.write_bytes(b"not a dataset")
-        with pytest.raises(ValueError):
+        with pytest.raises(CompatibilityError):
+            load_dataset(path)
+
+    def test_version_1_file_rejected_naming_its_version(self, tmp_path):
+        # the layout before datasets became one container array: a u64 id
+        # ahead of each record's three float64 vectors, no array directory
+        header = json.dumps({"version": 1, "count": 1, "n_train": 1, "n_val": 0, "dim": 2,
+                             "seed": 0, "teacher_kind": "adaptive_rk"}).encode()
+        path = tmp_path / "old.fsd"
+        path.write_bytes(b"FSTDATA1" + struct.pack("<I", len(header)) + header
+                         + struct.pack("<Q", 0) + np.zeros(6).tobytes())
+        with pytest.raises(CompatibilityError, match=r"old\.fsd.*version 1"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("directory", [None, "records", [{"name": "records"}],
+                                           [{"name": "records", "size": -6}]],
+                             ids=["missing", "not-a-list", "no-size", "negative-size"])
+    def test_bad_array_directory_rejected(self, tmp_path, directory):
+        fields = {"version": 2, "n_train": 1, "dim": 2, "seed": 0, "teacher_kind": "x"}
+        if directory is not None:
+            fields["arrays"] = directory
+        header = json.dumps(fields).encode()
+        path = tmp_path / "bad.fsd"
+        path.write_bytes(b"FSTDATA1" + struct.pack("<I", len(header)) + header)
+        with pytest.raises(CompatibilityError, match="bad.fsd.*array directory"):
             load_dataset(path)
 
     def test_count_validated(self, ve, mixture):

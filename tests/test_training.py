@@ -83,17 +83,14 @@ class TestTrainS4s:
         cfg = TrainConfig(epochs=2, batch_size=10, seed=0, radius_override=0.0)
         result = train_s4s(dataset, coeffs, grid, ve, mixture, cfg)
         assert result.status == "ok"
-        for rec in dataset.train_records:
-            assert np.array_equal(rec.x_prime, rec.x_init)
+        n = dataset.n_train
+        assert np.array_equal(dataset.x_prime[:n], dataset.x_init[:n])
 
     def test_self_distillation_is_stationary(self, problem):
         ve, mixture, grid, coeffs, dataset = problem
         from fewstep.solvers import solve
 
-        xs = np.stack([rec.x_init for rec in dataset.records])
-        outs = solve(coeffs, ve, grid, mixture, xs).terminal
-        for rec, out in zip(dataset.records, outs):
-            rec.teacher_out = out
+        dataset.teacher_out[:] = solve(coeffs, ve, grid, mixture, dataset.x_init).terminal
         cfg = TrainConfig(epochs=1, batch_size=10, seed=0, radius_override=0.0)
         result = train_s4s(dataset, coeffs, grid, ve, mixture, cfg)
         assert all(h["train_loss"] <= 1e-28 for h in result.history)
@@ -113,12 +110,11 @@ class TestTrainS4s:
         cfg = TrainConfig(epochs=3, batch_size=10, seed=0)
         result = train_s4s(dataset, coeffs, grid, ve, mixture, cfg)
         radius = result.r * ve.tilde_sigma
-        moved = 0
-        for rec in dataset.train_records:
-            gap = np.linalg.norm(rec.x_prime - rec.x_init)
-            assert gap <= radius + 1e-12
-            moved += gap > 0
-        assert moved > 0  # the perturbed inputs persist with their records
+        n = dataset.n_train
+        gaps = np.linalg.norm(dataset.x_prime[:n] - dataset.x_init[:n], axis=-1)
+        assert np.all(gaps <= radius + 1e-12)
+        moved = np.count_nonzero(gaps > 0)
+        assert moved > 0  # the perturbed inputs persist in the dataset
 
     def test_divergence_restores_last_checkpoint(self, problem):
         ve, mixture, grid, coeffs, dataset = problem
