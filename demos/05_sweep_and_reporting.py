@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 from fewstep.configs import (DatasetSpec, ExperimentConfig, GridSpec, ModelSpec,
-                             ScheduleSpec, SolverSpec, TeacherSpec)
+                             ScheduleSpec, SolverSpec, TeacherConfig)
 from fewstep.experiments import SweepSpec, run_sweep
 from fewstep.training import TrainConfig
 
@@ -23,7 +23,7 @@ base = ExperimentConfig(
     seed=11,
     model=ModelSpec(kind="gaussian_mixture", dim=2),
     grid=GridSpec(kind="logsnr"),
-    teacher=TeacherSpec(kind="adaptive_rk", rel_tol=1e-8, abs_tol=1e-10),
+    teacher=TeacherConfig(kind="adaptive_rk", rel_tol=1e-8, abs_tol=1e-10),
     dataset=DatasetSpec(n_train=120, n_val=40),
     train=TrainConfig(epochs=10, batch_size=20),
 )

@@ -106,3 +106,13 @@ def read(path, magic: bytes, version: int):
                                      offset=offset).astype(float)
         offset += 8 * size
     return header, arrays
+
+
+def reshaped(path, array: np.ndarray, shape):
+    """``array`` (as :func:`read` returns it) in the ``shape`` its header gives;
+    CompatibilityError naming ``path`` when the two disagree."""
+    try:
+        return array.reshape(shape)
+    except (TypeError, ValueError):
+        raise CompatibilityError(f"{path}: an array of {array.size} values does not fit "
+                                 f"the header's shape {shape}") from None

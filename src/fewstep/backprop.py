@@ -4,10 +4,10 @@ Given the cotangent of a terminal-state loss, walk the solver recursion
 backwards and return cotangents for the coefficient vector, the time
 parameters (through the schedule's analytic derivatives and the grid
 parametrization), and the initial state.  Score-model Jacobian information
-enters only through the model's ``linearize(schedule, x, t)``: the evaluation
-plus one pullback giving its vjp and its time derivative contracted with the
-cotangent, so each released evaluation is linearized once and memory stays
-linear in the number of steps.  Cached score evaluations are reused when the
+enters only through the model's ``linearize(schedule, x, t, cot)``: the
+evaluation, its vjp and its time derivative contracted with the cotangent, so
+each released evaluation is linearized once and memory stays linear in the
+number of steps.  Cached score evaluations are reused when the
 trace kept them and recomputed otherwise.  The update wrapper and its
 t-partials come from :mod:`~fewstep.solvers` (``wrapper_factors`` and
 ``wrapper_partials``), once per sweep.
@@ -52,13 +52,12 @@ def _dot(a, b) -> float:
 
 def _release(model, prediction, schedule, x, t, cot):
     """(cotangent on x, cot . d(evaluation)/dt) of one evaluation, from one linearization."""
-    eps, pullback = model.linearize(schedule, x, t)
     if prediction == "noise":
-        return pullback(cot)
+        return model.linearize(schedule, x, t, cot)[1:]
     # x_hat = (x - sigma eps) / alpha, linear in eps
     a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
     da, ds = float(schedule.d_alpha(t)), float(schedule.d_sigma(t))
-    xbar, tdot = pullback((-s / a) * cot)
+    eps, xbar, tdot = model.linearize(schedule, x, t, (-s / a) * cot)
     xhat = (np.asarray(x, dtype=float) - s * eps) / a
     return xbar + cot / a, tdot - (ds * _dot(cot, eps) + da * _dot(cot, xhat)) / a
 

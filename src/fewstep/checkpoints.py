@@ -61,5 +61,5 @@ def load_checkpoint(path, expected_hash: str | None = None, force: bool = False)
                                      header.get("clip_fraction", 0.5))
     x_prime = None
     if "x_prime" in data:
-        x_prime = data["x_prime"].reshape(header["x_prime_shape"])
+        x_prime = artifacts.reshaped(path, data["x_prime"], header["x_prime_shape"])
     return coeffs, params, x_prime, header

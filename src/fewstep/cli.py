@@ -20,8 +20,8 @@ from .backprop import check_gradients
 from .checkpoints import load_checkpoint, save_checkpoint
 from .coeffs import SolverCoefficients, init_preset, table_param_count
 from .configs import (ExperimentConfig, ScheduleSpec, SolverSpec, _parse_section,
-                      build_model, build_schedule, build_teacher, config_from_dict,
-                      config_hash, load_config, validate_config)
+                      build_model, build_schedule, config_from_dict, config_hash,
+                      load_config, validate_config)
 from .errors import CompatibilityError, ConfigError
 from .experiments import (MODES, N_EVAL, ResultTable, SweepSpec, _dataset_for, build_cell,
                           metric_columns, run_sweep)
@@ -55,7 +55,7 @@ def cli_generate_teacher(config_path, out_path, seed):
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     dataset = _dataset_for(cfg, build_schedule(cfg.schedule), build_model(cfg.model),
-                           build_teacher(cfg.teacher))
+                           cfg.teacher)
     save_dataset(dataset, out_path)
     click.echo(f"records: {dataset.n_train + dataset.n_val} "
                f"(train {dataset.n_train} / val {dataset.n_val})")

@@ -28,8 +28,7 @@ from pathlib import Path
 
 from . import artifacts
 from .coeffs import init_preset
-from .configs import (ExperimentConfig, build_model, build_schedule, build_teacher,
-                      config_to_dict)
+from .configs import ExperimentConfig, build_model, build_schedule, config_to_dict
 from .grids import heuristic_grid
 from .errors import CompatibilityError
 from .teachers import generate_dataset, load_dataset, save_dataset
@@ -113,7 +112,7 @@ def _reference_for(cfg: ExperimentConfig, schedule, model, teacher, seed, cache_
         if header.get("shape") != shape:
             raise CompatibilityError(f"{path} holds shape {header.get('shape')}, "
                                      f"expected {shape}")
-        return arrays["reference"].reshape(shape)
+        return artifacts.reshaped(path, arrays["reference"], shape)
     reference = evaluation_reference(teacher, schedule, model, N_EVAL, seed)
     path.parent.mkdir(parents=True, exist_ok=True)
     artifacts.write(path, _REFERENCE_MAGIC, {"version": _REFERENCE_VERSION, "shape": shape},
@@ -128,7 +127,7 @@ def build_cell(cfg: ExperimentConfig, nfe: int):
     the solver preset on it, the point every training mode starts from.
     """
     schedule = build_schedule(cfg.schedule)
-    model, teacher = build_model(cfg.model), build_teacher(cfg.teacher)
+    model, teacher = build_model(cfg.model), cfg.teacher
     grid = heuristic_grid(schedule, nfe, cfg.grid.kind, rho=cfg.grid.rho)
     coeffs = init_preset(cfg.solver.kind, cfg.solver.order, nfe, cfg.solver.preset,
                          schedule=schedule, grid=grid, prediction=cfg.solver.prediction,

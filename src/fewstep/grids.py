@@ -32,6 +32,8 @@ class TimeGrid:
             raise ValueError("steps and score_times must be 1-d and congruent")
         if not np.all(np.diff(steps) < 0):
             raise ValueError("grid steps must be strictly decreasing")
+        if not np.all(np.isfinite(score)):
+            raise ValueError("score times must be finite")
         if score[0] != steps[0] or score[-1] != steps[-1]:
             raise ValueError("score times must pin both endpoints")
         object.__setattr__(self, "steps", steps)

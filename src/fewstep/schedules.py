@@ -19,7 +19,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, NumericalError
 
@@ -86,14 +85,18 @@ class NoiseSchedule:
         return 2.0 * s * self.d_sigma(t) - 2.0 * self.f(t) * s * s
 
     def check_time(self, t):
-        """Validate t in [t_min, T] (tiny fp slack) and return it clipped exactly."""
+        """Validate t in [t_min, T] (tiny fp slack; NaN is rejected) and return it
+        clipped exactly: a float for a Python or NumPy scalar, else an array."""
+        lo, hi = self.t_min, self.T
+        slack = 1e-9 * (hi - lo)
+        if isinstance(t, (float, int)):
+            if not lo - slack <= t <= hi + slack:
+                raise DomainError(f"time {t} outside schedule domain [{lo}, {hi}]")
+            return float(min(max(t, lo), hi))
         t = np.asarray(t, dtype=float)
-        slack = 1e-9 * (self.T - self.t_min)
-        if np.any(t < self.t_min - slack) or np.any(t > self.T + slack):
-            raise DomainError(
-                f"time {t} outside schedule domain [{self.t_min}, {self.T}]"
-            )
-        return np.clip(t, self.t_min, self.T)
+        if not np.all((t >= lo - slack) & (t <= hi + slack)):
+            raise DomainError(f"time {t} outside schedule domain [{lo}, {hi}]")
+        return np.clip(t, lo, hi)
 
     def alpha_sigma_lambda(self, t):
         """Return (alpha_t, sigma_t, lambda_t); raises DomainError off-domain."""
@@ -170,16 +173,16 @@ class VeSchedule(NoiseSchedule):
     t_min: float = 0.01
 
     def alpha(self, t):
-        return np.ones_like(np.asarray(t, dtype=float))
+        return np.ones(np.shape(t))
 
     def sigma(self, t):
         return np.asarray(t, dtype=float)
 
     def d_alpha(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
+        return np.zeros(np.shape(t))
 
     def d_sigma(self, t):
-        return np.ones_like(np.asarray(t, dtype=float))
+        return np.ones(np.shape(t))
 
     def _time_from_lambda(self, lam):
         return np.exp(-lam)
@@ -253,8 +256,11 @@ def exact_step_integrand(
 
     Integrates the noise-prediction term against e^{-lam} with Gauss-Legendre
     quadrature along a tightly-resolved trajectory.  This is the slow oracle
-    the fast solvers are tested against, not a sampling path.
+    the fast solvers are tested against, not a sampling path.  It is the only
+    code in the package that needs SciPy, which it imports on first use.
     """
+    from scipy.integrate import solve_ivp
+
     if not t_next < t_prev:
         raise ValueError("exact step requires t_next < t_prev (reverse time)")
     t_prev = float(schedule.check_time(t_prev))

@@ -7,6 +7,13 @@ and cheap, and its Jacobian (for the reverse-mode pass) and time derivative
 are closed-form.  Mixture responsibilities are evaluated with log-sum-exp so
 large |log-SNR| values stay stable.
 
+The kernel never forms a (B, J, d) array: with isotropic components,
+``|x - alpha mu_j|^2`` expands into ``|x|^2``, the ``(J,d)@(d,B)`` product
+``mu_j.x`` and ``|mu_j|^2``, and every contraction the evaluation, its vjp
+and its time derivative need is a per-component ``(J, B)`` term or a
+``(B,J)@(J,d)`` product.  ``linearize(schedule, x, t, cot)`` returns all three
+for one cotangent from one pass over those terms.
+
 Shapes: ``x`` may be a single state ``(d,)`` or a batch ``(B, d)``; outputs
 match the input.
 """
@@ -48,6 +55,11 @@ class GaussianMixtureScore:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "scales", s)
+        # per-component constants of every evaluation, as (J, 1) columns
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "_log_weights", np.log(w)[:, None])
+        object.__setattr__(self, "_mean_sq", np.einsum("jd,jd->j", m, m)[:, None])
+        object.__setattr__(self, "_scale_sq", (s * s)[:, None])
 
     @property
     def dim(self) -> int:
@@ -70,145 +82,118 @@ class GaussianMixtureScore:
         x2 = x[None, :] if single else x
         if x2.shape[-1] != self.dim:
             raise ValueError(f"state dim {x2.shape[-1]} != model dim {self.dim}")
-        if not np.all(np.isfinite(x2)):
+        if not np.isfinite(x2).all():
             raise FloatingPointError("non-finite state passed to score model")
         return x2, single
 
     def _parts(self, x2, alpha, sigma):
-        """Variances v (J,), residuals r = x - alpha mu (B,J,d), their squared norms
-        (B,J), scaled residuals u = r/v (B,J,d) and responsibilities gamma (B,J)."""
-        v = alpha * alpha * self.scales**2 + sigma * sigma          # (J,)
-        r = x2[:, None, :] - alpha * self.means[None, :, :]          # (B,J,d)
-        sq = np.sum(r * r, axis=-1)                                  # (B,J)
-        logn = -0.5 * self.dim * np.log(2.0 * np.pi * v)[None, :] - 0.5 * sq / v[None, :]
-        with np.errstate(divide="ignore"):
-            logw = np.where(self.weights > 0, np.log(self.weights), -np.inf)
-        ell = logw[None, :] + logn
-        ell -= ell.max(axis=1, keepdims=True)
-        gamma = np.exp(ell)
-        gamma /= gamma.sum(axis=1, keepdims=True)
-        u = r / v[None, :, None]
-        return v, r, sq, u, gamma
+        """Per-component terms, laid out (J, B) so sums over components are
+        row operations: variances v (J,1), projections mu_j.x, squared residual
+        norms |x - alpha mu_j|^2, responsibilities gamma, g = gamma/v, its
+        column sums (B,), and the scaled mean residual
+        ubar = sum_j g_j (x - alpha mu_j) (B,d), with eps = sigma ubar.
+
+        The squared norms use |x|^2 - 2 alpha x.mu_j + alpha^2 |mu_j|^2, clamped
+        at 0, so no (B, J, d) array is formed; the rounding error this adds is of
+        order eps_mach |x|^2 / v_j in the log-densities and eps_mach |x| sum_j g_j
+        in ubar.
+        """
+        v = alpha * alpha * self._scale_sq + sigma * sigma
+        xm = self.means @ x2.T
+        sq = xm * (-2.0 * alpha)
+        sq += (alpha * alpha) * self._mean_sq
+        sq += np.einsum("bd,bd->b", x2, x2)
+        np.maximum(sq, 0.0, out=sq)
+        ell = sq * (-0.5 / v)
+        ell += self._log_weights - 0.5 * self.dim * np.log(2.0 * np.pi * v)
+        ell -= ell.max(axis=0)
+        gamma = np.exp(ell, out=ell)
+        gamma /= gamma.sum(axis=0)
+        g = gamma / v
+        g_sum = g.sum(axis=0)
+        ubar = g_sum[:, None] * x2 - alpha * (g.T @ self.means)
+        return v, xm, sq, gamma, g, g_sum, ubar
+
+    def _time_derivative(self, x2, alpha, sigma, d_alpha, d_sigma, parts):
+        """d eps/d t (B,d) through (alpha_t, sigma_t), from per-component terms.
+
+        eps = sigma sum_j gamma_j u_j with u_j = (x - alpha mu_j)/v_j, so
+        d eps/dt = sigma' ubar + sigma sum_j (gamma_j' u_j + gamma_j u_j'), where
+        u_j' = -shift_j mu_j - rate_j u_j (rate = v'/v, shift = alpha'/v) and
+        gamma_j' = gamma_j (dln_j - gamma.dln), dln_j = d log N_j/dt.
+        """
+        v, xm, sq, gamma, _, _, ubar = parts
+        rate = 2.0 * (alpha * d_alpha * self._scale_sq + sigma * d_sigma) / v
+        shift = d_alpha / v
+        dln = shift * (xm - alpha * self._mean_sq) + (0.5 * rate / v) * sq - 0.5 * self.dim * rate
+        k = gamma * (dln - (gamma * dln).sum(axis=0) - rate)
+        kv = k / v
+        coef = alpha * kv + gamma * shift
+        return d_sigma * ubar + sigma * (kv.sum(axis=0)[:, None] * x2 - coef.T @ self.means)
+
+    def _pull_x(self, x2, cot2, alpha, sigma, parts):
+        """(d eps/d x)^T cot2, with d eps/d x = sigma [sum_j gamma_j/v_j I -
+        sum_j gamma_j (u_j - ubar) u_j^T] symmetric, applied without forming it:
+        u_j.cot = (x.cot - alpha mu_j.cot)/v_j needs only per-component terms."""
+        v, _, _, gamma, g, g_sum, _ = parts
+        dots = (np.einsum("bd,bd->b", x2, cot2) - alpha * (self.means @ cot2.T)) / v
+        c = g * (dots - (gamma * dots).sum(axis=0))
+        return sigma * (g_sum[:, None] * cot2 - c.sum(axis=0)[:, None] * x2
+                        + alpha * (c.T @ self.means))
 
     # -- forward -------------------------------------------------------------
     def epsilon(self, schedule: NoiseSchedule, x, t):
         """Exact noise prediction -sigma_t * grad log p_t(x)."""
-        t = float(schedule.check_time(t))
+        t = schedule.check_time(t)
         x2, single = self._prepare(x)
-        eps = self._epsilon_raw(x2, float(schedule.alpha(t)), float(schedule.sigma(t)))
+        sigma = float(schedule.sigma(t))
+        eps = sigma * self._parts(x2, float(schedule.alpha(t)), sigma)[-1]
         return eps[0] if single else eps
-
-    def _epsilon_raw(self, x2, alpha, sigma):
-        _, _, _, u, gamma = self._parts(x2, alpha, sigma)
-        return sigma * np.einsum("bj,bjd->bd", gamma, u)
 
     def score(self, schedule: NoiseSchedule, x, t):
         """grad_x log p_t(x) = -epsilon / sigma_t."""
-        t = float(schedule.check_time(t))
+        t = schedule.check_time(t)
         return -self.epsilon(schedule, x, t) / float(schedule.sigma(t))
 
     def data_prediction(self, schedule: NoiseSchedule, x, t):
         """Tweedie transform x_hat = (x - sigma_t eps) / alpha_t."""
-        t = float(schedule.check_time(t))
+        t = schedule.check_time(t)
         a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
         return (np.asarray(x, dtype=float) - s * self.epsilon(schedule, x, t)) / a
 
     # -- derivatives -----------------------------------------------------------
     def epsilon_vjp(self, schedule: NoiseSchedule, x, t, cotangent):
         """(d eps / d x)^T cotangent, from the closed-form mixture Jacobian."""
-        t = float(schedule.check_time(t))
-        x2, single = self._prepare(x)
-        cot = np.asarray(cotangent, dtype=float)
-        cot2 = cot[None, :] if single else cot
-        out = self._epsilon_vjp_raw(x2, cot2, float(schedule.alpha(t)), float(schedule.sigma(t)))
-        return out[0] if single else out
-
-    def _epsilon_vjp_raw(self, x2, cot2, alpha, sigma):
-        v, _, _, u, gamma = self._parts(x2, alpha, sigma)
-        ubar = np.einsum("bj,bjd->bd", gamma, u)
-        return self._pull_x(v, u, gamma, ubar, cot2, sigma)[0]
-
-    @staticmethod
-    def _pull_x(v, u, gamma, ubar, cot2, sigma):
-        """(d eps/d x)^T cot2, plus dots = u.cot2 (B,J) and gamma.dots (B,)."""
-        # d eps/d x = sigma [ sum_j gamma_j / v_j I - sum_j gamma_j (u_j - ubar) u_j^T ],
-        # symmetric, applied without forming the matrix.
-        dots = np.einsum("bjd,bd->bj", u, cot2)
-        gdots = np.einsum("bj,bj->b", gamma, dots)
-        diag = np.einsum("bj,j->b", gamma, 1.0 / v)[:, None] * cot2
-        mix = np.einsum("bj,bjd,bj->bd", gamma, u, dots) - ubar * gdots[:, None]
-        return sigma * (diag - mix), dots, gdots
-
-    def linearize(self, schedule: NoiseSchedule, x, t):
-        """(eps, pullback) at (x, t), both from one evaluation of the mixture internals.
-
-        ``pullback(cot)`` returns ``((d eps/d x)^T cot, cot . d eps/d t)``: the
-        first equals :meth:`epsilon_vjp` bit for bit, the second is the
-        cotangent contracted with :meth:`epsilon_time_partial` (a float summed
-        over the batch), formed from (B, J) terms only.
-        """
-        t = float(schedule.check_time(t))
-        x2, single = self._prepare(x)
-        alpha, sigma = float(schedule.alpha(t)), float(schedule.sigma(t))
-        d_alpha, d_sigma = float(schedule.d_alpha(t)), float(schedule.d_sigma(t))
-        v, r, sq, u, gamma = self._parts(x2, alpha, sigma)
-        ubar = np.einsum("bj,bjd->bd", gamma, u)
-        eps = sigma * ubar
-
-        def pullback(cot):
-            cot = np.asarray(cot, dtype=float)
-            cot2 = cot[None, :] if single else cot
-            xbar, dots, gdots = self._pull_x(v, u, gamma, ubar, cot2, sigma)
-            # d eps/dt = sigma' ubar + sigma sum_j (d gamma_j/dt u_j + gamma_j d u_j/dt), with
-            # d gamma_j/dt = gamma_j (dln_j - gamma.dln), dln_j = d log N_j/dt, and
-            # cot.(d u_j/dt) = -alpha'(cot.mu_j)/v_j - dots_j v_j'/v_j; so only (B,J) terms
-            rate = 2.0 * (alpha * d_alpha * self.scales**2 + sigma * d_sigma) / v   # v_j'/v_j
-            shift = d_alpha / v
-            rmu = np.einsum("bjd,jd->bj", r, self.means)
-            dln = shift * rmu + (0.5 * rate / v) * sq - 0.5 * self.dim * rate
-            terms = dln * (dots - gdots[:, None]) - rate * dots - shift * (cot2 @ self.means.T)
-            tdot = d_sigma * np.sum(gdots) + sigma * np.einsum("bj,bj->", gamma, terms)
-            return (xbar[0] if single else xbar), float(tdot)
-
-        return (eps[0] if single else eps), pullback
-
-    def epsilon_alpha_sigma_partials(self, x2, alpha, sigma):
-        """(d eps/d alpha, d eps/d sigma), each (B, d); inputs must be batched."""
-        v, r, sq, u, gamma = self._parts(x2, alpha, sigma)
-        mu = self.means
-        dv_da = 2.0 * alpha * self.scales**2                        # (J,)
-        dv_ds = 2.0 * sigma * np.ones_like(v)
-
-        # d u_j = (d r_j) / v_j - r_j dv_j / v_j^2, with d r_j/d alpha = -mu_j
-        du_da = -mu[None, :, :] / v[None, :, None] - r * (dv_da / v**2)[None, :, None]
-        du_ds = -r * (dv_ds / v**2)[None, :, None]
-
-        rmu = np.einsum("bjd,jd->bj", r, mu)
-        # d log N_j for each parameter
-        dln_da = -0.5 * self.dim * (dv_da / v)[None, :] + rmu / v[None, :] \
-            + 0.5 * sq * (dv_da / v**2)[None, :]
-        dln_ds = -0.5 * self.dim * (dv_ds / v)[None, :] + 0.5 * sq * (dv_ds / v**2)[None, :]
-
-        def assemble(dln, du, extra):
-            centered = dln - np.einsum("bj,bj->b", gamma, dln)[:, None]
-            dgamma = gamma * centered
-            term = np.einsum("bj,bjd->bd", dgamma, u) + np.einsum("bj,bjd->bd", gamma, du)
-            return sigma * term + extra
-
-        ubar = np.einsum("bj,bjd->bd", gamma, u)
-        deps_da = assemble(dln_da, du_da, 0.0)
-        deps_ds = assemble(dln_ds, du_ds, ubar)
-        return deps_da, deps_ds
+        return self.linearize(schedule, x, t, cotangent)[1]
 
     def epsilon_time_partial(self, schedule: NoiseSchedule, x, t):
         """d eps / d t through (alpha_t, sigma_t)."""
-        t = float(schedule.check_time(t))
+        t = schedule.check_time(t)
         x2, single = self._prepare(x)
-        da, ds = self.epsilon_alpha_sigma_partials(
-            x2, float(schedule.alpha(t)), float(schedule.sigma(t))
-        )
-        out = da * float(schedule.d_alpha(t)) + ds * float(schedule.d_sigma(t))
+        alpha, sigma = float(schedule.alpha(t)), float(schedule.sigma(t))
+        out = self._time_derivative(x2, alpha, sigma, float(schedule.d_alpha(t)),
+                                    float(schedule.d_sigma(t)), self._parts(x2, alpha, sigma))
         return out[0] if single else out
+
+    def linearize(self, schedule: NoiseSchedule, x, t, cot):
+        """``(eps, (d eps/d x)^T cot, cot . d eps/d t)`` at (x, t), from one
+        evaluation of the mixture internals.
+
+        The second equals :meth:`epsilon_vjp`; the third is ``cot`` contracted
+        with :meth:`epsilon_time_partial`, a float summed over the batch.
+        """
+        t = schedule.check_time(t)
+        x2, single = self._prepare(x)
+        cot = np.asarray(cot, dtype=float)
+        cot2 = cot[None, :] if single else cot
+        alpha, sigma = float(schedule.alpha(t)), float(schedule.sigma(t))
+        parts = self._parts(x2, alpha, sigma)
+        xbar = self._pull_x(x2, cot2, alpha, sigma, parts)
+        deps_dt = self._time_derivative(x2, alpha, sigma, float(schedule.d_alpha(t)),
+                                        float(schedule.d_sigma(t)), parts)
+        eps = sigma * parts[-1]
+        tdot = float(np.vdot(cot2, deps_dt))
+        return (eps[0], xbar[0], tdot) if single else (eps, xbar, tdot)
 
     def epsilon_fn(self, schedule: NoiseSchedule):
         """Plain (x, t) -> eps callable, for integrators."""
@@ -268,9 +253,9 @@ class CountingScoreModel:
         self.n_time_partial += np.atleast_2d(np.asarray(x)).shape[0]
         return self.inner.epsilon_time_partial(schedule, x, t)
 
-    def linearize(self, schedule, x, t):
+    def linearize(self, schedule, x, t, cot):
         self.n_linearize += np.atleast_2d(np.asarray(x)).shape[0]
-        return self.inner.linearize(schedule, x, t)
+        return self.inner.linearize(schedule, x, t, cot)
 
     # the transforms of epsilon call the counted epsilon, so each counts once
     def data_prediction(self, schedule, x, t):

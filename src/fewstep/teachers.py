@@ -6,6 +6,13 @@ on the time-domain ODE, and a fine fixed-step run of the strongest preset
 solver (the teacher regime the learned solvers distill in practice, useful
 because it carries its own truncation error).
 
+The adaptive pair is Dormand-Prince 5(4), implemented here with SciPy's
+``RK45`` tableau, first-step rule, RMS error norm, step factors and
+operation order, so it reproduces ``solve_ivp(..., method="RK45")`` bit for
+bit without importing SciPy.  The whole batch is one system: one error norm
+and one step sequence serve every record, so a label depends (within the
+tolerance) on the batch it was solved in.
+
 A :class:`Dataset` is columnar: row i stacks initial noise draw i, its
 perturbed copy ``x_prime`` (which the trainer moves in place) and the
 teacher's output; on disk it is an :mod:`~fewstep.artifacts` container
@@ -18,11 +25,10 @@ import dataclasses
 import hashlib
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import artifacts
 from .coeffs import init_preset
-from .errors import AccuracyError
+from .errors import AccuracyError, CompatibilityError
 from .grids import heuristic_grid
 from .schedules import NoiseSchedule
 from .solvers import solve
@@ -100,6 +106,87 @@ def exact_gaussian_solution(schedule: NoiseSchedule, model, x_init, t_end=None):
     return a_e * mu + (gamma(t_end) / gamma(schedule.T)) * (np.asarray(x_init) - a_T * mu)
 
 
+# Dormand & Prince (1980) 5(4) tableau and step-size factors, as SciPy's RK45
+# writes them; no dense output or events.
+_RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK_ERROR_EXPONENT = -1 / 5          # -1 / (error estimator order + 1)
+_RK_SAFETY, _RK_MIN_FACTOR, _RK_MAX_FACTOR = 0.9, 0.2, 10
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+    """Hairer, Norsett & Wanner, Sec. II.4: a first step from one more RHS evaluation."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length)
+
+
+def _rk45(fun, t0: float, y0, t_bound: float, rtol: float, atol: float):
+    """Integrate ``y' = fun(t, y)`` (``y`` flat) from ``t0`` to ``t_bound``; the final state.
+
+    The error of each step is the RMS norm over the whole vector, so every
+    component shares one step sequence.  AccuracyError when the step falls
+    below ten ulps of ``t``.
+    """
+    t, t_bound, y = float(t0), float(t_bound), np.asarray(y0, dtype=float)
+    rtol = max(rtol, 100 * np.finfo(float).eps)
+    direction = np.sign(t_bound - t)
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, t_bound, f, direction, rtol, atol)
+    K = np.empty((len(_RK_B) + 1, y.size))
+    while direction * (t - t_bound) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise AccuracyError(f"adaptive teacher failed: step size {h_abs:.3g} "
+                                    f"at t={t:.6g} is below the spacing of floats")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, (a, c) in enumerate(zip(_RK_A[1:], _RK_C[1:]), start=1):
+                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a[:s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _RK_B)
+            f_new = K[-1] = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _RK_E) * h / scale)
+            if error_norm < 1:
+                factor = (_RK_MAX_FACTOR if error_norm == 0 else
+                          min(_RK_MAX_FACTOR, _RK_SAFETY * error_norm ** _RK_ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_RK_MIN_FACTOR, _RK_SAFETY * error_norm ** _RK_ERROR_EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return y
+
+
 def _adaptive_rk_solve(config, schedule, model, x_init):
     x = np.asarray(x_init, dtype=float)
 
@@ -110,11 +197,8 @@ def _adaptive_rk_solve(config, schedule, model, x_init):
         eps = model.epsilon(schedule, state, t)
         return (f * state + gs / (2.0 * float(schedule.sigma(t))) * eps).ravel()
 
-    sol = solve_ivp(rhs, (schedule.T, schedule.t_min), x.ravel(), method="RK45",
-                    rtol=config.rel_tol, atol=config.abs_tol)
-    if not sol.success:
-        raise AccuracyError(f"adaptive teacher failed: {sol.message}")
-    return sol.y[:, -1].reshape(x.shape)
+    y = _rk45(rhs, schedule.T, x.ravel(), schedule.t_min, config.rel_tol, config.abs_tol)
+    return y.reshape(x.shape)
 
 
 def _fine_fixed_solve(config, schedule, model, x_init):
@@ -163,8 +247,12 @@ def save_dataset(dataset: Dataset, path):
 def load_dataset(path) -> Dataset:
     """Read a ``.fsd`` file; CompatibilityError naming ``path`` if the container rejects it."""
     header, arrays = artifacts.read(path, _DATASET_MAGIC, DATASET_VERSION)
-    return Dataset(records=arrays["records"].reshape(-1, 3, header["dim"]),
-                   n_train=header["n_train"], seed=header["seed"],
+    records = artifacts.reshaped(path, arrays["records"], (-1, 3, header["dim"]))
+    n_train = header["n_train"]
+    if not (isinstance(n_train, int) and 0 <= n_train <= len(records)):
+        raise CompatibilityError(f"{path}: n_train {n_train!r} is not a count within "
+                                 f"the {len(records)} records")
+    return Dataset(records=records, n_train=n_train, seed=header["seed"],
                    teacher_kind=header["teacher_kind"])
 
 

@@ -9,6 +9,11 @@ plain gradient steps followed by the radial projection, written back into
 the dataset's ``x_prime`` column.  The ball radius follows r = c / m^{5/2}
 in the number of parameters being learned.
 
+A run diverges when a solve returns non-finite states or loss, or when a
+time step leaves a grid that is not strictly decreasing and finite; it then
+stops, restores the state at the end of the last completed epoch, and
+reports ``status="diverged"``.
+
 Evaluation always starts from fresh noise: it has no access to the perturbed
 inputs, mirroring how the learned solver is used at inference time.
 """
@@ -161,10 +166,12 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
     def current_grid():
         return materialize(params, schedule) if params is not None else grid
 
+    g = current_grid()
+
     def val_loss():
         if not dataset.n_val:
             return float("nan")
-        out = solve(coeffs, schedule, current_grid(), model, x_init[n_train:]).terminal
+        out = solve(coeffs, schedule, g, model, x_init[n_train:]).terminal
         return loss_and_cotangent(out, targets[n_train:])[0]
 
     # per-block optimizer state persists across alternations
@@ -180,7 +187,6 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
             for lo in range(0, n_train, config.batch_size):
                 batch = order[lo : lo + config.batch_size]
                 xp = x_prime[batch]
-                g = current_grid()
                 try:
                     trace = solve(coeffs, schedule, g, model, xp)
                 except DivergenceError:
@@ -200,6 +206,11 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
                 if phase_name in ("time", "both"):
                     adam_xi.step(params.xi, res.grad_xi)
                     adam_xi_c.step(params.xi_c, res.grad_xi_c)
+                    try:
+                        g = materialize(params, schedule)
+                    except ValueError:      # the step merged grid points or left them non-finite
+                        status = "diverged"
+                        break
                 new_xp = xp - (config.lr_noise * sigma_tilde) * res.grad_x0
                 x0 = x_init[batch]
                 projected = project_ball(new_xp, x0, r, sigma_tilde)

@@ -50,9 +50,9 @@ class ZeroModel:
     def epsilon_time_partial(self, schedule, x, t):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def linearize(self, schedule, x, t):
+    def linearize(self, schedule, x, t, cot):
         zero = np.zeros_like(np.asarray(x, dtype=float))
-        return zero, lambda cot: (np.zeros_like(zero), 0.0)
+        return zero, np.zeros_like(zero), 0.0
 
     def data_prediction(self, schedule, x, t):
         return np.asarray(x, dtype=float) / float(schedule.alpha(t))

@@ -14,7 +14,7 @@ from fewstep import training
 from fewstep.cli import _sweep_spec, main as cli_main
 from fewstep.coeffs import init_preset
 from fewstep.configs import (DatasetSpec, ExperimentConfig, GridSpec, ModelSpec,
-                             ScheduleSpec, SolverSpec, TeacherSpec, build_model,
+                             ScheduleSpec, SolverSpec, TeacherConfig, build_model,
                              build_schedule, config_from_dict, config_hash,
                              config_to_dict, load_config, save_config)
 from fewstep.errors import CompatibilityError, ConfigError
@@ -37,7 +37,7 @@ def tiny_config(**overrides):
         model=ModelSpec(kind="gaussian_mixture", dim=2),
         solver=SolverSpec(kind="lms", order=3, preset="ipndm"),
         grid=GridSpec(kind="logsnr"),
-        teacher=TeacherSpec(kind="fine_fixed", fine_nfe=60),
+        teacher=TeacherConfig(kind="fine_fixed", fine_nfe=60),
         dataset=DatasetSpec(n_train=24, n_val=8),
         train=TrainConfig(epochs=3, batch_size=8, alternations=2, phase_epochs=1),
         nfe_list=[4, 6],
@@ -177,6 +177,14 @@ class TestCheckpoints:
         path, blob = self._saved(tmp_path, ve)
         path.write_bytes(blob + b"\0" * 4)
         with pytest.raises(CompatibilityError, match="model.fsc"):
+            load_checkpoint(path, "a" * 64)
+
+    def test_snapshot_shape_that_does_not_fit_rejected(self, tmp_path, ve):
+        path, _ = self._saved(tmp_path, ve)
+        header, arrays = artifacts.read(path, b"FSTCKPT1", 1)
+        header["x_prime_shape"] = [4, 2]
+        artifacts.write(path, b"FSTCKPT1", header, arrays)
+        with pytest.raises(CompatibilityError, match="model.fsc.*shape"):
             load_checkpoint(path, "a" * 64)
 
     def test_old_checkpoint_loads_and_resaves_identically(self, tmp_path):
@@ -346,6 +354,21 @@ class TestSharedReference:
         shutil.rmtree(out / "cells")
         (row,) = run_sweep(spec, out, workers=1).rows.values()
         assert row["status"] == "failed" and "shape" in row["message"]
+
+    def test_cached_reference_smaller_than_its_shape_fails_the_cell(self, tmp_path):
+        spec = SweepSpec(base=tiny_config(), schedules=[ScheduleSpec(kind="ve")],
+                         solvers=[SolverSpec(kind="lms", order=3, preset="ipndm")],
+                         nfe_list=[4], modes=["baseline"])
+        out = tmp_path / "sweep"
+        run_sweep(spec, out, workers=1)
+        (path,) = (out / "datasets").glob("reference_*.fsr")
+        artifacts.write(path, experiments._REFERENCE_MAGIC,
+                        {"version": 1, "shape": [experiments.N_EVAL, 2]},
+                        {"reference": np.zeros((3, 2))})
+        shutil.rmtree(out / "cells")
+        (row,) = run_sweep(spec, out, workers=1).rows.values()
+        assert row["status"] == "failed"
+        assert row["message"].startswith("CompatibilityError") and path.name in row["message"]
 
     @pytest.mark.parametrize("damage", [lambda blob: blob + b"\0" * 16,
                                         lambda blob: blob[:-8]],

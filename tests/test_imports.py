@@ -1,7 +1,10 @@
-"""Every name a package module imports is used there (``__init__`` re-exports aside)."""
+"""Every name a package module imports is used there (``__init__`` re-exports aside),
+and importing the package loads no SciPy integrator."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -32,3 +35,12 @@ def test_scanner_flags_only_unreferenced_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # SciPy serves only the slow reference step, which imports it on first use
+    code = ("import sys, fewstep, fewstep.experiments, fewstep.cli; "
+            "assert 'scipy.integrate' not in sys.modules, sorted(m for m in sys.modules "
+            "if m.startswith('scipy'))")
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=SRC.parent,
+                   capture_output=True, timeout=120)

@@ -61,6 +61,29 @@ def test_domain_errors(schedule):
         schedule.time_from_lambda(lam_hi + 1.0)
 
 
+@pytest.mark.parametrize("schedule", ALL_SCHEDULES, ids=["vp", "ve", "edm"])
+def test_check_time_scalar_and_array_paths_agree(schedule):
+    slack = 1e-9 * (schedule.T - schedule.t_min)
+    inside = [schedule.t_min - 0.5 * slack, schedule.t_min, 0.5 * (schedule.t_min + schedule.T),
+              schedule.T, schedule.T + 0.5 * slack]
+    outside = [schedule.t_min - 2.0 * slack, schedule.T + 2.0 * slack, math.nan, math.inf]
+    for t in inside:
+        for scalar in (t, np.float64(t)):
+            clipped = schedule.check_time(scalar)
+            assert type(clipped) is float
+            assert clipped == schedule.check_time(np.array([t]))[0]
+            assert schedule.t_min <= clipped <= schedule.T
+    for t in outside:
+        for value in (t, np.float64(t), np.array([t]), np.array([schedule.T, t])):
+            with pytest.raises(DomainError):
+                schedule.check_time(value)
+
+
+def test_nan_time_is_rejected_by_the_score(ve, mixture):
+    with pytest.raises(DomainError):
+        mixture.epsilon(ve, np.zeros(2), math.nan)
+
+
 def test_time_from_lambda_boundaries_and_midpoint(vp):
     lam_lo, lam_hi = vp.lambda_range()
     assert vp.time_from_lambda(lam_lo) == vp.T

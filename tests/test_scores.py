@@ -4,6 +4,53 @@ import pytest
 from fewstep.scores import CountingScoreModel, GaussianMixtureScore, default_mixture
 
 
+def einsum_parts(model, x2, alpha, sigma):
+    """The former kernel: residuals r = x - alpha mu formed as (B, J, d) arrays."""
+    v = alpha * alpha * model.scales**2 + sigma * sigma
+    r = x2[:, None, :] - alpha * model.means[None, :, :]
+    sq = np.sum(r * r, axis=-1)
+    logn = -0.5 * model.dim * np.log(2.0 * np.pi * v)[None, :] - 0.5 * sq / v[None, :]
+    ell = np.log(model.weights)[None, :] + logn
+    ell -= ell.max(axis=1, keepdims=True)
+    gamma = np.exp(ell)
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    return v, r, sq, r / v[None, :, None], gamma
+
+
+def einsum_oracle(model, schedule, x2, t, cot2):
+    """(eps, (d eps/d x)^T cot, d eps/d t) of the former einsum kernel, all (B, d)."""
+    alpha, sigma = float(schedule.alpha(t)), float(schedule.sigma(t))
+    v, r, sq, u, gamma = einsum_parts(model, x2, alpha, sigma)
+    ubar = np.einsum("bj,bjd->bd", gamma, u)
+    dots = np.einsum("bjd,bd->bj", u, cot2)
+    gdots = np.einsum("bj,bj->b", gamma, dots)
+    diag = np.einsum("bj,j->b", gamma, 1.0 / v)[:, None] * cot2
+    mix = np.einsum("bj,bjd,bj->bd", gamma, u, dots) - ubar * gdots[:, None]
+    vjp = sigma * (diag - mix)
+
+    mu = model.means
+    dv_da, dv_ds = 2.0 * alpha * model.scales**2, 2.0 * sigma * np.ones_like(v)
+    du_da = -mu[None, :, :] / v[None, :, None] - r * (dv_da / v**2)[None, :, None]
+    du_ds = -r * (dv_ds / v**2)[None, :, None]
+    rmu = np.einsum("bjd,jd->bj", r, mu)
+    dln_da = (-0.5 * model.dim * (dv_da / v)[None, :] + rmu / v[None, :]
+              + 0.5 * sq * (dv_da / v**2)[None, :])
+    dln_ds = -0.5 * model.dim * (dv_ds / v)[None, :] + 0.5 * sq * (dv_ds / v**2)[None, :]
+
+    def assemble(dln, du, extra):
+        dgamma = gamma * (dln - np.einsum("bj,bj->b", gamma, dln)[:, None])
+        term = np.einsum("bj,bjd->bd", dgamma, u) + np.einsum("bj,bjd->bd", gamma, du)
+        return sigma * term + extra
+
+    deps_dt = (assemble(dln_da, du_da, 0.0) * float(schedule.d_alpha(t))
+               + assemble(dln_ds, du_ds, ubar) * float(schedule.d_sigma(t)))
+    return sigma * ubar, vjp, deps_dt
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
 def direct_mixture_score(model, schedule, x, t):
     """Independent direct-density gradient: plain density sum, no log-sum-exp."""
     a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
@@ -139,14 +186,56 @@ class TestLinearize:
             t = float(rng.uniform(schedule.t_min, schedule.T))
             x = float(schedule.sigma(t)) * rng.uniform(0.5, 2.0) * rng.normal(size=shape)
             cot = rng.normal(size=shape)
-            eps, pullback = model.linearize(schedule, x, t)
-            xbar, tdot = pullback(cot)
+            eps, xbar, tdot = model.linearize(schedule, x, t, cot)
             assert np.array_equal(eps, model.epsilon(schedule, x, t))
             assert np.array_equal(xbar, model.epsilon_vjp(schedule, x, t, cot))
             # relative to the scale of the dot product, which itself can cancel
             terms = cot * model.epsilon_time_partial(schedule, x, t)
             assert isinstance(tdot, float)
             assert abs(tdot - np.sum(terms)) <= 1e-12 * np.sum(np.abs(terms))
+
+
+def _oracle_points(schedule, model, rng, t):
+    """Batches at time t: typical draws, draws at |x| = 8 sigma, and draws within
+    a few percent of one scaled component mean, where |x| >> |x - alpha mu_j|."""
+    a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
+    mean = a * model.means[rng.integers(model.n_components, size=6)]
+    near, far = rng.normal(size=(2, 6, model.dim))
+    near *= rng.uniform(1e-3, 3e-2, size=(6, 1)) * np.linalg.norm(mean, axis=1, keepdims=True) \
+        / np.linalg.norm(near, axis=1, keepdims=True)
+    return [s * rng.normal(size=(6, model.dim)) + mean,
+            8.0 * s * far / np.linalg.norm(far, axis=1, keepdims=True),
+            mean + near]
+
+
+class TestAgainstEinsumOracle:
+    """The (B, J)-only kernel reproduces the former (B, J, d) einsum kernel."""
+
+    @pytest.mark.parametrize("schedule_name", ["ve", "vp", "edm"])
+    @pytest.mark.parametrize("wide", [False, True], ids=["default", "d64j64"])
+    def test_epsilon_vjp_and_time_partial(self, request, schedule_name, wide, rng):
+        schedule = request.getfixturevalue(schedule_name)
+        model = _wide_mixture() if wide else default_mixture(2)
+        times = [schedule.t_min, schedule.T] + list(rng.uniform(schedule.t_min, schedule.T, 8))
+        for t in times:
+            for x in _oracle_points(schedule, model, rng, float(t)):
+                cot = rng.normal(size=x.shape)
+                eps, vjp, deps_dt = einsum_oracle(model, schedule, x, t, cot)
+                assert _rel(model.epsilon(schedule, x, t), eps) <= 1e-12
+                assert _rel(model.epsilon_vjp(schedule, x, t, cot), vjp) <= 1e-12
+                assert _rel(model.epsilon_time_partial(schedule, x, t), deps_dt) <= 1e-12
+
+    def test_schedule_ends_with_large_states(self, ve, edm, mixture, rng):
+        # VE at t=T and EDM at t=80 draw |x| of order 10 and 80-110
+        for schedule in (ve, edm):
+            x = schedule.tilde_sigma * rng.normal(size=(50, 2))
+            assert np.max(np.linalg.norm(x, axis=1)) > 0.9 * 1.4 * schedule.T
+            cot = rng.normal(size=x.shape)
+            eps, vjp, deps_dt = einsum_oracle(mixture, schedule, x, schedule.T, cot)
+            got_eps, got_vjp, tdot = mixture.linearize(schedule, x, schedule.T, cot)
+            assert _rel(got_eps, eps) <= 1e-12
+            assert _rel(got_vjp, vjp) <= 1e-12
+            assert abs(tdot - np.sum(cot * deps_dt)) <= 1e-12 * np.sum(np.abs(cot * deps_dt))
 
 
 class TestDataPrediction:
@@ -171,9 +260,8 @@ def test_counting_wrapper_tracks_calls(ve, mixture):
 
 def test_counting_wrapper_counts_linearized_rows(ve, mixture):
     counted = CountingScoreModel(mixture)
-    eps, pullback = counted.linearize(ve, np.ones((4, 2)), 1.0)
-    pullback(np.ones((4, 2)))
-    counted.linearize(ve, np.ones(2), 1.0)
+    eps, _, _ = counted.linearize(ve, np.ones((4, 2)), 1.0, np.ones((4, 2)))
+    counted.linearize(ve, np.ones(2), 1.0, np.ones(2))
     assert counted.n_linearize == 5
     assert counted.n_epsilon == counted.n_vjp == counted.n_time_partial == 0
     assert np.array_equal(eps, mixture.epsilon(ve, np.ones((4, 2)), 1.0))

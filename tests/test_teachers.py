@@ -4,10 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from fewstep import artifacts
 from fewstep.errors import AccuracyError, CompatibilityError
-from fewstep.scores import GaussianMixtureScore
-from fewstep.teachers import (TeacherConfig, dataset_checksum, exact_gaussian_solution,
+from fewstep.schedules import EdmSchedule, VeSchedule, VpLinearSchedule
+from fewstep.scores import GaussianMixtureScore, default_mixture
+from fewstep.teachers import (_DATASET_MAGIC, DATASET_VERSION, TeacherConfig, _rk45,
+                              dataset_checksum, exact_gaussian_solution,
                               generate_dataset, load_dataset, save_dataset,
                               teacher_solve)
 
@@ -82,6 +86,55 @@ class TestTeacherKinds:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             TeacherConfig(kind="exactish")
+
+
+class TestRk45:
+    """The in-package Dormand-Prince pair against SciPy's ``RK45``."""
+
+    @staticmethod
+    def counted_teacher_rhs(schedule, model, x):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            state = y.reshape(x.shape)
+            eps = model.epsilon(schedule, state, t)
+            return (float(schedule.f(t)) * state
+                    + float(schedule.g_sq(t)) / (2.0 * float(schedule.sigma(t))) * eps).ravel()
+
+        return rhs, calls
+
+    @pytest.mark.parametrize("schedule", [VeSchedule(), VpLinearSchedule(), EdmSchedule()],
+                             ids=["ve", "vp", "edm"])
+    @pytest.mark.parametrize("batch", [8, 50])
+    @pytest.mark.parametrize("tol", [(1e-8, 1e-10), (1e-3, 1e-6)], ids=["tight", "loose"])
+    def test_equals_solve_ivp_bit_for_bit(self, schedule, batch, tol):
+        model = default_mixture(2)
+        x = schedule.tilde_sigma * np.random.default_rng(batch).standard_normal((batch, 2))
+        rhs, calls = self.counted_teacher_rhs(schedule, model, x)
+        ref = solve_ivp(rhs, (schedule.T, schedule.t_min), x.ravel(), method="RK45",
+                        rtol=tol[0], atol=tol[1])
+        rhs_port, calls_port = self.counted_teacher_rhs(schedule, model, x)
+        out = _rk45(rhs_port, schedule.T, x.ravel(), schedule.t_min, *tol)
+        assert np.array_equal(out, ref.y[:, -1])
+        assert calls_port == calls
+        # two evaluations choose the first step, six more per attempted step:
+        # more attempts than accepted steps means some were rejected
+        accepted = len(ref.t) - 1
+        assert len(calls) > 2 + 6 * accepted
+
+    def test_step_below_float_spacing_raises(self):
+        # y' = y^2 from y(0) = 1 blows up at t = 1
+        with pytest.raises(AccuracyError, match="step size"):
+            _rk45(lambda t, y: y * y, 0.0, np.ones(1), 2.0, 1e-8, 1e-10)
+
+    def test_teacher_result_equals_solve_ivp(self, vp, mixture, rng):
+        x = rng.standard_normal((5, 2))
+        rhs, _ = self.counted_teacher_rhs(vp, mixture, x)
+        ref = solve_ivp(rhs, (vp.T, vp.t_min), x.ravel(), method="RK45",
+                        rtol=1e-8, atol=1e-10)
+        out = teacher_solve(TeacherConfig(kind="adaptive_rk"), vp, mixture, x)
+        assert np.array_equal(out, ref.y[:, -1].reshape(x.shape))
 
 
 class TestDatasets:
@@ -195,3 +248,16 @@ class TestDatasets:
     def test_count_validated(self, ve, mixture):
         with pytest.raises(ValueError):
             generate_dataset(TeacherConfig(), ve, mixture, 0, seed=0)
+
+    # 18 values: three dim-2 records, which no dim-4 reading fits
+    @pytest.mark.parametrize("fields", [{"dim": 4}, {"dim": 0}, {"dim": "2"}, {"n_train": 4},
+                                        {"n_train": "1"}],
+                             ids=["dim-not-dividing", "dim-zero", "dim-string", "n_train-over",
+                                  "n_train-string"])
+    def test_header_that_does_not_fit_the_records_rejected(self, tmp_path, fields):
+        header = {"version": DATASET_VERSION, "n_train": 1, "dim": 2, "seed": 0,
+                  "teacher_kind": "adaptive_rk", **fields}
+        path = tmp_path / "foreign.fsd"
+        artifacts.write(path, _DATASET_MAGIC, header, {"records": np.zeros(18)})
+        with pytest.raises(CompatibilityError, match="foreign.fsd"):
+            load_dataset(path)

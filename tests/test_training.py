@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fewstep.coeffs import init_preset
-from fewstep.grids import LearnableTimeParams, heuristic_grid
+from fewstep.grids import LearnableTimeParams, heuristic_grid, materialize
 from fewstep.teachers import TeacherConfig, generate_dataset
 from fewstep.training import (TrainConfig, evaluate, evaluation_reference, project_ball,
                               radius_for, train_joint, train_s4s, train_s4s_alt,
@@ -160,6 +160,18 @@ class TestAlternatingAndJoint:
                                     mixture, dataclasses.replace(cfg, radius_override=joint.r))
         assert np.allclose(joint.params.xi, sched.params.xi, rtol=0, atol=1e-12)
         assert np.array_equal(joint.coeffs.values, coeffs.values)
+
+    def test_time_step_that_collapses_the_grid_is_a_divergence(self, problem):
+        ve, mixture, grid, coeffs, dataset = problem
+        params = LearnableTimeParams.from_grid(grid, ve)
+        cfg = TrainConfig(alternations=2, phase_epochs=1, batch_size=10, seed=0, lr_time=1e4)
+        result = train_s4s_alt(dataset, coeffs, params, ve, mixture, cfg)
+        # the first time step merges grid points; the start is the last good state
+        assert result.status == "diverged"
+        assert np.array_equal(result.params.xi, params.xi)
+        assert np.array_equal(result.grid.steps, materialize(params, ve).steps)
+        assert np.array_equal(result.coeffs.values, coeffs.values)
+        assert np.array_equal(dataset.x_prime, dataset.x_init)
 
     def test_alternating_shares_input_pool_and_radius(self, problem):
         ve, mixture, grid, coeffs, dataset = problem
