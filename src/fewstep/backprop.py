@@ -3,14 +3,18 @@
 Given the cotangent of a terminal-state loss, walk the solver recursion
 backwards and return cotangents for the coefficient vector, the time
 parameters (through the schedule's analytic derivatives and the grid
-parametrization), and the initial state.  Score-model Jacobian information
-enters only through the model's ``linearize(schedule, x, t, cot)``: the
-evaluation, its vjp and its time derivative contracted with the cotangent, so
-each released evaluation is linearized once and memory stays linear in the
-number of steps.  Cached score evaluations are reused when the
-trace kept them and recomputed otherwise.  The update wrapper and its
-t-partials come from :mod:`~fewstep.solvers` (``wrapper_factors`` and
-``wrapper_partials``), once per sweep.
+parametrization), and the initial state.
+
+What is kept and what is recomputed: the trace holds every score evaluation
+and the terms the model kept for it (for the mixture score, two ``(J, B)``
+arrays per evaluation).  Each evaluation is released once, through the
+model's ``pullback(schedule, x, t, terms, cot, prediction)``, which returns
+its vjp and its time derivative contracted with the cotangent without
+running the model again.  A trace whose cache was dropped has its
+evaluations and terms recomputed at the recorded points, one evaluation
+each, before the sweep.  The update wrapper and its t-partials come from
+:mod:`~fewstep.solvers` (``wrapper_factors`` and ``wrapper_partials``), once
+per sweep.
 
 ``lms`` and ``pc`` share one reverse sweep (``lms`` is ``pc`` without
 corrector rows): each evaluation made at step i lives at that step's
@@ -47,26 +51,16 @@ class AdjointResult:
 
 
 def _dot(a, b) -> float:
-    return float(np.sum(a * b))
-
-
-def _release(model, prediction, schedule, x, t, cot):
-    """(cotangent on x, cot . d(evaluation)/dt) of one evaluation, from one linearization."""
-    if prediction == "noise":
-        return model.linearize(schedule, x, t, cot)[1:]
-    # x_hat = (x - sigma eps) / alpha, linear in eps
-    a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
-    da, ds = float(schedule.d_alpha(t)), float(schedule.d_sigma(t))
-    eps, xbar, tdot = model.linearize(schedule, x, t, (-s / a) * cot)
-    xhat = (np.asarray(x, dtype=float) - s * eps) / a
-    return xbar + cot / a, tdot - (ds * _dot(cot, eps) + da * _dot(cot, xhat)) / a
+    return float((a * b).sum())
 
 
 def _rematerialize_cache(trace, coeffs, schedule, grid, model):
+    """(evaluations, kept terms), made again at the points the trace recorded."""
     # evaluation m sits at the initial state (m = 0) or at step m's prediction
     points = [trace.states[0]] + trace.pred_states[: trace.nfe_used - 1]
-    return [_evaluate(model, coeffs, schedule, x, float(grid.score_times[m]))
+    made = [_evaluate(model, coeffs, schedule, x, float(grid.score_times[m]))
             for m, x in enumerate(points)]
+    return [e for e, _ in made], [kept for _, kept in made]
 
 
 def backward(
@@ -81,13 +75,14 @@ def backward(
 ) -> AdjointResult:
     """Exact reverse-mode derivative of x0 -> solve -> loss.
 
-    Pass the grid the trace was produced with, or the learnable parameters it
-    was materialized from (then cotangents on (xi, xi_c) are returned too).
+    Pass the grid the trace was produced with.  Pass the learnable parameters
+    it was materialized from to get cotangents on (xi, xi_c) too; given only
+    the parameters, backward materializes the grid itself.
     """
-    if params is not None:
-        grid = materialize(params, schedule)
     if grid is None:
-        raise ValueError("backward needs the grid or the time parameters")
+        if params is None:
+            raise ValueError("backward needs the grid or the time parameters")
+        grid = materialize(params, schedule)
     n = coeffs.n_steps
     if grid.n_steps != n or trace.kind != coeffs.kind:
         raise ValueError("trace, coefficients, and grid disagree")
@@ -108,10 +103,10 @@ def backward(
         xbar = _backward_ss(trace, coeffs, schedule, grid, model, xbar,
                             grad_values, tbar, tcbar)
     else:
-        cache = trace.eps_cache
+        cache, terms = trace.eps_cache, trace.eps_terms
         if cache is None:
-            cache = _rematerialize_cache(trace, coeffs, schedule, grid, model)
-        xbar = _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache,
+            cache, terms = _rematerialize_cache(trace, coeffs, schedule, grid, model)
+        xbar = _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache, terms,
                                    grad_values, tbar, tcbar)
 
     result = AdjointResult(grad_coeffs=grad_values, grad_x0=xbar, grad_steps=tbar,
@@ -121,17 +116,19 @@ def backward(
     return result
 
 
-def _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache,
+def _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache, terms,
                         grad_values, tbar, tcbar):
     n = coeffs.n_steps
     ebar = [np.zeros_like(xbar) for _ in cache]
-    Rs, Ss = wrapper_factors(schedule, grid.steps, coeffs.prediction)
-    dR_p, dR_n, dS_p, dS_n = wrapper_partials(schedule, grid.steps, coeffs.prediction)
+    Rs, Ss = (f.tolist() for f in wrapper_factors(schedule, grid.steps, coeffs.prediction))
+    dR_p, dR_n, dS_p, dS_n = (
+        f.tolist() for f in wrapper_partials(schedule, grid.steps, coeffs.prediction))
+    score_times = grid.score_times.tolist()
 
     def release(m, x):
         """Cotangent on the point x where evaluation m was made."""
-        zbar, tdot = _release(model, coeffs.prediction, schedule, x,
-                              float(grid.score_times[m]), ebar[m])
+        zbar, tdot = model.pullback(schedule, x, score_times[m], terms[m], ebar[m],
+                                    coeffs.prediction)
         tcbar[m] += tdot
         return zbar
 
@@ -139,30 +136,32 @@ def _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache,
         q = coeffs.q(i)
         correct = coeffs.kind == "pc" and (i < n or trace.final_corrector)
         R, S = Rs[i - 1], Ss[i - 1]
+        x_prev = trace.states[i - 1]
         rbar = sbar = 0.0
         pbar = xbar                      # the prediction is the state ...
         if correct:                      # ... unless a corrector row replaces it
             w = coeffs.corrector_weights(i)
             pool = [i] + [i - 1 - j for j in range(q)]
-            delta_c = sum(w[u] * cache[pool[u]] for u in range(q + 1))
-            rbar += _dot(xbar, trace.states[i - 1])
-            sbar += -_dot(xbar, delta_c)
-            wbar = np.array([-S * _dot(xbar, cache[m]) for m in pool])
+            dots = [_dot(xbar, cache[m]) for m in pool]
+            rbar += _dot(xbar, x_prev)
+            sbar -= float(np.dot(w, dots))
+            wbar = np.array([-S * d for d in dots])
             # free weights; the oldest pool weight is 1 - sum(free)
             grad_values[coeffs.corrector_slice(i)] += wbar[:-1] - wbar[-1]
             for u, m in enumerate(pool):
                 ebar[m] += (-S * w[u]) * xbar
-            pbar = np.zeros_like(xbar)
         if i < len(cache):
             # the evaluation made at step i lives at its prediction; release it now
-            pbar = pbar + release(i, trace.pred_states[i - 1])
-        b = coeffs.values[coeffs.b_slice(i)]
-        delta_p = sum(b[j] * cache[i - 1 - j] for j in range(q))
-        rbar += _dot(pbar, trace.states[i - 1])
-        sbar += -_dot(pbar, delta_p)
-        gb = grad_values[coeffs.b_slice(i)]
+            zbar = release(i, trace.pred_states[i - 1])
+            pbar = zbar if correct else pbar + zbar
+        b_slice = coeffs.b_slice(i)
+        b = coeffs.values[b_slice]
+        dots = [_dot(pbar, cache[i - 1 - j]) for j in range(q)]
+        rbar += _dot(pbar, x_prev)
+        sbar -= float(np.dot(b, dots))
+        gb = grad_values[b_slice]
         for j in range(q):
-            gb[j] += -S * _dot(pbar, cache[i - 1 - j])
+            gb[j] += -S * dots[j]
             ebar[i - 1 - j] += (-S * b[j]) * pbar
         xprev_bar = R * pbar
         if correct:
@@ -198,8 +197,8 @@ def _backward_ss(trace, coeffs, schedule, grid, model, xbar,
         gc = grad_values[coeffs.ss_c_slice(i)]
         for j in range(k - 1, -1, -1):
             s_j = float(rec.stage_times[j])
-            zbar, tdot = _release(model, coeffs.prediction, schedule, rec.stage_x[j], s_j,
-                                  kbar[j])
+            zbar, tdot = model.pullback(schedule, rec.stage_x[j], s_j, rec.terms[j], kbar[j],
+                                        coeffs.prediction)
             if not rec.clamped[j]:
                 ds_dlam = 1.0 / float(d_lam_stages[i - 1, j])
                 if j >= 1:

@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import artifacts
-from .backprop import check_gradients
+from .backprop import backward, check_gradients
 from .checkpoints import load_checkpoint, save_checkpoint
 from .coeffs import SolverCoefficients, init_preset, table_param_count
 from .configs import (ExperimentConfig, ScheduleSpec, SolverSpec, _parse_section,
@@ -251,7 +251,7 @@ def cli_selftest():
     model = CountingScoreModel(default_mixture(2))
     grid = heuristic_grid(ve, 6, "logsnr")
     x0 = np.array([1.0, -0.5])
-    good = True
+    good = kept = True
     for kind, preset, expected in (("lms", "ipndm", 6), ("pc", "unipc", 7),
                                    ("ss", "dpmpp", 12)):
         model.reset()
@@ -259,7 +259,12 @@ def cli_selftest():
         coeffs = init_preset(kind, order, 6, preset, schedule=ve, grid=grid)
         trace = solve(coeffs, ve, grid, model, x0)
         good &= trace.nfe_used == expected == model.n_epsilon
+        model.reset()
+        backward(trace, coeffs, ve, model, np.ones(2), grid=grid)
+        kept &= (model.n_epsilon + model.n_linearize + model.n_vjp + model.n_time_partial
+                 == 0 and model.n_pullback == expected)
     check("NFE accounting (lms/pc/ss)", good)
+    check("backward over a kept trace re-evaluates no score", kept)
 
     params = LearnableTimeParams.zeros(8)
     grid = materialize(params, ve)

@@ -11,8 +11,16 @@ The kernel never forms a (B, J, d) array: with isotropic components,
 ``|x - alpha mu_j|^2`` expands into ``|x|^2``, the ``(J,d)@(d,B)`` product
 ``mu_j.x`` and ``|mu_j|^2``, and every contraction the evaluation, its vjp
 and its time derivative need is a per-component ``(J, B)`` term or a
-``(B,J)@(J,d)`` product.  ``linearize(schedule, x, t, cot)`` returns all three
-for one cotangent from one pass over those terms.
+``(B,J)@(J,d)`` product.
+
+One kernel, ``_parts``, serves the forward and the reverse pass.
+``evaluate(schedule, x, t)`` returns the evaluation together with the terms
+it keeps: the responsibilities gamma and the projections mu_j.x, two
+``(J, B)`` arrays.  ``pullback(schedule, x, t, terms, cot)`` turns them into
+the vjp and the time derivative contracted with ``cot``, recomputing only
+per-component constants and ``|x - alpha mu_j|^2``; it forms neither the
+``(B, d)`` time derivative nor its ``(B,J)@(J,d)`` product.  Given
+``terms=None`` it runs the kernel itself.  ``linearize`` is the two in a row.
 
 Shapes: ``x`` may be a single state ``(d,)`` or a batch ``(B, d)``; outputs
 match the input.
@@ -27,13 +35,17 @@ import numpy as np
 from .schedules import NoiseSchedule
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class GaussianMixtureScore:
     """Exact noise prediction for a Gaussian-mixture data distribution.
 
     weights: (J,) nonnegative, summing to 1
     means:   (J, d)
     scales:  (J,) per-component standard deviations (isotropic)
+
+    The model keeps read-only copies of these arrays, so neither its cached
+    per-component constants nor the terms a solve keeps for the reverse pass
+    can go stale; two models are equal only if they are the same object.
     """
 
     weights: np.ndarray
@@ -41,9 +53,9 @@ class GaussianMixtureScore:
     scales: np.ndarray
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        m = np.atleast_2d(np.asarray(self.means, dtype=float))
-        s = np.atleast_1d(np.asarray(self.scales, dtype=float))
+        w = np.atleast_1d(np.array(self.weights, dtype=float))
+        m = np.atleast_2d(np.array(self.means, dtype=float))
+        s = np.atleast_1d(np.array(self.scales, dtype=float))
         if w.ndim != 1 or m.ndim != 2 or s.ndim != 1:
             raise ValueError("weights (J,), means (J,d), scales (J,) expected")
         if not (len(w) == m.shape[0] == len(s)):
@@ -52,9 +64,9 @@ class GaussianMixtureScore:
             raise ValueError("weights must be nonnegative and sum to 1")
         if np.any(s <= 0):
             raise ValueError("scales must be positive")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "scales", s)
+        for name, owned in (("weights", w), ("means", m), ("scales", s)):
+            owned.flags.writeable = False
+            object.__setattr__(self, name, owned)
         # per-component constants of every evaluation, as (J, 1) columns
         with np.errstate(divide="ignore"):
             object.__setattr__(self, "_log_weights", np.log(w)[:, None])
@@ -86,69 +98,66 @@ class GaussianMixtureScore:
             raise FloatingPointError("non-finite state passed to score model")
         return x2, single
 
-    def _parts(self, x2, alpha, sigma):
-        """Per-component terms, laid out (J, B) so sums over components are
-        row operations: variances v (J,1), projections mu_j.x, squared residual
-        norms |x - alpha mu_j|^2, responsibilities gamma, g = gamma/v, its
-        column sums (B,), and the scaled mean residual
-        ubar = sum_j g_j (x - alpha mu_j) (B,d), with eps = sigma ubar.
-
-        The squared norms use |x|^2 - 2 alpha x.mu_j + alpha^2 |mu_j|^2, clamped
-        at 0, so no (B, J, d) array is formed; the rounding error this adds is of
-        order eps_mach |x|^2 / v_j in the log-densities and eps_mach |x| sum_j g_j
-        in ubar.
-        """
-        v = alpha * alpha * self._scale_sq + sigma * sigma
-        xm = self.means @ x2.T
+    def _sq_norms(self, x2, xm, alpha):
+        """|x - alpha mu_j|^2 (J, B) as |x|^2 - 2 alpha x.mu_j + alpha^2 |mu_j|^2, clamped
+        at 0; the rounding error this adds is of order eps_mach |x|^2 / v_j in the
+        log-densities and eps_mach |x| sum_j gamma_j / v_j in eps / sigma."""
         sq = xm * (-2.0 * alpha)
         sq += (alpha * alpha) * self._mean_sq
         sq += np.einsum("bd,bd->b", x2, x2)
-        np.maximum(sq, 0.0, out=sq)
-        ell = sq * (-0.5 / v)
+        return np.maximum(sq, 0.0, out=sq)
+
+    def _parts(self, x2, alpha, sigma):
+        """The mixture kernel: (ubar, gamma, xm), laid out (J, B) so sums over
+        components are row operations.  xm holds the projections mu_j.x, gamma the
+        responsibilities, and ubar = sum_j gamma_j (x - alpha mu_j) / v_j (B, d) the
+        scaled mean residual, with eps = sigma ubar and v_j the component variances."""
+        v = alpha * alpha * self._scale_sq + sigma * sigma
+        xm = self.means @ x2.T
+        ell = self._sq_norms(x2, xm, alpha) * (-0.5 / v)
         ell += self._log_weights - 0.5 * self.dim * np.log(2.0 * np.pi * v)
         ell -= ell.max(axis=0)
         gamma = np.exp(ell, out=ell)
         gamma /= gamma.sum(axis=0)
         g = gamma / v
-        g_sum = g.sum(axis=0)
-        ubar = g_sum[:, None] * x2 - alpha * (g.T @ self.means)
-        return v, xm, sq, gamma, g, g_sum, ubar
+        ubar = g.sum(axis=0)[:, None] * x2 - alpha * (g.T @ self.means)
+        return ubar, gamma, xm
 
-    def _time_derivative(self, x2, alpha, sigma, d_alpha, d_sigma, parts):
-        """d eps/d t (B,d) through (alpha_t, sigma_t), from per-component terms.
+    def _slopes(self, x2, alpha, sigma, d_alpha, d_sigma, gamma, xm):
+        """(v, shift, f): how the terms of eps move in t, from the kept (gamma, xm).
 
         eps = sigma sum_j gamma_j u_j with u_j = (x - alpha mu_j)/v_j, so
-        d eps/dt = sigma' ubar + sigma sum_j (gamma_j' u_j + gamma_j u_j'), where
-        u_j' = -shift_j mu_j - rate_j u_j (rate = v'/v, shift = alpha'/v) and
-        gamma_j' = gamma_j (dln_j - gamma.dln), dln_j = d log N_j/dt.
+        d eps/dt = sum_j gamma_j (f_j u_j - sigma shift_j mu_j), where
+        shift = alpha'/v, f = sigma' + sigma (dln - gamma.dln - rate), rate = v'/v
+        and dln_j = d log N_j/dt.  shift is None where alpha' = 0 (VE, EDM).
         """
-        v, xm, sq, gamma, _, _, ubar = parts
+        v = alpha * alpha * self._scale_sq + sigma * sigma
         rate = 2.0 * (alpha * d_alpha * self._scale_sq + sigma * d_sigma) / v
-        shift = d_alpha / v
-        dln = shift * (xm - alpha * self._mean_sq) + (0.5 * rate / v) * sq - 0.5 * self.dim * rate
-        k = gamma * (dln - (gamma * dln).sum(axis=0) - rate)
-        kv = k / v
-        coef = alpha * kv + gamma * shift
-        return d_sigma * ubar + sigma * (kv.sum(axis=0)[:, None] * x2 - coef.T @ self.means)
-
-    def _pull_x(self, x2, cot2, alpha, sigma, parts):
-        """(d eps/d x)^T cot2, with d eps/d x = sigma [sum_j gamma_j/v_j I -
-        sum_j gamma_j (u_j - ubar) u_j^T] symmetric, applied without forming it:
-        u_j.cot = (x.cot - alpha mu_j.cot)/v_j needs only per-component terms."""
-        v, _, _, gamma, g, g_sum, _ = parts
-        dots = (np.einsum("bd,bd->b", x2, cot2) - alpha * (self.means @ cot2.T)) / v
-        c = g * (dots - (gamma * dots).sum(axis=0))
-        return sigma * (g_sum[:, None] * cot2 - c.sum(axis=0)[:, None] * x2
-                        + alpha * (c.T @ self.means))
+        dln = (0.5 * rate / v) * self._sq_norms(x2, xm, alpha) - 0.5 * self.dim * rate
+        shift = None
+        if d_alpha:
+            shift = d_alpha / v
+            dln += shift * (xm - alpha * self._mean_sq)
+        return v, shift, d_sigma + sigma * (dln - (gamma * dln).sum(axis=0) - rate)
 
     # -- forward -------------------------------------------------------------
-    def epsilon(self, schedule: NoiseSchedule, x, t):
-        """Exact noise prediction -sigma_t * grad log p_t(x)."""
+    def evaluate(self, schedule: NoiseSchedule, x, t, prediction: str = "noise"):
+        """``(e, terms)``: the evaluation e -- eps, or the data prediction x_hat for
+        ``prediction="data"`` -- and the kept terms (gamma, mu.x), two (J, B) arrays
+        from which :meth:`pullback` differentiates e without re-running the kernel."""
         t = schedule.check_time(t)
         x2, single = self._prepare(x)
-        sigma = float(schedule.sigma(t))
-        eps = sigma * self._parts(x2, float(schedule.alpha(t)), sigma)[-1]
-        return eps[0] if single else eps
+        alpha, sigma = float(schedule.alpha(t)), float(schedule.sigma(t))
+        ubar, gamma, xm = self._parts(x2, alpha, sigma)
+        out = sigma * ubar
+        if prediction == "data":
+            # Tweedie: x_hat = (x - sigma eps) / alpha
+            out = (x2 - sigma * out) / alpha
+        return (out[0] if single else out), (gamma, xm)
+
+    def epsilon(self, schedule: NoiseSchedule, x, t):
+        """Exact noise prediction -sigma_t * grad log p_t(x)."""
+        return self.evaluate(schedule, x, t)[0]
 
     def score(self, schedule: NoiseSchedule, x, t):
         """grad_x log p_t(x) = -epsilon / sigma_t."""
@@ -157,11 +166,57 @@ class GaussianMixtureScore:
 
     def data_prediction(self, schedule: NoiseSchedule, x, t):
         """Tweedie transform x_hat = (x - sigma_t eps) / alpha_t."""
-        t = schedule.check_time(t)
-        a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
-        return (np.asarray(x, dtype=float) - s * self.epsilon(schedule, x, t)) / a
+        return self.evaluate(schedule, x, t, "data")[0]
 
     # -- derivatives -----------------------------------------------------------
+    def pullback(self, schedule: NoiseSchedule, x, t, terms, cot, prediction: str = "noise"):
+        """``((d e/d x)^T cot, cot . d e/d t)`` for the evaluation e of :meth:`evaluate`
+        (eps, or x_hat for ``prediction="data"``) at the float arrays x and cot of
+        one shape; the second is a float summed over the batch.
+
+        ``terms`` are the ones :meth:`evaluate` returned at (x, t), so x is not
+        checked again; with ``terms=None`` the kernel runs here instead.  d eps/d x =
+        sigma [sum_j gamma_j/v_j I - sum_j gamma_j (u_j - ubar) u_j^T] is applied
+        without forming it, and the time derivative is contracted with cot before it
+        is formed: both need only the per-component dots x.cot and mu_j.cot.
+        """
+        t = schedule.check_time(t)
+        alpha, sigma = float(schedule.alpha(t)), float(schedule.sigma(t))
+        if terms is None:
+            x2, single = self._prepare(x)
+            terms = self._parts(x2, alpha, sigma)[1:]
+        else:
+            single = x.ndim == 1
+            x2 = x[None, :] if single else x
+        gamma, xm = terms
+        cot_eps = (-sigma / alpha) * cot if prediction == "data" else cot
+        cot2 = cot_eps[None, :] if single else cot_eps
+        d_alpha, d_sigma = float(schedule.d_alpha(t)), float(schedule.d_sigma(t))
+        v, shift, f = self._slopes(x2, alpha, sigma, d_alpha, d_sigma, gamma, xm)
+        xc = np.einsum("bd,bd->b", x2, cot2)
+        mc = self.means @ cot2.T
+        dots = (xc - alpha * mc) / v              # u_j . cot
+        g = gamma / v
+        gd = gamma * dots
+        gdots = gd.sum(axis=0)                    # ubar . cot
+        cg = g * (dots - gdots)
+        xbar = sigma * (g.sum(axis=0)[:, None] * cot2 - cg.sum(axis=0)[:, None] * x2
+                        + alpha * (cg.T @ self.means))
+        tdots = f * gd
+        if shift is not None:
+            tdots -= (sigma * shift) * gamma * mc
+        tdot = float(tdots.sum())
+        if single:
+            xbar = xbar[0]
+        if prediction == "data":
+            # x_hat = (x - sigma eps)/alpha: x also takes cot/alpha, and at fixed x
+            # d x_hat/dt = -(sigma' eps + sigma d eps/dt + alpha' x_hat)/alpha
+            xbar = xbar + cot / alpha
+            ubar_dot = float(gdots.sum())
+            tdot += d_sigma * ubar_dot + (d_alpha / alpha) * (float(xc.sum()) / sigma
+                                                               - sigma * ubar_dot)
+        return xbar, tdot
+
     def epsilon_vjp(self, schedule: NoiseSchedule, x, t, cotangent):
         """(d eps / d x)^T cotangent, from the closed-form mixture Jacobian."""
         return self.linearize(schedule, x, t, cotangent)[1]
@@ -171,29 +226,20 @@ class GaussianMixtureScore:
         t = schedule.check_time(t)
         x2, single = self._prepare(x)
         alpha, sigma = float(schedule.alpha(t)), float(schedule.sigma(t))
-        out = self._time_derivative(x2, alpha, sigma, float(schedule.d_alpha(t)),
-                                    float(schedule.d_sigma(t)), self._parts(x2, alpha, sigma))
+        _, gamma, xm = self._parts(x2, alpha, sigma)
+        v, shift, f = self._slopes(x2, alpha, sigma, float(schedule.d_alpha(t)),
+                                   float(schedule.d_sigma(t)), gamma, xm)
+        w = gamma * f / v
+        coef = alpha * w if shift is None else alpha * w + sigma * shift * gamma
+        out = w.sum(axis=0)[:, None] * x2 - coef.T @ self.means
         return out[0] if single else out
 
     def linearize(self, schedule: NoiseSchedule, x, t, cot):
-        """``(eps, (d eps/d x)^T cot, cot . d eps/d t)`` at (x, t), from one
-        evaluation of the mixture internals.
-
-        The second equals :meth:`epsilon_vjp`; the third is ``cot`` contracted
-        with :meth:`epsilon_time_partial`, a float summed over the batch.
-        """
-        t = schedule.check_time(t)
-        x2, single = self._prepare(x)
-        cot = np.asarray(cot, dtype=float)
-        cot2 = cot[None, :] if single else cot
-        alpha, sigma = float(schedule.alpha(t)), float(schedule.sigma(t))
-        parts = self._parts(x2, alpha, sigma)
-        xbar = self._pull_x(x2, cot2, alpha, sigma, parts)
-        deps_dt = self._time_derivative(x2, alpha, sigma, float(schedule.d_alpha(t)),
-                                        float(schedule.d_sigma(t)), parts)
-        eps = sigma * parts[-1]
-        tdot = float(np.vdot(cot2, deps_dt))
-        return (eps[0], xbar[0], tdot) if single else (eps, xbar, tdot)
+        """``(eps, (d eps/d x)^T cot, cot . d eps/d t)`` at (x, t): :meth:`evaluate`
+        followed by :meth:`pullback` on its terms."""
+        x, cot = np.asarray(x, dtype=float), np.asarray(cot, dtype=float)
+        eps, terms = self.evaluate(schedule, x, t)
+        return (eps, *self.pullback(schedule, x, t, terms, cot))
 
     def epsilon_fn(self, schedule: NoiseSchedule):
         """Plain (x, t) -> eps callable, for integrators."""
@@ -219,10 +265,10 @@ def default_mixture(dim: int = 2) -> GaussianMixtureScore:
 
 
 class CountingScoreModel:
-    """Wraps a score model and counts evaluation / vjp / time-partial /
-    linearization rows.
+    """Wraps a score model and counts the rows of its evaluations (``epsilon``
+    and ``evaluate``), vjps, time partials, linearizations and pullbacks.
 
-    Used to assert NFE accounting and the rematerialization memory contract.
+    Used to assert NFE accounting and the evaluation budget of the reverse pass.
     """
 
     def __init__(self, inner):
@@ -234,30 +280,41 @@ class CountingScoreModel:
         self.n_vjp = 0
         self.n_time_partial = 0
         self.n_linearize = 0
+        self.n_pullback = 0
 
     @property
     def dim(self):
         return self.inner.dim
 
+    @staticmethod
+    def _rows(x):
+        return np.atleast_2d(np.asarray(x)).shape[0]
+
     def epsilon(self, schedule, x, t):
-        x2 = np.atleast_2d(np.asarray(x))
-        self.n_epsilon += x2.shape[0] if x2.ndim == 2 else 1
+        self.n_epsilon += self._rows(x)
         return self.inner.epsilon(schedule, x, t)
 
+    def evaluate(self, schedule, x, t, prediction="noise"):
+        self.n_epsilon += self._rows(x)
+        return self.inner.evaluate(schedule, x, t, prediction)
+
     def epsilon_vjp(self, schedule, x, t, cotangent):
-        x2 = np.atleast_2d(np.asarray(x))
-        self.n_vjp += x2.shape[0] if x2.ndim == 2 else 1
+        self.n_vjp += self._rows(x)
         return self.inner.epsilon_vjp(schedule, x, t, cotangent)
 
     def epsilon_time_partial(self, schedule, x, t):
-        self.n_time_partial += np.atleast_2d(np.asarray(x)).shape[0]
+        self.n_time_partial += self._rows(x)
         return self.inner.epsilon_time_partial(schedule, x, t)
 
     def linearize(self, schedule, x, t, cot):
-        self.n_linearize += np.atleast_2d(np.asarray(x)).shape[0]
+        self.n_linearize += self._rows(x)
         return self.inner.linearize(schedule, x, t, cot)
 
-    # the transforms of epsilon call the counted epsilon, so each counts once
+    def pullback(self, schedule, x, t, terms, cot, prediction="noise"):
+        self.n_pullback += self._rows(x)
+        return self.inner.pullback(schedule, x, t, terms, cot, prediction)
+
+    # the transforms of epsilon call the counted methods, so each counts once
     def data_prediction(self, schedule, x, t):
         return GaussianMixtureScore.data_prediction(self, schedule, x, t)
 

@@ -17,6 +17,12 @@ per grid, not once per step.
 ``lms`` and ``pc`` run one multistep loop: each step predicts with its
 multistep row and evaluates the model at the prediction; ``pc`` then
 applies its corrector row, while for ``lms`` the prediction is the state.
+
+The trace keeps, for the reverse pass, every evaluation and the terms the
+model's ``evaluate`` returned with it (``eps_cache`` and ``eps_terms`` for
+``lms``/``pc``, ``StageRecord.terms`` for ``ss``); a model without
+``evaluate`` keeps no terms and is evaluated through ``epsilon`` or
+``data_prediction``.
 """
 
 from __future__ import annotations
@@ -56,20 +62,29 @@ def wrapper_partials(schedule: NoiseSchedule, steps: np.ndarray, prediction: str
 
 
 def _evaluate(model, coeffs, schedule, x, t, step_index=None):
+    """``(e, terms)``: the evaluation the family combines (eps, or x_hat for data
+    prediction) and the terms the model keeps for its pullback.
+
+    A model without ``evaluate`` keeps none (``terms`` is None), and its
+    pullback re-runs its kernel.
+    """
+    evaluate = getattr(model, "evaluate", None)
     try:
         # divergence surfaces as a DivergenceError below, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            if coeffs.prediction == "noise":
-                out = model.epsilon(schedule, x, t)
+            if evaluate is not None:
+                out, terms = evaluate(schedule, x, t, coeffs.prediction)
+            elif coeffs.prediction == "noise":
+                out, terms = model.epsilon(schedule, x, t), None
             else:
-                out = model.data_prediction(schedule, x, t)
+                out, terms = model.data_prediction(schedule, x, t), None
     except FloatingPointError as exc:
         raise DivergenceError(f"score evaluation overflowed: {exc}",
                               step_index=step_index) from exc
     if step_index is not None and not np.all(np.isfinite(out)):
         raise DivergenceError("score evaluation returned non-finite values",
                               step_index=step_index)
-    return out
+    return out, terms
 
 
 @dataclasses.dataclass
@@ -78,6 +93,7 @@ class StageRecord:
 
     stage_x: list
     kappas: list
+    terms: list                  # the model's kept terms of each stage evaluation
     stage_times: np.ndarray
     clamped: np.ndarray
 
@@ -87,7 +103,8 @@ class SolveTrace:
     """Full trajectory of one solve, with enough cached data to run backward."""
 
     states: list
-    eps_cache: list | None
+    eps_cache: list | None       # lms/pc: every evaluation, in the order made
+    eps_terms: list | None       # lms/pc: the model's kept terms of each evaluation
     pred_states: list | None     # lms/pc: each step's prediction (the lms state)
     stage_records: list | None
     nfe_used: int
@@ -146,17 +163,19 @@ def ss_step(coeffs: SolverCoefficients, schedule: NoiseSchedule, stages,
     amat = coeffs.ss_a_matrix(i)
     b = coeffs.values[coeffs.ss_b_slice(i)]
 
-    stage_x, kappas = [], []
+    stage_x, kappas, terms = [], [], []
     for j in range(k):
         z = x_prev.copy()
         for l in range(j):
             z = z + amat[j, l] * kappas[l]
         stage_x.append(z)
-        kappas.append(_evaluate(model, coeffs, schedule, z, float(stage_times[j]),
-                                step_index=i))
+        kappa, kept = _evaluate(model, coeffs, schedule, z, float(stage_times[j]),
+                                step_index=i)
+        kappas.append(kappa)
+        terms.append(kept)
     delta = sum(b[j] * kappas[j] for j in range(k))
-    record = StageRecord(stage_x=stage_x, kappas=kappas, stage_times=stage_times,
-                         clamped=clamped)
+    record = StageRecord(stage_x=stage_x, kappas=kappas, terms=terms,
+                         stage_times=stage_times, clamped=clamped)
     return R[i - 1] * x_prev - S[i - 1] * delta, record
 
 
@@ -179,6 +198,7 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
     diagnostics: list = []
     nfe = 0
     eps_cache: list | None = None
+    eps_terms: list | None = None
     pred_states: list | None = None
     stage_records: list | None = None
     R, S = wrapper_factors(schedule, grid.steps, coeffs.prediction)
@@ -195,8 +215,9 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
                 raise DivergenceError(f"state diverged at step {i}", step_index=i)
             states.append(x)
     else:
-        eps_cache = [_evaluate(model, coeffs, schedule, x, float(grid.score_times[0]),
-                               step_index=0)]
+        eps, kept = _evaluate(model, coeffs, schedule, x, float(grid.score_times[0]),
+                              step_index=0)
+        eps_cache, eps_terms = [eps], [kept]
         nfe += 1
         pred_states = []
         for i in range(1, n + 1):
@@ -205,8 +226,10 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
             correct = coeffs.kind == "pc" and (i < n or final_corrector)
             if i < n or correct:
                 # the evaluation at the prediction is the next cache entry
-                eps_cache.append(_evaluate(model, coeffs, schedule, pred,
-                                           float(grid.score_times[i]), step_index=i))
+                eps, kept = _evaluate(model, coeffs, schedule, pred,
+                                      float(grid.score_times[i]), step_index=i)
+                eps_cache.append(eps)
+                eps_terms.append(kept)
                 nfe += 1
             if correct:
                 w = coeffs.corrector_weights(i)           # [new, recent, ..., oldest]
@@ -219,6 +242,7 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
                 raise DivergenceError(f"state diverged at step {i}", step_index=i)
             states.append(x)
 
-    return SolveTrace(states=states, eps_cache=eps_cache, pred_states=pred_states,
+    return SolveTrace(states=states, eps_cache=eps_cache, eps_terms=eps_terms,
+                      pred_states=pred_states,
                       stage_records=stage_records, nfe_used=nfe, diagnostics=diagnostics,
                       kind=coeffs.kind, final_corrector=final_corrector)

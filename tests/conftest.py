@@ -50,9 +50,13 @@ class ZeroModel:
     def epsilon_time_partial(self, schedule, x, t):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def linearize(self, schedule, x, t, cot):
-        zero = np.zeros_like(np.asarray(x, dtype=float))
-        return zero, np.zeros_like(zero), 0.0
+    def pullback(self, schedule, x, t, terms, cot, prediction="noise"):
+        x = np.asarray(x, dtype=float)
+        if prediction == "noise":
+            return np.zeros_like(x), 0.0
+        # x_hat = x / alpha
+        a = float(schedule.alpha(t))
+        return cot / a, -float(schedule.d_alpha(t)) / (a * a) * float(np.sum(x * cot))
 
     def data_prediction(self, schedule, x, t):
         return np.asarray(x, dtype=float) / float(schedule.alpha(t))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,31 @@ class TestFiniteDifferenceAgreement:
         assert np.allclose(res.grad_coeffs, 0.0) and np.allclose(res.grad_x0, 0.0)
 
 
+# classical presets; dpmpp is defined for noise prediction only
+FD_PRESETS = {("lms", "noise"): "ipndm", ("lms", "data"): "ipndm",
+              ("pc", "noise"): "unipc", ("pc", "data"): "unipc",
+              ("ss", "noise"): "dpmpp", ("ss", "data"): "gaussian"}
+
+
+@pytest.mark.parametrize("prediction", ["noise", "data"])
+@pytest.mark.parametrize("schedule_name", ["ve", "vp"])
+@pytest.mark.parametrize("kind", ["lms", "pc", "ss"])
+def test_fd_audit_every_family_schedule_and_prediction(request, mixture, kind,
+                                                       schedule_name, prediction):
+    # learnable time parameters and a batched x0, at the audit tolerance
+    rng = np.random.default_rng(3)
+    schedule = request.getfixturevalue(schedule_name)
+    params = _random_params(schedule, 4, rng)
+    coeffs = init_preset(kind, 2, 4, FD_PRESETS[kind, prediction], schedule=schedule,
+                         grid=materialize(params, schedule), prediction=prediction, seed=3)
+    if FD_PRESETS[kind, prediction] == "gaussian":
+        coeffs.values *= 0.5
+    x0 = schedule.tilde_sigma * rng.standard_normal((3, 2))
+    report = check_gradients(coeffs, schedule, mixture, x0, rng.standard_normal((3, 2)),
+                             params=params)
+    assert report["max_relative_deviation"] <= 1e-4, report["blocks"]
+
+
 class TestDeadParameters:
     def test_ss_inert_mixing_entries_get_zero_gradient(self, ve, mixture, rng):
         grid = heuristic_grid(ve, 4, "logsnr")
@@ -129,24 +156,41 @@ def test_tied_gradient_is_sum_of_untied_rows(ve, mixture, rng):
     assert np.allclose(shared, summed, rtol=1e-12)
 
 
+def _drop_kept(trace):
+    """Drop what the solve kept for the reverse pass, so backward recomputes it:
+    the multistep evaluations and their terms, or the stage evaluations' terms."""
+    if trace.stage_records is None:
+        trace.eps_cache = trace.eps_terms = None
+    for rec in trace.stage_records or ():
+        rec.terms = [None] * len(rec.terms)
+
+
 class TestRematerialization:
     def test_dropped_cache_reproduces_gradients(self, ve, mixture, rng):
         grid = heuristic_grid(ve, 5, "logsnr")
-        for kind, preset, final_corrector in (("lms", "ipndm", True), ("pc", "unipc", True),
-                                              ("pc", "unipc", False)):
-            coeffs = init_preset(kind, 2, 5, preset, schedule=ve, grid=grid)
-            x = rng.standard_normal(2)
-            trace = solve(coeffs, ve, grid, mixture, x, final_corrector=final_corrector)
-            cot = rng.standard_normal(2)
-            with_cache = backward(trace, coeffs, ve, mixture, cot, grid=grid)
-            trace.eps_cache = None
-            without = backward(trace, coeffs, ve, mixture, cot, grid=grid)
-            assert np.allclose(with_cache.grad_coeffs, without.grad_coeffs, rtol=1e-14)
-            assert np.allclose(with_cache.grad_x0, without.grad_x0, rtol=1e-14)
+        params = LearnableTimeParams.from_grid(grid, ve)
+        for (kind, preset, final_corrector), prediction in itertools.product(
+                [("lms", "ipndm", True), ("pc", "unipc", True), ("pc", "unipc", False),
+                 ("ss", "gaussian", True)], ["noise", "data"]):
+            coeffs = init_preset(kind, 2, 5, preset, schedule=ve, grid=grid,
+                                 prediction=prediction, seed=5)
+            for x in (rng.standard_normal(2), rng.standard_normal((3, 2))):
+                trace = solve(coeffs, ve, grid, mixture, x, final_corrector=final_corrector)
+                cot = rng.standard_normal(x.shape)
+                kept = backward(trace, coeffs, ve, mixture, cot, grid=grid, params=params)
+                _drop_kept(trace)
+                recomputed = backward(trace, coeffs, ve, mixture, cot, grid=grid,
+                                      params=params)
+                for block in ("grad_coeffs", "grad_x0", "grad_steps", "grad_score_times",
+                              "grad_xi", "grad_xi_c"):
+                    assert np.array_equal(getattr(kept, block), getattr(recomputed, block)), \
+                        (kind, prediction, x.shape, block)
 
     def test_backward_evaluation_budget(self, ve, mixture, rng):
-        # memory contract: recomputing evaluations instead of storing model
-        # internals keeps backward within 2x the forward evaluation count
+        # a kept trace holds each evaluation and the model's terms for it, so
+        # backward pulls each evaluation back once and evaluates nothing; with
+        # the cache dropped it recomputes the evaluations instead of storing
+        # them, within 2x the forward evaluation count
         grid = heuristic_grid(ve, 6, "logsnr")
         coeffs = init_preset("lms", 3, 6, "ipndm", schedule=ve, grid=grid)
         counted = CountingScoreModel(mixture)
@@ -154,13 +198,17 @@ class TestRematerialization:
         trace = solve(coeffs, ve, grid, counted, x)
         forward_evals = counted.n_epsilon
         counted.reset()
+        backward(trace, coeffs, ve, counted, np.ones(2), grid=grid)
+        assert counted.n_epsilon == counted.n_linearize == 0
+        assert counted.n_pullback == forward_evals == 6
+        counted.reset()
         trace.eps_cache = None
         backward(trace, coeffs, ve, counted, np.ones(2), grid=grid)
         assert counted.n_epsilon <= forward_evals
         assert counted.n_epsilon + counted.n_vjp <= 2 * forward_evals
-        # one linearization (vjp and time derivative together) per released evaluation
-        assert counted.n_linearize == forward_evals == 6
-        assert counted.n_vjp == counted.n_time_partial == 0
+        # one pullback (vjp and time derivative together) per released evaluation
+        assert counted.n_pullback == forward_evals == 6
+        assert counted.n_vjp == counted.n_time_partial == counted.n_linearize == 0
 
 
 def test_mismatched_trace_rejected(ve, mixture):

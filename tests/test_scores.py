@@ -127,6 +127,33 @@ class TestValidation:
         assert out.shape == (64,)
 
 
+class TestOwnership:
+    def test_model_copies_the_callers_arrays(self, ve):
+        w, m, s = np.array([0.6, 0.4]), np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0.5, 0.7])
+        model = GaussianMixtureScore(weights=w, means=m, scales=s)
+        x = np.array([0.3, -0.2])
+        before = model.epsilon(ve, x, 1.0)
+        m[1, 0] = 5.0
+        w[:] = [0.1, 0.9]
+        s[0] = 2.0
+        assert model.means[1, 0] == 0.0 and model.weights[0] == 0.6 and model.scales[0] == 0.5
+        assert np.array_equal(model.epsilon(ve, x, 1.0), before)
+        fresh = GaussianMixtureScore(weights=[0.6, 0.4], means=[[1.0, 0.0], [0.0, 0.0]],
+                                     scales=[0.5, 0.7])
+        assert np.array_equal(fresh.epsilon(ve, x, 1.0), before)
+
+    def test_arrays_are_read_only(self):
+        model = default_mixture(2)
+        for arr in (model.weights, model.means, model.scales):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_equality_is_identity_and_never_raises(self):
+        a, b = default_mixture(2), default_mixture(2)
+        assert a == a and not (a == b) and a != b
+        assert len({a, b}) == 2
+
+
 class TestDerivatives:
     def test_isotropic_vjp_is_scalar_multiple(self, ve):
         model = GaussianMixtureScore.isotropic(2, scale=1.0)
