@@ -8,9 +8,11 @@ parametrization), and the initial state.
 What is kept and what is recomputed: the trace holds every score evaluation
 and the terms the model kept for it (for the mixture score, two ``(J, B)``
 arrays per evaluation).  Each evaluation is released once, through the
-model's ``pullback(schedule, x, t, terms, cot, prediction)``, which returns
-its vjp and its time derivative contracted with the cotangent without
-running the model again.  A trace whose cache was dropped has its
+model's ``pullback(schedule, x, t, terms, cot)``, which returns the vjp of eps
+and its time derivative contracted with the cotangent without running the
+model again; for data prediction, ``_release`` wraps it in the chain rule of
+x_hat = (x - sigma eps) / alpha, with eps read back from the cached x_hat,
+for every model alike.  A trace whose cache was dropped has its
 evaluations and terms recomputed at the recorded points, one evaluation
 each, before the sweep.  The update wrapper and its t-partials come from
 :mod:`~fewstep.solvers` (``wrapper_factors`` and ``wrapper_partials``), once
@@ -54,6 +56,18 @@ def _dot(a, b) -> float:
     return float((a * b).sum())
 
 
+def _release(model, prediction, schedule, x, t, e, terms, cot):
+    """(cotangent on x, cot . d(evaluation)/dt) of the evaluation e made at (x, t)."""
+    if prediction == "noise":
+        return model.pullback(schedule, x, t, terms, cot)
+    # e = x_hat = (x - sigma eps) / alpha, linear in eps
+    a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
+    da, ds = float(schedule.d_alpha(t)), float(schedule.d_sigma(t))
+    xbar, tdot = model.pullback(schedule, x, t, terms, (-s / a) * cot)
+    eps = (x - a * e) / s
+    return xbar + cot / a, tdot - (ds * _dot(cot, eps) + da * _dot(cot, e)) / a
+
+
 def _rematerialize_cache(trace, coeffs, schedule, grid, model):
     """(evaluations, kept terms), made again at the points the trace recorded."""
     # evaluation m sits at the initial state (m = 0) or at step m's prediction
@@ -76,8 +90,9 @@ def backward(
     """Exact reverse-mode derivative of x0 -> solve -> loss.
 
     Pass the grid the trace was produced with.  Pass the learnable parameters
-    it was materialized from to get cotangents on (xi, xi_c) too; given only
-    the parameters, backward materializes the grid itself.
+    it was materialized from to get cotangents on (xi, xi_c) too: the grid
+    must then be ``materialize(params, schedule)``, and given only the
+    parameters, backward materializes it itself.
     """
     if grid is None:
         if params is None:
@@ -127,8 +142,8 @@ def _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache, terms
 
     def release(m, x):
         """Cotangent on the point x where evaluation m was made."""
-        zbar, tdot = model.pullback(schedule, x, score_times[m], terms[m], ebar[m],
-                                    coeffs.prediction)
+        zbar, tdot = _release(model, coeffs.prediction, schedule, x, score_times[m],
+                              cache[m], terms[m], ebar[m])
         tcbar[m] += tdot
         return zbar
 
@@ -197,8 +212,8 @@ def _backward_ss(trace, coeffs, schedule, grid, model, xbar,
         gc = grad_values[coeffs.ss_c_slice(i)]
         for j in range(k - 1, -1, -1):
             s_j = float(rec.stage_times[j])
-            zbar, tdot = model.pullback(schedule, rec.stage_x[j], s_j, rec.terms[j], kbar[j],
-                                        coeffs.prediction)
+            zbar, tdot = _release(model, coeffs.prediction, schedule, rec.stage_x[j], s_j,
+                                  rec.kappas[j], rec.terms[j], kbar[j])
             if not rec.clamped[j]:
                 ds_dlam = 1.0 / float(d_lam_stages[i - 1, j])
                 if j >= 1:
@@ -241,10 +256,11 @@ def check_gradients(
         trace = solve(cfs, schedule, g, model, x)
         y = trace.terminal
         resid = y - target
-        return trace, float(np.mean(resid * resid)), 2.0 * resid / resid.size
+        return trace, float(np.mean(resid * resid)), 2.0 * resid / resid.size, g
 
-    trace, loss, cot = run(coeffs, params, x0)
-    res = backward(trace, coeffs, schedule, model, cot, grid=grid, params=params,
+    # the reverse pass steps on the grid the solve used
+    trace, loss, cot, g = run(coeffs, params, x0)
+    res = backward(trace, coeffs, schedule, model, cot, grid=g, params=params,
                    loss_value=loss)
 
     def fd_on(vector, setter):

@@ -167,23 +167,22 @@ class VpLinearSchedule(NoiseSchedule):
 
 @dataclasses.dataclass(frozen=True)
 class VeSchedule(NoiseSchedule):
-    """Variance-exploding schedule: alpha = 1, sigma_t = t.  The constants come
-    back as floats for a float t (the per-evaluation path), else as arrays."""
+    """Variance-exploding schedule: alpha = 1, sigma_t = t."""
 
     T: float = 10.0
     t_min: float = 0.01
 
     def alpha(self, t):
-        return 1.0 if isinstance(t, float) else np.ones(np.shape(t))
+        return np.ones(np.shape(t))
 
     def sigma(self, t):
         return np.asarray(t, dtype=float)
 
     def d_alpha(self, t):
-        return 0.0 if isinstance(t, float) else np.zeros(np.shape(t))
+        return np.zeros(np.shape(t))
 
     def d_sigma(self, t):
-        return 1.0 if isinstance(t, float) else np.ones(np.shape(t))
+        return np.ones(np.shape(t))
 
     def _time_from_lambda(self, lam):
         return np.exp(-lam)

@@ -19,8 +19,9 @@ it keeps: the responsibilities gamma and the projections mu_j.x, two
 ``(J, B)`` arrays.  ``pullback(schedule, x, t, terms, cot)`` turns them into
 the vjp and the time derivative contracted with ``cot``, recomputing only
 per-component constants and ``|x - alpha mu_j|^2``; it forms neither the
-``(B, d)`` time derivative nor its ``(B,J)@(J,d)`` product.  Given
-``terms=None`` it runs the kernel itself.  ``linearize`` is the two in a row.
+``(B, d)`` time derivative nor its ``(B,J)@(J,d)`` product.  ``linearize`` is
+the two in a row.  The pullback is of eps only: the data-prediction chain
+rule is applied once, for every model, by :mod:`~fewstep.backprop`.
 
 Shapes: ``x`` may be a single state ``(d,)`` or a batch ``(B, d)``; outputs
 match the input.
@@ -144,7 +145,7 @@ class GaussianMixtureScore:
     def evaluate(self, schedule: NoiseSchedule, x, t, prediction: str = "noise"):
         """``(e, terms)``: the evaluation e -- eps, or the data prediction x_hat for
         ``prediction="data"`` -- and the kept terms (gamma, mu.x), two (J, B) arrays
-        from which :meth:`pullback` differentiates e without re-running the kernel."""
+        from which :meth:`pullback` differentiates eps without re-running the kernel."""
         t = schedule.check_time(t)
         x2, single = self._prepare(x)
         alpha, sigma = float(schedule.alpha(t)), float(schedule.sigma(t))
@@ -169,53 +170,34 @@ class GaussianMixtureScore:
         return self.evaluate(schedule, x, t, "data")[0]
 
     # -- derivatives -----------------------------------------------------------
-    def pullback(self, schedule: NoiseSchedule, x, t, terms, cot, prediction: str = "noise"):
-        """``((d e/d x)^T cot, cot . d e/d t)`` for the evaluation e of :meth:`evaluate`
-        (eps, or x_hat for ``prediction="data"``) at the float arrays x and cot of
+    def pullback(self, schedule: NoiseSchedule, x, t, terms, cot):
+        """``((d eps/d x)^T cot, cot . d eps/d t)`` at the float arrays x and cot of
         one shape; the second is a float summed over the batch.
 
         ``terms`` are the ones :meth:`evaluate` returned at (x, t), so x is not
-        checked again; with ``terms=None`` the kernel runs here instead.  d eps/d x =
-        sigma [sum_j gamma_j/v_j I - sum_j gamma_j (u_j - ubar) u_j^T] is applied
-        without forming it, and the time derivative is contracted with cot before it
-        is formed: both need only the per-component dots x.cot and mu_j.cot.
+        checked again and the kernel does not run.  d eps/d x = sigma [sum_j
+        gamma_j/v_j I - sum_j gamma_j (u_j - ubar) u_j^T] is applied without
+        forming it, and the time derivative is contracted with cot before it is
+        formed: both need only the per-component dots x.cot and mu_j.cot.
         """
         t = schedule.check_time(t)
         alpha, sigma = float(schedule.alpha(t)), float(schedule.sigma(t))
-        if terms is None:
-            x2, single = self._prepare(x)
-            terms = self._parts(x2, alpha, sigma)[1:]
-        else:
-            single = x.ndim == 1
-            x2 = x[None, :] if single else x
         gamma, xm = terms
-        cot_eps = (-sigma / alpha) * cot if prediction == "data" else cot
-        cot2 = cot_eps[None, :] if single else cot_eps
-        d_alpha, d_sigma = float(schedule.d_alpha(t)), float(schedule.d_sigma(t))
-        v, shift, f = self._slopes(x2, alpha, sigma, d_alpha, d_sigma, gamma, xm)
-        xc = np.einsum("bd,bd->b", x2, cot2)
+        single = x.ndim == 1
+        x2, cot2 = (x[None, :], cot[None, :]) if single else (x, cot)
+        v, shift, f = self._slopes(x2, alpha, sigma, float(schedule.d_alpha(t)),
+                                   float(schedule.d_sigma(t)), gamma, xm)
         mc = self.means @ cot2.T
-        dots = (xc - alpha * mc) / v              # u_j . cot
+        dots = (np.einsum("bd,bd->b", x2, cot2) - alpha * mc) / v      # u_j . cot
         g = gamma / v
         gd = gamma * dots
-        gdots = gd.sum(axis=0)                    # ubar . cot
-        cg = g * (dots - gdots)
+        cg = g * (dots - gd.sum(axis=0))
         xbar = sigma * (g.sum(axis=0)[:, None] * cot2 - cg.sum(axis=0)[:, None] * x2
                         + alpha * (cg.T @ self.means))
         tdots = f * gd
         if shift is not None:
             tdots -= (sigma * shift) * gamma * mc
-        tdot = float(tdots.sum())
-        if single:
-            xbar = xbar[0]
-        if prediction == "data":
-            # x_hat = (x - sigma eps)/alpha: x also takes cot/alpha, and at fixed x
-            # d x_hat/dt = -(sigma' eps + sigma d eps/dt + alpha' x_hat)/alpha
-            xbar = xbar + cot / alpha
-            ubar_dot = float(gdots.sum())
-            tdot += d_sigma * ubar_dot + (d_alpha / alpha) * (float(xc.sum()) / sigma
-                                                               - sigma * ubar_dot)
-        return xbar, tdot
+        return (xbar[0] if single else xbar), float(tdots.sum())
 
     def epsilon_vjp(self, schedule: NoiseSchedule, x, t, cotangent):
         """(d eps / d x)^T cotangent, from the closed-form mixture Jacobian."""
@@ -310,9 +292,9 @@ class CountingScoreModel:
         self.n_linearize += self._rows(x)
         return self.inner.linearize(schedule, x, t, cot)
 
-    def pullback(self, schedule, x, t, terms, cot, prediction="noise"):
+    def pullback(self, schedule, x, t, terms, cot):
         self.n_pullback += self._rows(x)
-        return self.inner.pullback(schedule, x, t, terms, cot, prediction)
+        return self.inner.pullback(schedule, x, t, terms, cot)
 
     # the transforms of epsilon call the counted methods, so each counts once
     def data_prediction(self, schedule, x, t):

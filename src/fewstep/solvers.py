@@ -65,8 +65,8 @@ def _evaluate(model, coeffs, schedule, x, t, step_index=None):
     """``(e, terms)``: the evaluation the family combines (eps, or x_hat for data
     prediction) and the terms the model keeps for its pullback.
 
-    A model without ``evaluate`` keeps none (``terms`` is None), and its
-    pullback re-runs its kernel.
+    A model without ``evaluate`` keeps none (``terms`` is None); its pullback
+    must not need them.
     """
     evaluate = getattr(model, "evaluate", None)
     try:

@@ -50,13 +50,8 @@ class ZeroModel:
     def epsilon_time_partial(self, schedule, x, t):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def pullback(self, schedule, x, t, terms, cot, prediction="noise"):
-        x = np.asarray(x, dtype=float)
-        if prediction == "noise":
-            return np.zeros_like(x), 0.0
-        # x_hat = x / alpha
-        a = float(schedule.alpha(t))
-        return cot / a, -float(schedule.d_alpha(t)) / (a * a) * float(np.sum(x * cot))
+    def pullback(self, schedule, x, t, terms, cot):
+        return np.zeros_like(np.asarray(x, dtype=float)), 0.0
 
     def data_prediction(self, schedule, x, t):
         return np.asarray(x, dtype=float) / float(schedule.alpha(t))

@@ -156,13 +156,14 @@ def test_tied_gradient_is_sum_of_untied_rows(ve, mixture, rng):
     assert np.allclose(shared, summed, rtol=1e-12)
 
 
-def _drop_kept(trace):
-    """Drop what the solve kept for the reverse pass, so backward recomputes it:
-    the multistep evaluations and their terms, or the stage evaluations' terms."""
+def _recompute_kept(trace, model, schedule, prediction):
+    """Drop the multistep cache, which backward then remakes; an ss trace keeps
+    no cache to drop, so remake its stage terms here at the recorded points."""
     if trace.stage_records is None:
         trace.eps_cache = trace.eps_terms = None
     for rec in trace.stage_records or ():
-        rec.terms = [None] * len(rec.terms)
+        rec.terms = [model.evaluate(schedule, z, float(s), prediction)[1]
+                     for z, s in zip(rec.stage_x, rec.stage_times)]
 
 
 class TestRematerialization:
@@ -178,7 +179,7 @@ class TestRematerialization:
                 trace = solve(coeffs, ve, grid, mixture, x, final_corrector=final_corrector)
                 cot = rng.standard_normal(x.shape)
                 kept = backward(trace, coeffs, ve, mixture, cot, grid=grid, params=params)
-                _drop_kept(trace)
+                _recompute_kept(trace, mixture, ve, prediction)
                 recomputed = backward(trace, coeffs, ve, mixture, cot, grid=grid,
                                       params=params)
                 for block in ("grad_coeffs", "grad_x0", "grad_steps", "grad_score_times",
