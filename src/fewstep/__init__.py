@@ -17,7 +17,7 @@ from .grids import LearnableTimeParams, TimeGrid, grid_gradient_vjp, heuristic_g
 from .schedules import (EdmSchedule, NoiseSchedule, VeSchedule, VpLinearSchedule,
                         exact_step_integrand, phi_functions)
 from .scores import CountingScoreModel, GaussianMixtureScore, default_mixture
-from .solvers import SolveTrace, lms_step, solve, ss_step
+from .solvers import SolveTrace, solve
 from .teachers import (Dataset, TeacherConfig, generate_dataset, load_dataset,
                        save_dataset, teacher_solve)
 from .training import (TrainConfig, TrainResult, evaluate, evaluation_reference,
@@ -33,7 +33,7 @@ __all__ = [
     "EdmSchedule", "NoiseSchedule", "VeSchedule", "VpLinearSchedule",
     "exact_step_integrand", "phi_functions",
     "CountingScoreModel", "GaussianMixtureScore", "default_mixture",
-    "SolveTrace", "lms_step", "solve", "ss_step",
+    "SolveTrace", "solve",
     "Dataset", "TeacherConfig", "generate_dataset",
     "load_dataset", "save_dataset", "teacher_solve",
     "TrainConfig", "TrainResult", "evaluate", "evaluation_reference", "project_ball",

@@ -5,22 +5,21 @@ backwards and return cotangents for the coefficient vector, the time
 parameters (through the schedule's analytic derivatives and the grid
 parametrization), and the initial state.
 
-What is kept and what is recomputed: the trace holds every score evaluation
-and the terms the model kept for it (for the mixture score, two ``(J, B)``
-arrays per evaluation).  Each evaluation is released once, through the
-model's ``pullback(schedule, x, t, terms, cot)``, which returns the vjp of eps
-and its time derivative contracted with the cotangent without running the
-model again; for data prediction, ``_release`` wraps it in the chain rule of
-x_hat = (x - sigma eps) / alpha, with eps read back from the cached x_hat,
-for every model alike.  A trace whose cache was dropped has its
-evaluations and terms recomputed at the recorded points, one evaluation
-each, before the sweep.  The update wrapper and its t-partials come from
-:mod:`~fewstep.solvers` (``wrapper_factors`` and ``wrapper_partials``), once
-per sweep.
+The trace holds every score evaluation, the point it was made at and the
+terms the model kept for it (for the mixture score, two ``(J, B)`` arrays per
+evaluation), so nothing is evaluated again.  Each evaluation is released once,
+through the model's ``pullback(schedule, x, t, terms, cot)``, which returns the
+vjp of eps and its time derivative contracted with the cotangent; for data
+prediction, ``_release`` wraps it in the chain rule of x_hat = (x - sigma eps)
+/ alpha, with eps read back from the kept x_hat, for every model alike.
 
-``lms`` and ``pc`` share one reverse sweep (``lms`` is ``pc`` without
-corrector rows): each evaluation made at step i lives at that step's
-prediction and is released there during step i.
+One transposed loop serves every family: it walks the steps the solve ran,
+and each step's rows (see :mod:`~fewstep.solvers`) in reverse.  A row's
+cotangent is the state's cotangent (the last row) plus, if it was evaluated,
+the release of its evaluation; it passes that on to x_{i-1}, to the
+evaluations it combined, to the weight slots it names and, for wrapper rows,
+to R_i and S_i.  The wrapper factors come from the trace and their t-partials
+from ``wrapper_partials``, once per sweep.
 
 Clamped quantities (stage-time clamps, score-time offset clips) contribute
 zero gradient when saturated.
@@ -33,10 +32,9 @@ import dataclasses
 import numpy as np
 
 from .coeffs import SolverCoefficients
-from .errors import StateError
 from .grids import LearnableTimeParams, TimeGrid, grid_gradient_vjp, materialize
 from .schedules import NoiseSchedule
-from .solvers import SolveTrace, _evaluate, wrapper_factors, wrapper_partials
+from .solvers import SolveTrace, wrapper_partials
 
 
 @dataclasses.dataclass
@@ -66,15 +64,6 @@ def _release(model, prediction, schedule, x, t, e, terms, cot):
     xbar, tdot = model.pullback(schedule, x, t, terms, (-s / a) * cot)
     eps = (x - a * e) / s
     return xbar + cot / a, tdot - (ds * _dot(cot, eps) + da * _dot(cot, e)) / a
-
-
-def _rematerialize_cache(trace, coeffs, schedule, grid, model):
-    """(evaluations, kept terms), made again at the points the trace recorded."""
-    # evaluation m sits at the initial state (m = 0) or at step m's prediction
-    points = [trace.states[0]] + trace.pred_states[: trace.nfe_used - 1]
-    made = [_evaluate(model, coeffs, schedule, x, float(grid.score_times[m]))
-            for m, x in enumerate(points)]
-    return [e for e, _ in made], [kept for _, kept in made]
 
 
 def backward(
@@ -111,122 +100,56 @@ def backward(
     grad_values = np.zeros_like(coeffs.values)
     tbar = np.zeros(n + 1)
     tcbar = np.zeros(n + 1)
+    evals, times, R, S = trace.evals, trace.times, trace.R, trace.S
+    dR_p, dR_n, dS_p, dS_n = (
+        f.tolist() for f in wrapper_partials(schedule, grid.steps, coeffs.prediction))
+    if any(row.lam for rows in trace.rows for row in rows):
+        # stage times move with lambda: d lambda/dt at every evaluation, then every step
+        d_lam = schedule.d_lam(np.array(times + grid.steps.tolist())).tolist()
+    ebar = [np.zeros_like(xbar) for _ in evals]
+    m = len(evals)
 
-    if coeffs.kind == "ss":
-        if trace.stage_records is None:
-            raise StateError("single-step backward needs the trace's stage records")
-        xbar = _backward_ss(trace, coeffs, schedule, grid, model, xbar,
-                            grad_values, tbar, tcbar)
-    else:
-        cache, terms = trace.eps_cache, trace.eps_terms
-        if cache is None:
-            cache, terms = _rematerialize_cache(trace, coeffs, schedule, grid, model)
-        xbar = _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache, terms,
-                                   grad_values, tbar, tcbar)
+    for i in range(len(trace.rows) - 1, -1, -1):
+        rbar = sbar = 0.0
+        ybar, xprev_bar = xbar, None
+        for row in reversed(trace.rows[i]):
+            if row.at is not None:
+                m -= 1
+                zbar, tdot = _release(model, coeffs.prediction, schedule, trace.points[m],
+                                      times[m], evals[m], trace.terms[m], ebar[m])
+                ybar = zbar if ybar is None else ybar + zbar
+                if row.tc is not None:
+                    tcbar[row.tc] += tdot
+                if row.lam is not None:
+                    step, c = row.lam
+                    tdot *= 1.0 / d_lam[m]
+                    if c is not None:
+                        grad_values[c] += tdot
+                    tbar[step] += tdot * d_lam[len(times) + step]
+            dots = [_dot(ybar, evals[u]) for u in row.m]
+            if row.wrapper:
+                rbar += _dot(ybar, trace.states[i - 1])
+                sbar -= float(np.dot(row.w, dots))
+                scale, share = -S[i - 1], R[i - 1] * ybar
+            else:
+                scale, share = 1.0, ybar
+            g = scale * np.array(dots)
+            grad_values[row.slots] += g[:-1] - g[-1] if row.implied else g
+            for u, e in enumerate(row.m):
+                ebar[e] += (scale * row.w[u]) * ybar
+            xprev_bar = share if xprev_bar is None else xprev_bar + share
+            ybar = None
+        if i:
+            tbar[i] += rbar * dR_n[i - 1] + sbar * dS_n[i - 1]
+            tbar[i - 1] += rbar * dR_p[i - 1] + sbar * dS_p[i - 1]
+        if xprev_bar is not None:
+            xbar = xprev_bar
 
     result = AdjointResult(grad_coeffs=grad_values, grad_x0=xbar, grad_steps=tbar,
                            grad_score_times=tcbar, loss_value=loss_value)
     if params is not None:
         result.grad_xi, result.grad_xi_c = grid_gradient_vjp(params, schedule, tbar, tcbar)
     return result
-
-
-def _backward_multistep(trace, coeffs, schedule, grid, model, xbar, cache, terms,
-                        grad_values, tbar, tcbar):
-    n = coeffs.n_steps
-    ebar = [np.zeros_like(xbar) for _ in cache]
-    Rs, Ss = (f.tolist() for f in wrapper_factors(schedule, grid.steps, coeffs.prediction))
-    dR_p, dR_n, dS_p, dS_n = (
-        f.tolist() for f in wrapper_partials(schedule, grid.steps, coeffs.prediction))
-    score_times = grid.score_times.tolist()
-
-    def release(m, x):
-        """Cotangent on the point x where evaluation m was made."""
-        zbar, tdot = _release(model, coeffs.prediction, schedule, x, score_times[m],
-                              cache[m], terms[m], ebar[m])
-        tcbar[m] += tdot
-        return zbar
-
-    for i in range(n, 0, -1):
-        q = coeffs.q(i)
-        correct = coeffs.kind == "pc" and (i < n or trace.final_corrector)
-        R, S = Rs[i - 1], Ss[i - 1]
-        x_prev = trace.states[i - 1]
-        rbar = sbar = 0.0
-        pbar = xbar                      # the prediction is the state ...
-        if correct:                      # ... unless a corrector row replaces it
-            w = coeffs.corrector_weights(i)
-            pool = [i] + [i - 1 - j for j in range(q)]
-            dots = [_dot(xbar, cache[m]) for m in pool]
-            rbar += _dot(xbar, x_prev)
-            sbar -= float(np.dot(w, dots))
-            wbar = np.array([-S * d for d in dots])
-            # free weights; the oldest pool weight is 1 - sum(free)
-            grad_values[coeffs.corrector_slice(i)] += wbar[:-1] - wbar[-1]
-            for u, m in enumerate(pool):
-                ebar[m] += (-S * w[u]) * xbar
-        if i < len(cache):
-            # the evaluation made at step i lives at its prediction; release it now
-            zbar = release(i, trace.pred_states[i - 1])
-            pbar = zbar if correct else pbar + zbar
-        b_slice = coeffs.b_slice(i)
-        b = coeffs.values[b_slice]
-        dots = [_dot(pbar, cache[i - 1 - j]) for j in range(q)]
-        rbar += _dot(pbar, x_prev)
-        sbar -= float(np.dot(b, dots))
-        gb = grad_values[b_slice]
-        for j in range(q):
-            gb[j] += -S * dots[j]
-            ebar[i - 1 - j] += (-S * b[j]) * pbar
-        xprev_bar = R * pbar
-        if correct:
-            xprev_bar = R * xbar + xprev_bar
-        tbar[i] += rbar * dR_n[i - 1] + sbar * dS_n[i - 1]
-        tbar[i - 1] += rbar * dR_p[i - 1] + sbar * dS_p[i - 1]
-        xbar = xprev_bar
-    return xbar + release(0, trace.states[0])
-
-
-def _backward_ss(trace, coeffs, schedule, grid, model, xbar,
-                 grad_values, tbar, tcbar):
-    n, k = coeffs.n_steps, coeffs.order
-    Rs, Ss = wrapper_factors(schedule, grid.steps, coeffs.prediction)
-    dR_p, dR_n, dS_p, dS_n = wrapper_partials(schedule, grid.steps, coeffs.prediction)
-    stage_times = np.array([rec.stage_times for rec in trace.stage_records])
-    d_lam = schedule.d_lam(np.concatenate([stage_times.ravel(), grid.steps]))
-    d_lam_stages, d_lam_steps = d_lam[: n * k].reshape(n, k), d_lam[n * k :]
-    for i in range(n, 0, -1):
-        rec = trace.stage_records[i - 1]
-        b = coeffs.values[coeffs.ss_b_slice(i)]
-        amat = coeffs.ss_a_matrix(i)
-        R, S = Rs[i - 1], Ss[i - 1]
-        delta = sum(b[j] * rec.kappas[j] for j in range(k))
-        rbar, sbar = _dot(xbar, trace.states[i - 1]), -_dot(xbar, delta)
-        gb = grad_values[coeffs.ss_b_slice(i)]
-        kbar = []
-        for j in range(k):
-            gb[j] += -S * _dot(xbar, rec.kappas[j])
-            kbar.append((-S * b[j]) * xbar)
-        xprev_bar = R * xbar
-        ga = grad_values[coeffs.ss_a_slice(i)].reshape(k, max(k - 1, 0))
-        gc = grad_values[coeffs.ss_c_slice(i)]
-        for j in range(k - 1, -1, -1):
-            s_j = float(rec.stage_times[j])
-            zbar, tdot = _release(model, coeffs.prediction, schedule, rec.stage_x[j], s_j,
-                                  rec.kappas[j], rec.terms[j], kbar[j])
-            if not rec.clamped[j]:
-                ds_dlam = 1.0 / float(d_lam_stages[i - 1, j])
-                if j >= 1:
-                    gc[j - 1] += tdot * ds_dlam
-                tbar[i - 1] += tdot * ds_dlam * float(d_lam_steps[i - 1])
-            xprev_bar = xprev_bar + zbar
-            for l in range(j):
-                kbar[l] = kbar[l] + amat[j, l] * zbar
-                ga[j, l] += _dot(zbar, rec.kappas[l])
-        tbar[i] += rbar * dR_n[i - 1] + sbar * dS_n[i - 1]
-        tbar[i - 1] += rbar * dR_p[i - 1] + sbar * dS_p[i - 1]
-        xbar = xprev_bar
-    return xbar
 
 
 # ---------------------------------------------------------------------------

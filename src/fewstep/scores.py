@@ -19,9 +19,9 @@ it keeps: the responsibilities gamma and the projections mu_j.x, two
 ``(J, B)`` arrays.  ``pullback(schedule, x, t, terms, cot)`` turns them into
 the vjp and the time derivative contracted with ``cot``, recomputing only
 per-component constants and ``|x - alpha mu_j|^2``; it forms neither the
-``(B, d)`` time derivative nor its ``(B,J)@(J,d)`` product.  ``linearize`` is
-the two in a row.  The pullback is of eps only: the data-prediction chain
-rule is applied once, for every model, by :mod:`~fewstep.backprop`.
+``(B, d)`` time derivative nor its ``(B,J)@(J,d)`` product.  The pullback is
+of eps only: the data-prediction chain rule is applied once, for every model,
+by :mod:`~fewstep.backprop`.
 
 Shapes: ``x`` may be a single state ``(d,)`` or a batch ``(B, d)``; outputs
 match the input.
@@ -160,11 +160,6 @@ class GaussianMixtureScore:
         """Exact noise prediction -sigma_t * grad log p_t(x)."""
         return self.evaluate(schedule, x, t)[0]
 
-    def score(self, schedule: NoiseSchedule, x, t):
-        """grad_x log p_t(x) = -epsilon / sigma_t."""
-        t = schedule.check_time(t)
-        return -self.epsilon(schedule, x, t) / float(schedule.sigma(t))
-
     def data_prediction(self, schedule: NoiseSchedule, x, t):
         """Tweedie transform x_hat = (x - sigma_t eps) / alpha_t."""
         return self.evaluate(schedule, x, t, "data")[0]
@@ -200,8 +195,9 @@ class GaussianMixtureScore:
         return (xbar[0] if single else xbar), float(tdots.sum())
 
     def epsilon_vjp(self, schedule: NoiseSchedule, x, t, cotangent):
-        """(d eps / d x)^T cotangent, from the closed-form mixture Jacobian."""
-        return self.linearize(schedule, x, t, cotangent)[1]
+        """(d eps / d x)^T cotangent: :meth:`evaluate`, then :meth:`pullback` on its terms."""
+        x, cotangent = np.asarray(x, dtype=float), np.asarray(cotangent, dtype=float)
+        return self.pullback(schedule, x, t, self.evaluate(schedule, x, t)[1], cotangent)[0]
 
     def epsilon_time_partial(self, schedule: NoiseSchedule, x, t):
         """d eps / d t through (alpha_t, sigma_t)."""
@@ -215,17 +211,6 @@ class GaussianMixtureScore:
         coef = alpha * w if shift is None else alpha * w + sigma * shift * gamma
         out = w.sum(axis=0)[:, None] * x2 - coef.T @ self.means
         return out[0] if single else out
-
-    def linearize(self, schedule: NoiseSchedule, x, t, cot):
-        """``(eps, (d eps/d x)^T cot, cot . d eps/d t)`` at (x, t): :meth:`evaluate`
-        followed by :meth:`pullback` on its terms."""
-        x, cot = np.asarray(x, dtype=float), np.asarray(cot, dtype=float)
-        eps, terms = self.evaluate(schedule, x, t)
-        return (eps, *self.pullback(schedule, x, t, terms, cot))
-
-    def epsilon_fn(self, schedule: NoiseSchedule):
-        """Plain (x, t) -> eps callable, for integrators."""
-        return lambda x, t: self.epsilon(schedule, x, t)
 
 
 def default_mixture(dim: int = 2) -> GaussianMixtureScore:
@@ -248,7 +233,7 @@ def default_mixture(dim: int = 2) -> GaussianMixtureScore:
 
 class CountingScoreModel:
     """Wraps a score model and counts the rows of its evaluations (``epsilon``
-    and ``evaluate``), vjps, time partials, linearizations and pullbacks.
+    and ``evaluate``) and of its pullbacks.
 
     Used to assert NFE accounting and the evaluation budget of the reverse pass.
     """
@@ -259,9 +244,6 @@ class CountingScoreModel:
 
     def reset(self):
         self.n_epsilon = 0
-        self.n_vjp = 0
-        self.n_time_partial = 0
-        self.n_linearize = 0
         self.n_pullback = 0
 
     @property
@@ -280,28 +262,10 @@ class CountingScoreModel:
         self.n_epsilon += self._rows(x)
         return self.inner.evaluate(schedule, x, t, prediction)
 
-    def epsilon_vjp(self, schedule, x, t, cotangent):
-        self.n_vjp += self._rows(x)
-        return self.inner.epsilon_vjp(schedule, x, t, cotangent)
-
-    def epsilon_time_partial(self, schedule, x, t):
-        self.n_time_partial += self._rows(x)
-        return self.inner.epsilon_time_partial(schedule, x, t)
-
-    def linearize(self, schedule, x, t, cot):
-        self.n_linearize += self._rows(x)
-        return self.inner.linearize(schedule, x, t, cot)
-
     def pullback(self, schedule, x, t, terms, cot):
         self.n_pullback += self._rows(x)
         return self.inner.pullback(schedule, x, t, terms, cot)
 
-    # the transforms of epsilon call the counted methods, so each counts once
+    # goes through the counted evaluate, so it counts once
     def data_prediction(self, schedule, x, t):
         return GaussianMixtureScore.data_prediction(self, schedule, x, t)
-
-    def score(self, schedule, x, t):
-        return GaussianMixtureScore.score(self, schedule, x, t)
-
-    def epsilon_fn(self, schedule):
-        return lambda x, t: self.epsilon(schedule, x, t)

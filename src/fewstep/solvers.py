@@ -6,33 +6,43 @@ Every family shares the exponential-integrator wrapper
 
 with R_i = alpha_i/alpha_{i-1}, S_i = sigma_i (e^{h_i} - 1) for noise
 prediction and R_i = sigma_i/sigma_{i-1}, S_i = alpha_i (e^{-h_i} - 1) for
-data prediction, h_i the per-step log-SNR gap.  The increment is the
-coefficient-weighted combination of score evaluations defined by the family.
-Score evaluations happen at the grid's score times; wrapper factors always
-use the step times.  :func:`wrapper_factors` (and its t-partials,
+data prediction, h_i the per-step log-SNR gap.  Wrapper factors always use the
+step times.  :func:`wrapper_factors` (and its t-partials,
 :func:`wrapper_partials`, for the reverse pass) is the one place this formula
 lives; it answers for a whole grid at once, so a solve asks the schedule once
 per grid, not once per step.
 
-``lms`` and ``pc`` run one multistep loop: each step predicts with its
-multistep row and evaluates the model at the prediction; ``pc`` then
-applies its corrector row, while for ``lms`` the prediction is the state.
+One stepping core runs every family.  Each step is a short list of
+:class:`Row` s over x_{i-1} and the evaluations made so far, in one of two
+shapes:
 
-The trace keeps, for the reverse pass, every evaluation and the terms the
-model's ``evaluate`` returned with it (``eps_cache`` and ``eps_terms`` for
-``lms``/``pc``, ``StageRecord.terms`` for ``ss``); a model without
-``evaluate`` keeps no terms and is evaluated through ``epsilon`` or
-``data_prediction``.
+* a wrapper row ``R_i x_{i-1} - S_i sum_u w_u e_u``: the ``lms``/``pc``
+  predictor, the ``pc`` corrector and the ``ss`` update;
+* a stage row ``x_{i-1} + sum_u w_u e_u``: the ``ss`` stages, and the
+  evaluation at the initial state that opens ``lms``/``pc`` (step 0).
+
+A row may be evaluated at a time, which appends the next evaluation, and the
+last row of a step is its state.  The family builders (:func:`_multistep_rows`,
+:func:`_single_step_rows`) only write rows; :func:`solve` runs them, and
+:func:`fewstep.backprop.backward` runs them transposed.  A row also names where
+its gradients go: the slots of ``coeffs.values`` its weights occupy, and where
+the time derivative of its evaluation lands (a score time, or a stage's
+log-SNR offset ``c`` and the step start).
+
+The trace keeps, for the reverse pass, the rows, every evaluation with the
+terms the model's ``evaluate`` kept for it and the point and time it was made
+at, and the wrapper factors.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
 from .coeffs import SolverCoefficients
-from .errors import DivergenceError, StateError
+from .errors import DivergenceError
 from .grids import TimeGrid
 from .schedules import NoiseSchedule
 
@@ -61,122 +71,116 @@ def wrapper_partials(schedule: NoiseSchedule, steps: np.ndarray, prediction: str
             -s[1:] * e_h * dlam[:-1], ds[1:] * np.expm1(h) + s[1:] * e_h * dlam[1:])
 
 
-def _evaluate(model, coeffs, schedule, x, t, step_index=None):
-    """``(e, terms)``: the evaluation the family combines (eps, or x_hat for data
-    prediction) and the terms the model keeps for its pullback.
+class Row(NamedTuple):
+    """One row of a step: ``R_i x_{i-1} - S_i sum_u w[u] e_{m[u]}`` (``wrapper``)
+    or ``x_{i-1} + sum_u w[u] e_{m[u]}``, with e the evaluations in call order.
 
-    A model without ``evaluate`` keeps none (``terms`` is None); its pullback
-    must not need them.
+    The weight gradients go to ``coeffs.values[slots]``; with ``implied`` the
+    last weight is 1 - sum(the others) and owns no slot.  A row with ``at`` set
+    is evaluated there.  The time derivative of that evaluation goes to score
+    time ``tc``, or, for a stage at log-SNR lambda(t_{i-1}) + c, through
+    d lambda to ``lam = (i-1, slot of c or None)``; an unset target (a clamped
+    stage) takes none.
     """
-    evaluate = getattr(model, "evaluate", None)
+
+    wrapper: bool
+    w: list
+    m: range
+    slots: slice
+    implied: bool = False
+    at: float | None = None
+    tc: int | None = None
+    lam: tuple | None = None
+
+
+def _multistep_rows(coeffs: SolverCoefficients, grid: TimeGrid, final_corrector: bool):
+    """lms/pc: evaluation m sits at score time m.  Step i predicts from the q
+    most recent evaluations and evaluates the prediction (except at the last
+    step of lms); pc then corrects over [new, recent, ..., oldest]."""
+    n, score_times, values = coeffs.n_steps, grid.score_times.tolist(), coeffs.values.tolist()
+    steps = [[Row(False, [], range(0), slice(0, 0), at=score_times[0], tc=0)]]
+    for i in range(1, n + 1):
+        q, b_slice = coeffs.q(i), coeffs.b_slice(i)
+        correct = coeffs.kind == "pc" and (i < n or final_corrector)
+        evaluated = i < n or correct
+        rows = [Row(True, values[b_slice], range(i - 1, i - 1 - q, -1), b_slice,
+                    at=score_times[i] if evaluated else None, tc=i if evaluated else None)]
+        if correct:
+            rows.append(Row(True, coeffs.corrector_weights(i).tolist(),
+                            range(i, i - 1 - q, -1), coeffs.corrector_slice(i),
+                            implied=True))
+        steps.append(rows)
+    return steps
+
+
+def _single_step_rows(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
+                      diagnostics: list):
+    """ss: k stage rows at log-SNR offsets from the step start (stage 1 at the
+    start, stage j+1 at offset ``c``, clipped to the schedule's log-SNR range),
+    then the update row over the k stage evaluations."""
+    n, k = coeffs.n_steps, coeffs.order
+    offsets = np.array([coeffs.values[coeffs.ss_c_slice(i)] for i in range(1, n + 1)])
+    raw_lams = schedule.lam(grid.steps[:-1])[:, None] + np.concatenate(
+        [np.zeros((n, 1)), offsets], axis=1)
+    stage_lams = np.clip(raw_lams, *schedule.lambda_range())
+    clamped = stage_lams != raw_lams
+    for i, j in zip(*np.nonzero(clamped)):
+        diagnostics.append({"event": "stage_clamp", "step": int(i + 1), "stage": int(j + 1),
+                            "requested": float(raw_lams[i, j]), "used": float(stage_lams[i, j])})
+    stage_times, clamped = schedule.time_from_lambda(stage_lams).tolist(), clamped.tolist()
+    values, steps = coeffs.values.tolist(), [[]]
+    for i in range(1, n + 1):
+        base, a0, c0 = (i - 1) * k, coeffs.ss_a_slice(i).start, coeffs.ss_c_slice(i).start - 1
+        rows = []
+        for j in range(k):
+            a_row = slice(a0 + j * (k - 1), a0 + j * k)    # stage j mixes stages l < j
+            rows.append(Row(False, values[a_row], range(base, base + j), a_row,
+                            at=stage_times[i - 1][j],
+                            lam=None if clamped[i - 1][j] else (i - 1, c0 + j if j else None)))
+        b_slice = coeffs.ss_b_slice(i)
+        rows.append(Row(True, values[b_slice], range(base, base + k), b_slice))
+        steps.append(rows)
+    return steps
+
+
+def _evaluate(model, prediction, schedule, x, t, step_index):
+    """``(e, terms)``: the evaluation the family combines (eps, or x_hat for data
+    prediction) and the terms the model keeps for its pullback."""
     try:
         # divergence surfaces as a DivergenceError below, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            if evaluate is not None:
-                out, terms = evaluate(schedule, x, t, coeffs.prediction)
-            elif coeffs.prediction == "noise":
-                out, terms = model.epsilon(schedule, x, t), None
-            else:
-                out, terms = model.data_prediction(schedule, x, t), None
+            out, terms = model.evaluate(schedule, x, t, prediction)
     except FloatingPointError as exc:
         raise DivergenceError(f"score evaluation overflowed: {exc}",
                               step_index=step_index) from exc
-    if step_index is not None and not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(out)):
         raise DivergenceError("score evaluation returned non-finite values",
                               step_index=step_index)
     return out, terms
 
 
 @dataclasses.dataclass
-class StageRecord:
-    """Forward data of one single-step solve step, kept for the reverse pass."""
-
-    stage_x: list
-    kappas: list
-    terms: list                  # the model's kept terms of each stage evaluation
-    stage_times: np.ndarray
-    clamped: np.ndarray
-
-
-@dataclasses.dataclass
 class SolveTrace:
-    """Full trajectory of one solve, with enough cached data to run backward."""
+    """Full trajectory of one solve, with what the reverse pass needs."""
 
-    states: list
-    eps_cache: list | None       # lms/pc: every evaluation, in the order made
-    eps_terms: list | None       # lms/pc: the model's kept terms of each evaluation
-    pred_states: list | None     # lms/pc: each step's prediction (the lms state)
-    stage_records: list | None
-    nfe_used: int
+    states: list                 # x_0 .. x_N
+    rows: list                   # per step 0..N, the rows it ran
+    evals: list                  # every evaluation, in call order
+    terms: list                  # the model's kept terms of each evaluation
+    points: list                 # the point and the time each evaluation was made at
+    times: list
+    R: list                      # wrapper factors per step
+    S: list
     diagnostics: list
     kind: str
-    final_corrector: bool
 
     @property
     def terminal(self):
         return self.states[-1]
 
-
-def lms_step(coeffs: SolverCoefficients, R: np.ndarray, S: np.ndarray, i: int,
-             x_prev: np.ndarray, eps_history):
-    """Multistep update at step i; eps_history is most-recent-first.
-
-    R and S are the grid's wrapper factors (see :func:`wrapper_factors`).
-    """
-    q = coeffs.q(i)
-    if eps_history is None or len(eps_history) < q:
-        raise StateError(f"step {i} needs {q} cached evaluations, got "
-                         f"{0 if eps_history is None else len(eps_history)}")
-    b = coeffs.values[coeffs.b_slice(i)]
-    delta = sum(b[j] * eps_history[j] for j in range(q))
-    return R[i - 1] * x_prev - S[i - 1] * delta
-
-
-def _ss_stages(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid):
-    """Requested and clamped stage log-SNRs, clamp flags and stage times, each (n, k).
-
-    Row i-1 is step i: stage 1 sits at the step start, stage j+1 at the learned
-    offset ``c`` from it, clipped to the schedule's log-SNR range.
-    """
-    n = coeffs.n_steps
-    offsets = np.array([coeffs.values[coeffs.ss_c_slice(i)] for i in range(1, n + 1)])
-    raw_lams = schedule.lam(grid.steps[:-1])[:, None] + np.concatenate(
-        [np.zeros((n, 1)), offsets], axis=1)
-    stage_lams = np.clip(raw_lams, *schedule.lambda_range())
-    return raw_lams, stage_lams, stage_lams != raw_lams, schedule.time_from_lambda(stage_lams)
-
-
-def ss_step(coeffs: SolverCoefficients, schedule: NoiseSchedule, stages,
-            R: np.ndarray, S: np.ndarray, i: int, x_prev: np.ndarray, model,
-            diagnostics: list | None = None):
-    """Single-step update: k internal stages at learnable log-SNR offsets.
-
-    ``stages`` is the grid's stage table (``_ss_stages``) and R, S its wrapper
-    factors (see :func:`wrapper_factors`).
-    """
-    k = coeffs.order
-    raw_lams, stage_lams, clamped, stage_times = (table[i - 1] for table in stages)
-    if diagnostics is not None:
-        for j in np.nonzero(clamped)[0]:
-            diagnostics.append({"event": "stage_clamp", "step": i, "stage": int(j + 1),
-                                "requested": float(raw_lams[j]), "used": float(stage_lams[j])})
-    amat = coeffs.ss_a_matrix(i)
-    b = coeffs.values[coeffs.ss_b_slice(i)]
-
-    stage_x, kappas, terms = [], [], []
-    for j in range(k):
-        z = x_prev.copy()
-        for l in range(j):
-            z = z + amat[j, l] * kappas[l]
-        stage_x.append(z)
-        kappa, kept = _evaluate(model, coeffs, schedule, z, float(stage_times[j]),
-                                step_index=i)
-        kappas.append(kappa)
-        terms.append(kept)
-    delta = sum(b[j] * kappas[j] for j in range(k))
-    record = StageRecord(stage_x=stage_x, kappas=kappas, terms=terms,
-                         stage_times=stage_times, clamped=clamped)
-    return R[i - 1] * x_prev - S[i - 1] * delta, record
+    @property
+    def nfe_used(self) -> int:
+        return len(self.evals)
 
 
 def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
@@ -194,55 +198,33 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
     if not np.all(np.isfinite(x)):
         raise DivergenceError("initial state is not finite", step_index=0)
 
-    states = [x]
     diagnostics: list = []
-    nfe = 0
-    eps_cache: list | None = None
-    eps_terms: list | None = None
-    pred_states: list | None = None
-    stage_records: list | None = None
-    R, S = wrapper_factors(schedule, grid.steps, coeffs.prediction)
-
     if coeffs.kind == "ss":
-        stage_records = []
-        stages = _ss_stages(coeffs, schedule, grid)
-        for i in range(1, n + 1):
-            x, record = ss_step(coeffs, schedule, stages, R, S, i, x, model,
-                                diagnostics=diagnostics)
-            nfe += coeffs.order
-            stage_records.append(record)
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(f"state diverged at step {i}", step_index=i)
-            states.append(x)
+        step_rows = _single_step_rows(coeffs, schedule, grid, diagnostics)
     else:
-        eps, kept = _evaluate(model, coeffs, schedule, x, float(grid.score_times[0]),
-                              step_index=0)
-        eps_cache, eps_terms = [eps], [kept]
-        nfe += 1
-        pred_states = []
-        for i in range(1, n + 1):
-            q = coeffs.q(i)
-            pred = lms_step(coeffs, R, S, i, x, eps_cache[i - 1 :: -1][:q])
-            correct = coeffs.kind == "pc" and (i < n or final_corrector)
-            if i < n or correct:
-                # the evaluation at the prediction is the next cache entry
-                eps, kept = _evaluate(model, coeffs, schedule, pred,
-                                      float(grid.score_times[i]), step_index=i)
-                eps_cache.append(eps)
-                eps_terms.append(kept)
-                nfe += 1
-            if correct:
-                w = coeffs.corrector_weights(i)           # [new, recent, ..., oldest]
-                pool = eps_cache[i :: -1][: q + 1]
-                x = R[i - 1] * x - S[i - 1] * sum(w[u] * pool[u] for u in range(q + 1))
+        step_rows = _multistep_rows(coeffs, grid, final_corrector)
+    R, S = (f.tolist() for f in wrapper_factors(schedule, grid.steps, coeffs.prediction))
+    states, evals, terms, points, times = [], [], [], [], []
+    for i, rows in enumerate(step_rows):
+        x_prev = x
+        for row in rows:
+            w = row.w
+            if row.wrapper:
+                x = R[i - 1] * x_prev - S[i - 1] * sum(w[u] * evals[m]
+                                                       for u, m in enumerate(row.m))
             else:
-                x = pred
-            pred_states.append(pred)
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(f"state diverged at step {i}", step_index=i)
-            states.append(x)
+                x = x_prev
+                for u, m in enumerate(row.m):
+                    x = x + w[u] * evals[m]
+            if row.at is not None:
+                e, kept = _evaluate(model, coeffs.prediction, schedule, x, row.at, i)
+                evals.append(e)
+                terms.append(kept)
+                points.append(x)
+                times.append(row.at)
+        if i and not np.all(np.isfinite(x)):
+            raise DivergenceError(f"state diverged at step {i}", step_index=i)
+        states.append(x)
 
-    return SolveTrace(states=states, eps_cache=eps_cache, eps_terms=eps_terms,
-                      pred_states=pred_states,
-                      stage_records=stage_records, nfe_used=nfe, diagnostics=diagnostics,
-                      kind=coeffs.kind, final_corrector=final_corrector)
+    return SolveTrace(states=states, rows=step_rows, evals=evals, terms=terms, points=points,
+                      times=times, R=R, S=S, diagnostics=diagnostics, kind=coeffs.kind)

@@ -44,17 +44,12 @@ class ZeroModel:
     def epsilon(self, schedule, x, t):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def epsilon_vjp(self, schedule, x, t, cot):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def epsilon_time_partial(self, schedule, x, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def evaluate(self, schedule, x, t, prediction="noise"):
+        x = np.asarray(x, dtype=float)
+        return (np.zeros_like(x) if prediction == "noise" else x / float(schedule.alpha(t))), None
 
     def pullback(self, schedule, x, t, terms, cot):
         return np.zeros_like(np.asarray(x, dtype=float)), 0.0
-
-    def data_prediction(self, schedule, x, t):
-        return np.asarray(x, dtype=float) / float(schedule.alpha(t))
 
 
 @pytest.fixture

@@ -156,20 +156,11 @@ def test_tied_gradient_is_sum_of_untied_rows(ve, mixture, rng):
     assert np.allclose(shared, summed, rtol=1e-12)
 
 
-def _recompute_kept(trace, model, schedule, prediction):
-    """Drop the multistep cache, which backward then remakes; an ss trace keeps
-    no cache to drop, so remake its stage terms here at the recorded points."""
-    if trace.stage_records is None:
-        trace.eps_cache = trace.eps_terms = None
-    for rec in trace.stage_records or ():
-        rec.terms = [model.evaluate(schedule, z, float(s), prediction)[1]
-                     for z, s in zip(rec.stage_x, rec.stage_times)]
-
-
 class TestRematerialization:
-    def test_dropped_cache_reproduces_gradients(self, ve, mixture, rng):
+    def test_remade_evaluations_match_kept(self, ve, mixture, rng):
+        # the trace keeps each evaluation with the point and time it was made
+        # at, and the model's terms for it: remaking it there reproduces both
         grid = heuristic_grid(ve, 5, "logsnr")
-        params = LearnableTimeParams.from_grid(grid, ve)
         for (kind, preset, final_corrector), prediction in itertools.product(
                 [("lms", "ipndm", True), ("pc", "unipc", True), ("pc", "unipc", False),
                  ("ss", "gaussian", True)], ["noise", "data"]):
@@ -177,21 +168,16 @@ class TestRematerialization:
                                  prediction=prediction, seed=5)
             for x in (rng.standard_normal(2), rng.standard_normal((3, 2))):
                 trace = solve(coeffs, ve, grid, mixture, x, final_corrector=final_corrector)
-                cot = rng.standard_normal(x.shape)
-                kept = backward(trace, coeffs, ve, mixture, cot, grid=grid, params=params)
-                _recompute_kept(trace, mixture, ve, prediction)
-                recomputed = backward(trace, coeffs, ve, mixture, cot, grid=grid,
-                                      params=params)
-                for block in ("grad_coeffs", "grad_x0", "grad_steps", "grad_score_times",
-                              "grad_xi", "grad_xi_c"):
-                    assert np.array_equal(getattr(kept, block), getattr(recomputed, block)), \
-                        (kind, prediction, x.shape, block)
+                assert len(trace.points) == len(trace.times) == trace.nfe_used
+                for e, kept, point, t in zip(trace.evals, trace.terms, trace.points,
+                                             trace.times):
+                    remade, terms = mixture.evaluate(ve, point, t, prediction)
+                    assert np.array_equal(remade, e), (kind, prediction, x.shape)
+                    assert all(np.array_equal(u, v) for u, v in zip(terms, kept))
 
     def test_backward_evaluation_budget(self, ve, mixture, rng):
         # a kept trace holds each evaluation and the model's terms for it, so
-        # backward pulls each evaluation back once and evaluates nothing; with
-        # the cache dropped it recomputes the evaluations instead of storing
-        # them, within 2x the forward evaluation count
+        # backward pulls each evaluation back once and evaluates nothing
         grid = heuristic_grid(ve, 6, "logsnr")
         coeffs = init_preset("lms", 3, 6, "ipndm", schedule=ve, grid=grid)
         counted = CountingScoreModel(mixture)
@@ -200,16 +186,8 @@ class TestRematerialization:
         forward_evals = counted.n_epsilon
         counted.reset()
         backward(trace, coeffs, ve, counted, np.ones(2), grid=grid)
-        assert counted.n_epsilon == counted.n_linearize == 0
+        assert counted.n_epsilon == 0
         assert counted.n_pullback == forward_evals == 6
-        counted.reset()
-        trace.eps_cache = None
-        backward(trace, coeffs, ve, counted, np.ones(2), grid=grid)
-        assert counted.n_epsilon <= forward_evals
-        assert counted.n_epsilon + counted.n_vjp <= 2 * forward_evals
-        # one pullback (vjp and time derivative together) per released evaluation
-        assert counted.n_pullback == forward_evals == 6
-        assert counted.n_vjp == counted.n_time_partial == counted.n_linearize == 0
 
 
 def test_mismatched_trace_rejected(ve, mixture):

@@ -285,6 +285,20 @@ class TestSweep:
         assert redone["mean_error"] == first.rows[key]["mean_error"]
         assert table.rows[key]["mean_error"] == first.rows[key]["mean_error"]
 
+    def test_worker_count_does_not_change_results(self, tmp_path):
+        spec = SweepSpec(base=tiny_config(),
+                         schedules=[ScheduleSpec(kind="ve"), ScheduleSpec(kind="vp_linear")],
+                         solvers=[SolverSpec(kind="lms", order=3, preset="ipndm")],
+                         nfe_list=[4], modes=["baseline", "s4s"])
+        tables = []
+        for workers in (1, 2):
+            run_sweep(spec, tmp_path / f"workers{workers}", workers=workers)
+            with open(tmp_path / f"workers{workers}" / "results.csv") as fh:
+                tables.append([{c: row[c] for c in ("schedule", "mode") + ACCURACY_COLUMNS}
+                               for row in csv.DictReader(fh)])
+        assert len(tables[0]) == 4 and all(row["status"] == "ok" for row in tables[0])
+        assert tables[0] == tables[1]
+
     def test_formatted_table(self):
         table = ResultTable()
         table.add({"schedule": "ve", "solver": "lms", "nfe": 4, "mode": "baseline",

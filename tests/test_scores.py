@@ -202,6 +202,8 @@ def _wide_mixture():
 
 
 class TestLinearize:
+    """evaluate followed by pullback on its terms: eps, the vjp and the time derivative."""
+
     @pytest.mark.parametrize("schedule_name", ["ve", "vp", "edm"])
     @pytest.mark.parametrize("wide", [False, True], ids=["default", "d64j64"])
     @pytest.mark.parametrize("batch", [None, 5], ids=["single", "batched"])
@@ -213,13 +215,14 @@ class TestLinearize:
             t = float(rng.uniform(schedule.t_min, schedule.T))
             x = float(schedule.sigma(t)) * rng.uniform(0.5, 2.0) * rng.normal(size=shape)
             cot = rng.normal(size=shape)
-            eps, xbar, tdot = model.linearize(schedule, x, t, cot)
+            eps, terms = model.evaluate(schedule, x, t)
+            xbar, tdot = model.pullback(schedule, x, t, terms, cot)
             assert np.array_equal(eps, model.epsilon(schedule, x, t))
             assert np.array_equal(xbar, model.epsilon_vjp(schedule, x, t, cot))
             # relative to the scale of the dot product, which itself can cancel
-            terms = cot * model.epsilon_time_partial(schedule, x, t)
+            parts = cot * model.epsilon_time_partial(schedule, x, t)
             assert isinstance(tdot, float)
-            assert abs(tdot - np.sum(terms)) <= 1e-12 * np.sum(np.abs(terms))
+            assert abs(tdot - np.sum(parts)) <= 1e-12 * np.sum(np.abs(parts))
 
 
 def _oracle_points(schedule, model, rng, t):
@@ -259,7 +262,8 @@ class TestAgainstEinsumOracle:
             assert np.max(np.linalg.norm(x, axis=1)) > 0.9 * 1.4 * schedule.T
             cot = rng.normal(size=x.shape)
             eps, vjp, deps_dt = einsum_oracle(mixture, schedule, x, schedule.T, cot)
-            got_eps, got_vjp, tdot = mixture.linearize(schedule, x, schedule.T, cot)
+            got_eps, terms = mixture.evaluate(schedule, x, schedule.T)
+            got_vjp, tdot = mixture.pullback(schedule, x, schedule.T, terms, cot)
             assert _rel(got_eps, eps) <= 1e-12
             assert _rel(got_vjp, vjp) <= 1e-12
             assert abs(tdot - np.sum(cot * deps_dt)) <= 1e-12 * np.sum(np.abs(cot * deps_dt))
@@ -279,16 +283,17 @@ class TestDataPrediction:
 def test_counting_wrapper_tracks_calls(ve, mixture):
     counted = CountingScoreModel(mixture)
     counted.epsilon(ve, np.ones((3, 2)), 1.0)
-    counted.epsilon_vjp(ve, np.ones(2), 1.0, np.ones(2))
-    assert counted.n_epsilon == 3 and counted.n_vjp == 1
+    counted.data_prediction(ve, np.ones(2), 1.0)
+    assert counted.n_epsilon == 4 and counted.n_pullback == 0
     counted.reset()
     assert counted.n_epsilon == 0
 
 
-def test_counting_wrapper_counts_linearized_rows(ve, mixture):
+def test_counting_wrapper_counts_pullback_rows(ve, mixture):
     counted = CountingScoreModel(mixture)
-    eps, _, _ = counted.linearize(ve, np.ones((4, 2)), 1.0, np.ones((4, 2)))
-    counted.linearize(ve, np.ones(2), 1.0, np.ones(2))
-    assert counted.n_linearize == 5
-    assert counted.n_epsilon == counted.n_vjp == counted.n_time_partial == 0
-    assert np.array_equal(eps, mixture.epsilon(ve, np.ones((4, 2)), 1.0))
+    x = np.ones((4, 2))
+    eps, terms = counted.evaluate(ve, x, 1.0)
+    counted.pullback(ve, x, 1.0, terms, np.ones((4, 2)))
+    counted.pullback(ve, np.ones(2), 1.0, counted.evaluate(ve, np.ones(2), 1.0)[1], np.ones(2))
+    assert counted.n_pullback == 5 and counted.n_epsilon == 5
+    assert np.array_equal(eps, mixture.epsilon(ve, x, 1.0))

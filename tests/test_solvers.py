@@ -4,62 +4,64 @@ import numpy as np
 import pytest
 
 from fewstep.coeffs import SolverCoefficients, init_preset
-from fewstep.errors import DivergenceError, StateError
-from fewstep.grids import heuristic_grid
+from fewstep.errors import DivergenceError
+from fewstep.grids import TimeGrid, heuristic_grid
 from fewstep.schedules import VeSchedule, exact_step_integrand
 from fewstep.scores import CountingScoreModel
-from fewstep.solvers import _ss_stages, lms_step, solve, ss_step, wrapper_factors
+from fewstep.solvers import solve, wrapper_factors
 from fewstep.teachers import exact_gaussian_solution
+
+
+def _first_step(grid):
+    """The one-step grid of a grid's first step."""
+    return TimeGrid(steps=grid.steps[:2], score_times=grid.score_times[:2])
 
 
 class TestLmsStep:
     def test_first_order_is_exponential_euler(self, ve, mixture):
-        grid = heuristic_grid(ve, 4, "logsnr")
-        coeffs = SolverCoefficients(kind="lms", order=1, n_steps=4)
+        grid = _first_step(heuristic_grid(ve, 4, "logsnr"))
+        coeffs = SolverCoefficients(kind="lms", order=1, n_steps=1)
         coeffs.values[:] = 1.0
         x = np.array([1.0, -2.0])
         eps = mixture.epsilon(ve, x, float(grid.steps[0]))
-        out = lms_step(coeffs, *wrapper_factors(ve, grid.steps, "noise"), 1, x, [eps])
+        out = solve(coeffs, ve, grid, mixture, x).terminal
         t0, t1 = grid.steps[0], grid.steps[1]
         h = float(ve.lam(t1) - ve.lam(t0))
         expected = (float(ve.alpha(t1) / ve.alpha(t0)) * x
                     - float(ve.sigma(t1)) * math.expm1(h) * eps)
         assert np.allclose(out, expected, rtol=1e-14)
 
-    def test_zero_coefficients_rescale_only(self, ve, mixture):
-        grid = heuristic_grid(ve, 4, "logsnr")
-        coeffs = SolverCoefficients(kind="lms", order=2, n_steps=4)
+    def test_zero_coefficients_rescale_only(self, vp, mixture):
+        grid = heuristic_grid(vp, 2, "logsnr")
+        coeffs = SolverCoefficients(kind="lms", order=2, n_steps=2)
         x = np.array([0.5, 0.25])
-        eps = mixture.epsilon(ve, x, float(grid.steps[0]))
-        out = lms_step(coeffs, *wrapper_factors(ve, grid.steps, "noise"), 1, x, [eps])
-        assert np.allclose(out, float(ve.alpha(grid.steps[1]) / ve.alpha(grid.steps[0])) * x)
-
-    def test_empty_history_raises(self, ve):
-        grid = heuristic_grid(ve, 4, "logsnr")
-        coeffs = SolverCoefficients(kind="lms", order=2, n_steps=4)
-        with pytest.raises(StateError):
-            lms_step(coeffs, *wrapper_factors(ve, grid.steps, "noise"), 2, np.zeros(2), [])
+        states = solve(coeffs, vp, grid, mixture, x).states
+        for t, state in zip(grid.steps[1:], states[1:]):
+            assert np.allclose(state, float(vp.alpha(t) / vp.alpha(grid.steps[0])) * x)
 
     def test_classical_two_step_row_has_third_order_local_error(self, ve, gauss):
         # one step with (3/2, -1/2) against the quadrature reference; halving h
-        # divides the defect by ~8
+        # divides the defect by ~8.  The first step's weight is the one that
+        # lands on the exact flow: for an isotropic Gaussian eps is parallel
+        # to x, so the second step starts from the exact state and history
         def local_error(h):
-            from fewstep.grids import TimeGrid
-
             lam1 = float(ve.lam(2.0))
             lams = np.array([lam1 - h, lam1, lam1 + h])
             times = np.array([ve.time_from_lambda(l) for l in lams])
-            x1 = exact_gaussian_solution(ve, gauss, np.array([8.0, -3.0]), t_end=times[1])
+            x0, x1 = (exact_gaussian_solution(ve, gauss, np.array([8.0, -3.0]), t_end=t)
+                      for t in times[:2])
             ref = exact_step_integrand(ve, x1, times[1], times[2],
                                        lambda s, t: gauss.epsilon(ve, s, t))
-            eps_hist = [gauss.epsilon(ve, exact_gaussian_solution(
-                ve, gauss, np.array([8.0, -3.0]), t_end=times[1 - j]), times[1 - j])
-                for j in range(2)]
-            coeffs = SolverCoefficients(kind="lms", order=2, n_steps=2)
-            coeffs.values[coeffs.b_slice(2)] = [1.5, -0.5]
             g = TimeGrid(steps=times, score_times=times.copy())
-            out = lms_step(coeffs, *wrapper_factors(ve, g.steps, "noise"), 2, x1, eps_hist)
-            return np.linalg.norm(out - ref)
+            R, S = wrapper_factors(ve, g.steps, "noise")
+            eps0 = gauss.epsilon(ve, x0, times[0])
+            coeffs = SolverCoefficients(kind="lms", order=2, n_steps=2)
+            coeffs.values[coeffs.b_slice(1)] = np.dot(R[0] * x0 - x1, eps0) / (
+                S[0] * np.dot(eps0, eps0))
+            coeffs.values[coeffs.b_slice(2)] = [1.5, -0.5]
+            states = solve(coeffs, ve, g, gauss, x0).states
+            assert np.linalg.norm(states[1] - x1) <= 1e-13 * np.linalg.norm(x1)
+            return np.linalg.norm(states[2] - ref)
 
         ratio = local_error(0.2) / local_error(0.1)
         assert 6.5 <= ratio <= 9.5
@@ -67,16 +69,14 @@ class TestLmsStep:
 
 class TestSingleStep:
     def test_order_one_degenerates_to_lms(self, ve, mixture):
-        grid = heuristic_grid(ve, 4, "logsnr")
-        ss = SolverCoefficients(kind="ss", order=1, n_steps=4)
+        grid = _first_step(heuristic_grid(ve, 4, "logsnr"))
+        ss = SolverCoefficients(kind="ss", order=1, n_steps=1)
         ss.values[ss.ss_b_slice(1)] = [0.8]
-        lms = SolverCoefficients(kind="lms", order=1, n_steps=4)
+        lms = SolverCoefficients(kind="lms", order=1, n_steps=1)
         lms.values[lms.b_slice(1)] = [0.8]
         x = np.array([1.0, 1.0])
-        eps = mixture.epsilon(ve, x, float(grid.steps[0]))
-        R, S = wrapper_factors(ve, grid.steps, "noise")
-        out_ss, _ = ss_step(ss, ve, _ss_stages(ss, ve, grid), R, S, 1, x, mixture)
-        out_lms = lms_step(lms, R, S, 1, x, [eps])
+        out_ss = solve(ss, ve, grid, mixture, x).terminal
+        out_lms = solve(lms, ve, grid, mixture, x).terminal
         assert np.allclose(out_ss, out_lms, rtol=1e-14)
 
     def test_midpoint_preset_matches_handcoded_reference(self, ve, mixture):
@@ -218,11 +218,10 @@ class TestDataPrediction:
         class RescaleModel:
             dim = 2
 
-            def epsilon(self, schedule, x, t):
-                return np.asarray(x, dtype=float) / float(schedule.sigma(t))
-
-            def data_prediction(self, schedule, x, t):
-                return np.zeros_like(np.asarray(x, dtype=float))
+            def evaluate(self, schedule, x, t, prediction="noise"):
+                x = np.asarray(x, dtype=float)
+                return (x / float(schedule.sigma(t)) if prediction == "noise"
+                        else np.zeros_like(x)), None
 
         grid = heuristic_grid(ve, 5, "logsnr")
         coeffs = SolverCoefficients(kind="lms", order=2, n_steps=5, prediction="data")
