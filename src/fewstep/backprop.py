@@ -5,11 +5,12 @@ backwards and return cotangents for the coefficient vector, the time
 parameters (through the schedule's analytic derivatives and the grid
 parametrization), and the initial state.
 
-The trace holds every score evaluation, the point it was made at and the
-terms the model kept for it (for the mixture score, two ``(J, B)`` arrays per
+The trace holds every score evaluation, the point it was made at, its
+schedule lookup ``at`` = (alpha, sigma, alpha', sigma') and the terms the
+model kept for it (for the mixture score, two ``(J, B)`` arrays per
 evaluation), so nothing is evaluated again.  Each evaluation is released once,
-through the model's ``pullback(schedule, x, t, terms, cot)``, which returns the
-vjp of eps and its time derivative contracted with the cotangent; for data
+through the model's ``pullback(at, x, terms, cot)``, which returns the vjp of
+eps and its time derivative contracted with the cotangent; for data
 prediction, ``_release`` wraps it in the chain rule of x_hat = (x - sigma eps)
 / alpha, with eps read back from the kept x_hat, for every model alike.
 
@@ -18,8 +19,9 @@ and each step's rows (see :mod:`~fewstep.solvers`) in reverse.  A row's
 cotangent is the state's cotangent (the last row) plus, if it was evaluated,
 the release of its evaluation; it passes that on to x_{i-1}, to the
 evaluations it combined, to the weight slots it names and, for wrapper rows,
-to R_i and S_i.  The wrapper factors come from the trace and their t-partials
-from ``wrapper_partials``, once per sweep.
+to R_i and S_i.  The wrapper factors, their t-partials and d lambda/dt at the
+steps come from the grid's :class:`~fewstep.solvers.GridTable`, so a sweep
+over a grid whose table exists asks the schedule nothing.
 
 Clamped quantities (stage-time clamps, score-time offset clips) contribute
 zero gradient when saturated.
@@ -34,7 +36,7 @@ import numpy as np
 from .coeffs import SolverCoefficients
 from .grids import LearnableTimeParams, TimeGrid, grid_gradient_vjp, materialize
 from .schedules import NoiseSchedule
-from .solvers import SolveTrace, wrapper_partials
+from .solvers import GridTable, SolveTrace
 
 
 @dataclasses.dataclass
@@ -54,14 +56,13 @@ def _dot(a, b) -> float:
     return float((a * b).sum())
 
 
-def _release(model, prediction, schedule, x, t, e, terms, cot):
-    """(cotangent on x, cot . d(evaluation)/dt) of the evaluation e made at (x, t)."""
+def _release(model, prediction, at, x, e, terms, cot):
+    """(cotangent on x, cot . d(evaluation)/dt) of the evaluation e made at (at, x)."""
     if prediction == "noise":
-        return model.pullback(schedule, x, t, terms, cot)
+        return model.pullback(at, x, terms, cot)
     # e = x_hat = (x - sigma eps) / alpha, linear in eps
-    a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
-    da, ds = float(schedule.d_alpha(t)), float(schedule.d_sigma(t))
-    xbar, tdot = model.pullback(schedule, x, t, terms, (-s / a) * cot)
+    a, s, da, ds = at
+    xbar, tdot = model.pullback(at, x, terms, (-s / a) * cot)
     eps = (x - a * e) / s
     return xbar + cot / a, tdot - (ds * _dot(cot, eps) + da * _dot(cot, e)) / a
 
@@ -100,12 +101,9 @@ def backward(
     grad_values = np.zeros_like(coeffs.values)
     tbar = np.zeros(n + 1)
     tcbar = np.zeros(n + 1)
-    evals, times, R, S = trace.evals, trace.times, trace.R, trace.S
-    dR_p, dR_n, dS_p, dS_n = (
-        f.tolist() for f in wrapper_partials(schedule, grid.steps, coeffs.prediction))
-    if any(row.lam for rows in trace.rows for row in rows):
-        # stage times move with lambda: d lambda/dt at every evaluation, then every step
-        d_lam = schedule.d_lam(np.array(times + grid.steps.tolist())).tolist()
+    table = GridTable.of(schedule, grid, coeffs.prediction)
+    evals, R, S = trace.evals, table.R, table.S
+    dR_p, dR_n, dS_p, dS_n = table.partials
     ebar = [np.zeros_like(xbar) for _ in evals]
     m = len(evals)
 
@@ -115,17 +113,19 @@ def backward(
         for row in reversed(trace.rows[i]):
             if row.at is not None:
                 m -= 1
-                zbar, tdot = _release(model, coeffs.prediction, schedule, trace.points[m],
-                                      times[m], evals[m], trace.terms[m], ebar[m])
+                zbar, tdot = _release(model, coeffs.prediction, row.at, trace.points[m],
+                                      evals[m], trace.terms[m], ebar[m])
                 ybar = zbar if ybar is None else ybar + zbar
                 if row.tc is not None:
                     tcbar[row.tc] += tdot
                 if row.lam is not None:
+                    # the stage time moves with lambda
+                    a, s, da, ds = row.at
                     step, c = row.lam
-                    tdot *= 1.0 / d_lam[m]
+                    tdot *= 1.0 / (da / a - ds / s)
                     if c is not None:
                         grad_values[c] += tdot
-                    tbar[step] += tdot * d_lam[len(times) + step]
+                    tbar[step] += tdot * table.log_snr[1][step]
             dots = [_dot(ybar, evals[u]) for u in row.m]
             if row.wrapper:
                 rbar += _dot(ybar, trace.states[i - 1])

@@ -22,12 +22,15 @@ GRID_KINDS = ("uniform", "quadratic", "edm", "logsnr")
 
 @dataclasses.dataclass(frozen=True)
 class TimeGrid:
+    """Step and score times, as read-only copies, so the solver's schedule
+    tables the grid keeps in ``tables`` cannot go stale."""
+
     steps: np.ndarray
     score_times: np.ndarray
 
     def __post_init__(self):
-        steps = np.asarray(self.steps, dtype=float)
-        score = np.asarray(self.score_times, dtype=float)
+        steps = np.array(self.steps, dtype=float)
+        score = np.array(self.score_times, dtype=float)
         if steps.ndim != 1 or steps.shape != score.shape:
             raise ValueError("steps and score_times must be 1-d and congruent")
         if not np.all(np.diff(steps) < 0):
@@ -36,8 +39,10 @@ class TimeGrid:
             raise ValueError("score times must be finite")
         if score[0] != steps[0] or score[-1] != steps[-1]:
             raise ValueError("score times must pin both endpoints")
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "score_times", score)
+        for name, owned in (("steps", steps), ("score_times", score)):
+            owned.flags.writeable = False
+            object.__setattr__(self, name, owned)
+        object.__setattr__(self, "tables", {})
 
     @property
     def n_steps(self) -> int:
@@ -73,7 +78,7 @@ def heuristic_grid(schedule: NoiseSchedule, n_steps: int, kind: str, rho: float 
     else:
         raise ValueError(f"unknown grid kind {kind!r}; expected one of {GRID_KINDS}")
     steps[0], steps[-1] = T, eps
-    return TimeGrid(steps=steps, score_times=steps.copy())
+    return TimeGrid(steps=steps, score_times=steps)
 
 
 @dataclasses.dataclass

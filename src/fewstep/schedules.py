@@ -31,7 +31,8 @@ _PHI_SERIES_TERMS = 10
 @dataclasses.dataclass(frozen=True)
 class NoiseSchedule:
     """Base class; concrete kinds implement ``alpha/sigma``, their t-derivatives,
-    and ``_time_from_lambda``, the closed-form inverse of ``lam``."""
+    ``at`` (all four in one lookup) and ``_time_from_lambda``, the closed-form
+    inverse of ``lam``."""
 
     T: float = 1.0
     t_min: float = 1e-3
@@ -44,6 +45,8 @@ class NoiseSchedule:
             object.__setattr__(self, "tilde_sigma", self._default_tilde_sigma())
         if self.tilde_sigma <= 0.0:
             raise DomainError(f"tilde_sigma must be positive, got {self.tilde_sigma}")
+        lam_range = float(self.lam(self.T)), float(self.lam(self.t_min))
+        object.__setattr__(self, "_lam_range", lam_range)
 
     # -- schedule-specific primitives ------------------------------------
     def alpha(self, t):
@@ -58,6 +61,11 @@ class NoiseSchedule:
 
     def d_sigma(self, t):
         """dsigma/dt."""
+        raise NotImplementedError
+
+    def at(self, t):
+        """(alpha, sigma, d_alpha, d_sigma), bit-equal to those four methods, at t
+        as :meth:`check_time` returns it: floats for a scalar, else arrays."""
         raise NotImplementedError
 
     def _default_tilde_sigma(self) -> float:
@@ -98,18 +106,13 @@ class NoiseSchedule:
             raise DomainError(f"time {t} outside schedule domain [{lo}, {hi}]")
         return np.clip(t, lo, hi)
 
-    def alpha_sigma_lambda(self, t):
-        """Return (alpha_t, sigma_t, lambda_t); raises DomainError off-domain."""
-        t = self.check_time(t)
-        return self.alpha(t), self.sigma(t), self.lam(t)
-
     def lambda_range(self):
-        """(lam(T), lam(t_min)) — the increasing span traversed by reverse solves."""
-        return float(self.lam(self.T)), float(self.lam(self.t_min))
+        """(lam(T), lam(t_min)), computed once: the increasing span reverse solves traverse."""
+        return self._lam_range
 
     def time_from_lambda(self, lam):
         """Invert lam(t) in closed form: a float for a scalar, an array for an array."""
-        lam_lo, lam_hi = self.lambda_range()
+        lam_lo, lam_hi = self._lam_range
         lam = np.asarray(lam, dtype=float)
         slack = 1e-9 * (lam_hi - lam_lo)
         if np.any(lam < lam_lo - slack) or np.any(lam > lam_hi + slack):
@@ -153,6 +156,13 @@ class VpLinearSchedule(NoiseSchedule):
         a = self.alpha(t)
         return 0.5 * self.beta(t) * a * a / self.sigma(t)
 
+    def at(self, t):
+        t = self.check_time(t)
+        log_alpha = self._log_alpha(t)
+        a, s, beta = np.exp(log_alpha), np.sqrt(-np.expm1(2.0 * log_alpha)), self.beta(t)
+        out = a, s, -0.5 * beta * a, 0.5 * beta * a * a / s
+        return tuple(map(float, out)) if isinstance(t, float) else out
+
     def _time_from_lambda(self, lam):
         # alpha^2 = sigmoid(2 lam), so c = -log(alpha) = a t^2 + b t; take the
         # positive root in the form that does not cancel (and allows b = 0)
@@ -183,6 +193,12 @@ class VeSchedule(NoiseSchedule):
 
     def d_sigma(self, t):
         return np.ones(np.shape(t))
+
+    def at(self, t):
+        t = self.check_time(t)
+        if isinstance(t, float):
+            return 1.0, t, 0.0, 1.0
+        return np.ones(t.shape), t, np.zeros(t.shape), np.ones(t.shape)
 
     def _time_from_lambda(self, lam):
         return np.exp(-lam)

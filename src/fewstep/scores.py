@@ -13,10 +13,14 @@ The kernel never forms a (B, J, d) array: with isotropic components,
 and its time derivative need is a per-component ``(J, B)`` term or a
 ``(B,J)@(J,d)`` product.
 
+The model makes no schedule call: every method takes ``at``, the lookup
+``(alpha_t, sigma_t, d alpha/dt, d sigma/dt)`` of the evaluation time that
+:meth:`~fewstep.schedules.NoiseSchedule.at` returns.
+
 One kernel, ``_parts``, serves the forward and the reverse pass.
-``evaluate(schedule, x, t)`` returns the evaluation together with the terms
-it keeps: the responsibilities gamma and the projections mu_j.x, two
-``(J, B)`` arrays.  ``pullback(schedule, x, t, terms, cot)`` turns them into
+``evaluate(at, x)`` returns the evaluation together with the terms it keeps:
+the responsibilities gamma and the projections mu_j.x, two ``(J, B)``
+arrays.  ``pullback(at, x, terms, cot)`` turns them into
 the vjp and the time derivative contracted with ``cot``, recomputing only
 per-component constants and ``|x - alpha mu_j|^2``; it forms neither the
 ``(B, d)`` time derivative nor its ``(B,J)@(J,d)`` product.  The pullback is
@@ -32,8 +36,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-
-from .schedules import NoiseSchedule
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -142,13 +144,12 @@ class GaussianMixtureScore:
         return v, shift, d_sigma + sigma * (dln - (gamma * dln).sum(axis=0) - rate)
 
     # -- forward -------------------------------------------------------------
-    def evaluate(self, schedule: NoiseSchedule, x, t, prediction: str = "noise"):
+    def evaluate(self, at, x, prediction: str = "noise"):
         """``(e, terms)``: the evaluation e -- eps, or the data prediction x_hat for
         ``prediction="data"`` -- and the kept terms (gamma, mu.x), two (J, B) arrays
         from which :meth:`pullback` differentiates eps without re-running the kernel."""
-        t = schedule.check_time(t)
         x2, single = self._prepare(x)
-        alpha, sigma = float(schedule.alpha(t)), float(schedule.sigma(t))
+        alpha, sigma = at[0], at[1]
         ubar, gamma, xm = self._parts(x2, alpha, sigma)
         out = sigma * ubar
         if prediction == "data":
@@ -156,32 +157,30 @@ class GaussianMixtureScore:
             out = (x2 - sigma * out) / alpha
         return (out[0] if single else out), (gamma, xm)
 
-    def epsilon(self, schedule: NoiseSchedule, x, t):
+    def epsilon(self, at, x):
         """Exact noise prediction -sigma_t * grad log p_t(x)."""
-        return self.evaluate(schedule, x, t)[0]
+        return self.evaluate(at, x)[0]
 
-    def data_prediction(self, schedule: NoiseSchedule, x, t):
+    def data_prediction(self, at, x):
         """Tweedie transform x_hat = (x - sigma_t eps) / alpha_t."""
-        return self.evaluate(schedule, x, t, "data")[0]
+        return self.evaluate(at, x, "data")[0]
 
     # -- derivatives -----------------------------------------------------------
-    def pullback(self, schedule: NoiseSchedule, x, t, terms, cot):
+    def pullback(self, at, x, terms, cot):
         """``((d eps/d x)^T cot, cot . d eps/d t)`` at the float arrays x and cot of
         one shape; the second is a float summed over the batch.
 
-        ``terms`` are the ones :meth:`evaluate` returned at (x, t), so x is not
+        ``terms`` are the ones :meth:`evaluate` returned at (at, x), so x is not
         checked again and the kernel does not run.  d eps/d x = sigma [sum_j
         gamma_j/v_j I - sum_j gamma_j (u_j - ubar) u_j^T] is applied without
         forming it, and the time derivative is contracted with cot before it is
         formed: both need only the per-component dots x.cot and mu_j.cot.
         """
-        t = schedule.check_time(t)
-        alpha, sigma = float(schedule.alpha(t)), float(schedule.sigma(t))
+        alpha, sigma, d_alpha, d_sigma = at
         gamma, xm = terms
         single = x.ndim == 1
         x2, cot2 = (x[None, :], cot[None, :]) if single else (x, cot)
-        v, shift, f = self._slopes(x2, alpha, sigma, float(schedule.d_alpha(t)),
-                                   float(schedule.d_sigma(t)), gamma, xm)
+        v, shift, f = self._slopes(x2, alpha, sigma, d_alpha, d_sigma, gamma, xm)
         mc = self.means @ cot2.T
         dots = (np.einsum("bd,bd->b", x2, cot2) - alpha * mc) / v      # u_j . cot
         g = gamma / v
@@ -194,19 +193,17 @@ class GaussianMixtureScore:
             tdots -= (sigma * shift) * gamma * mc
         return (xbar[0] if single else xbar), float(tdots.sum())
 
-    def epsilon_vjp(self, schedule: NoiseSchedule, x, t, cotangent):
+    def epsilon_vjp(self, at, x, cotangent):
         """(d eps / d x)^T cotangent: :meth:`evaluate`, then :meth:`pullback` on its terms."""
         x, cotangent = np.asarray(x, dtype=float), np.asarray(cotangent, dtype=float)
-        return self.pullback(schedule, x, t, self.evaluate(schedule, x, t)[1], cotangent)[0]
+        return self.pullback(at, x, self.evaluate(at, x)[1], cotangent)[0]
 
-    def epsilon_time_partial(self, schedule: NoiseSchedule, x, t):
+    def epsilon_time_partial(self, at, x):
         """d eps / d t through (alpha_t, sigma_t)."""
-        t = schedule.check_time(t)
         x2, single = self._prepare(x)
-        alpha, sigma = float(schedule.alpha(t)), float(schedule.sigma(t))
+        alpha, sigma, d_alpha, d_sigma = at
         _, gamma, xm = self._parts(x2, alpha, sigma)
-        v, shift, f = self._slopes(x2, alpha, sigma, float(schedule.d_alpha(t)),
-                                   float(schedule.d_sigma(t)), gamma, xm)
+        v, shift, f = self._slopes(x2, alpha, sigma, d_alpha, d_sigma, gamma, xm)
         w = gamma * f / v
         coef = alpha * w if shift is None else alpha * w + sigma * shift * gamma
         out = w.sum(axis=0)[:, None] * x2 - coef.T @ self.means
@@ -254,18 +251,18 @@ class CountingScoreModel:
     def _rows(x):
         return np.atleast_2d(np.asarray(x)).shape[0]
 
-    def epsilon(self, schedule, x, t):
+    def epsilon(self, at, x):
         self.n_epsilon += self._rows(x)
-        return self.inner.epsilon(schedule, x, t)
+        return self.inner.epsilon(at, x)
 
-    def evaluate(self, schedule, x, t, prediction="noise"):
+    def evaluate(self, at, x, prediction="noise"):
         self.n_epsilon += self._rows(x)
-        return self.inner.evaluate(schedule, x, t, prediction)
+        return self.inner.evaluate(at, x, prediction)
 
-    def pullback(self, schedule, x, t, terms, cot):
+    def pullback(self, at, x, terms, cot):
         self.n_pullback += self._rows(x)
-        return self.inner.pullback(schedule, x, t, terms, cot)
+        return self.inner.pullback(at, x, terms, cot)
 
     # goes through the counted evaluate, so it counts once
-    def data_prediction(self, schedule, x, t):
-        return GaussianMixtureScore.data_prediction(self, schedule, x, t)
+    def data_prediction(self, at, x):
+        return GaussianMixtureScore.data_prediction(self, at, x)

@@ -9,8 +9,10 @@ prediction and R_i = sigma_i/sigma_{i-1}, S_i = alpha_i (e^{-h_i} - 1) for
 data prediction, h_i the per-step log-SNR gap.  Wrapper factors always use the
 step times.  :func:`wrapper_factors` (and its t-partials,
 :func:`wrapper_partials`, for the reverse pass) is the one place this formula
-lives; it answers for a whole grid at once, so a solve asks the schedule once
-per grid, not once per step.
+lives.  Each grid keeps a :class:`GridTable` per (schedule, prediction), so
+solves and reverse passes over one grid look the schedule up once; an ``ss``
+solve adds one array lookup for its stage times, which move with its
+coefficients.
 
 One stepping core runs every family.  Each step is a short list of
 :class:`Row` s over x_{i-1} and the evaluations made so far, in one of two
@@ -29,14 +31,15 @@ its gradients go: the slots of ``coeffs.values`` its weights occupy, and where
 the time derivative of its evaluation lands (a score time, or a stage's
 log-SNR offset ``c`` and the step start).
 
-The trace keeps, for the reverse pass, the rows, every evaluation with the
-terms the model's ``evaluate`` kept for it and the point and time it was made
-at, and the wrapper factors.
+The trace keeps, for the reverse pass, the rows (with the lookup of every
+evaluation) and every evaluation with the terms the model's ``evaluate`` kept
+for it and the point it was made at.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -71,14 +74,42 @@ def wrapper_partials(schedule: NoiseSchedule, steps: np.ndarray, prediction: str
             -s[1:] * e_h * dlam[:-1], ds[1:] * np.expm1(h) + s[1:] * e_h * dlam[1:])
 
 
+class GridTable:
+    """What solves on one grid read of the schedule: the wrapper factors ``R``, ``S``,
+    the lookup ``at`` of every score time and, on first use, ``partials`` (of
+    :func:`wrapper_partials`) and ``log_snr``, lambda and d lambda/dt at the steps."""
+
+    def __init__(self, schedule: NoiseSchedule, grid: TimeGrid, prediction: str):
+        self.schedule, self.steps, self.prediction = schedule, grid.steps, prediction
+        self.R, self.S = (f.tolist() for f in wrapper_factors(schedule, grid.steps, prediction))
+        self.at = list(zip(*(v.tolist() for v in schedule.at(grid.score_times))))
+
+    @classmethod
+    def of(cls, schedule: NoiseSchedule, grid: TimeGrid, prediction: str) -> "GridTable":
+        """The grid's table for (schedule, prediction), made on first use."""
+        key = (schedule, prediction)
+        if key not in grid.tables:
+            grid.tables[key] = cls(schedule, grid, prediction)
+        return grid.tables[key]
+
+    @functools.cached_property
+    def partials(self):
+        return [f.tolist() for f in wrapper_partials(self.schedule, self.steps, self.prediction)]
+
+    @functools.cached_property
+    def log_snr(self):
+        a, s, da, ds = self.schedule.at(self.steps)
+        return np.log(a) - np.log(s), (da / a - ds / s).tolist()
+
+
 class Row(NamedTuple):
     """One row of a step: ``R_i x_{i-1} - S_i sum_u w[u] e_{m[u]}`` (``wrapper``)
     or ``x_{i-1} + sum_u w[u] e_{m[u]}``, with e the evaluations in call order.
 
     The weight gradients go to ``coeffs.values[slots]``; with ``implied`` the
-    last weight is 1 - sum(the others) and owns no slot.  A row with ``at`` set
-    is evaluated there.  The time derivative of that evaluation goes to score
-    time ``tc``, or, for a stage at log-SNR lambda(t_{i-1}) + c, through
+    last weight is 1 - sum(the others) and owns no slot.  A row with ``at``, the
+    schedule lookup of a time, is evaluated there.  The time derivative of that
+    evaluation goes to score time ``tc``, or, for a stage at log-SNR lambda(t_{i-1}) + c, through
     d lambda to ``lam = (i-1, slot of c or None)``; an unset target (a clamped
     stage) takes none.
     """
@@ -88,23 +119,23 @@ class Row(NamedTuple):
     m: range
     slots: slice
     implied: bool = False
-    at: float | None = None
+    at: tuple | None = None
     tc: int | None = None
     lam: tuple | None = None
 
 
-def _multistep_rows(coeffs: SolverCoefficients, grid: TimeGrid, final_corrector: bool):
+def _multistep_rows(coeffs: SolverCoefficients, table: GridTable, final_corrector: bool):
     """lms/pc: evaluation m sits at score time m.  Step i predicts from the q
     most recent evaluations and evaluates the prediction (except at the last
     step of lms); pc then corrects over [new, recent, ..., oldest]."""
-    n, score_times, values = coeffs.n_steps, grid.score_times.tolist(), coeffs.values.tolist()
-    steps = [[Row(False, [], range(0), slice(0, 0), at=score_times[0], tc=0)]]
+    n, ats, values = coeffs.n_steps, table.at, coeffs.values.tolist()
+    steps = [[Row(False, [], range(0), slice(0, 0), at=ats[0], tc=0)]]
     for i in range(1, n + 1):
         q, b_slice = coeffs.q(i), coeffs.b_slice(i)
         correct = coeffs.kind == "pc" and (i < n or final_corrector)
         evaluated = i < n or correct
         rows = [Row(True, values[b_slice], range(i - 1, i - 1 - q, -1), b_slice,
-                    at=score_times[i] if evaluated else None, tc=i if evaluated else None)]
+                    at=ats[i] if evaluated else None, tc=i if evaluated else None)]
         if correct:
             rows.append(Row(True, coeffs.corrector_weights(i).tolist(),
                             range(i, i - 1 - q, -1), coeffs.corrector_slice(i),
@@ -113,21 +144,22 @@ def _multistep_rows(coeffs: SolverCoefficients, grid: TimeGrid, final_corrector:
     return steps
 
 
-def _single_step_rows(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
+def _single_step_rows(coeffs: SolverCoefficients, schedule: NoiseSchedule, table: GridTable,
                       diagnostics: list):
     """ss: k stage rows at log-SNR offsets from the step start (stage 1 at the
     start, stage j+1 at offset ``c``, clipped to the schedule's log-SNR range),
     then the update row over the k stage evaluations."""
     n, k = coeffs.n_steps, coeffs.order
     offsets = np.array([coeffs.values[coeffs.ss_c_slice(i)] for i in range(1, n + 1)])
-    raw_lams = schedule.lam(grid.steps[:-1])[:, None] + np.concatenate(
+    raw_lams = table.log_snr[0][:-1, None] + np.concatenate(
         [np.zeros((n, 1)), offsets], axis=1)
     stage_lams = np.clip(raw_lams, *schedule.lambda_range())
     clamped = stage_lams != raw_lams
     for i, j in zip(*np.nonzero(clamped)):
         diagnostics.append({"event": "stage_clamp", "step": int(i + 1), "stage": int(j + 1),
                             "requested": float(raw_lams[i, j]), "used": float(stage_lams[i, j])})
-    stage_times, clamped = schedule.time_from_lambda(stage_lams).tolist(), clamped.tolist()
+    stage_ats = list(zip(*(v.ravel().tolist()
+                           for v in schedule.at(schedule.time_from_lambda(stage_lams)))))
     values, steps = coeffs.values.tolist(), [[]]
     for i in range(1, n + 1):
         base, a0, c0 = (i - 1) * k, coeffs.ss_a_slice(i).start, coeffs.ss_c_slice(i).start - 1
@@ -135,21 +167,21 @@ def _single_step_rows(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid:
         for j in range(k):
             a_row = slice(a0 + j * (k - 1), a0 + j * k)    # stage j mixes stages l < j
             rows.append(Row(False, values[a_row], range(base, base + j), a_row,
-                            at=stage_times[i - 1][j],
-                            lam=None if clamped[i - 1][j] else (i - 1, c0 + j if j else None)))
+                            at=stage_ats[base + j],
+                            lam=None if clamped[i - 1, j] else (i - 1, c0 + j if j else None)))
         b_slice = coeffs.ss_b_slice(i)
         rows.append(Row(True, values[b_slice], range(base, base + k), b_slice))
         steps.append(rows)
     return steps
 
 
-def _evaluate(model, prediction, schedule, x, t, step_index):
+def _evaluate(model, prediction, at, x, step_index):
     """``(e, terms)``: the evaluation the family combines (eps, or x_hat for data
     prediction) and the terms the model keeps for its pullback."""
     try:
         # divergence surfaces as a DivergenceError below, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            out, terms = model.evaluate(schedule, x, t, prediction)
+            out, terms = model.evaluate(at, x, prediction)
     except FloatingPointError as exc:
         raise DivergenceError(f"score evaluation overflowed: {exc}",
                               step_index=step_index) from exc
@@ -167,10 +199,7 @@ class SolveTrace:
     rows: list                   # per step 0..N, the rows it ran
     evals: list                  # every evaluation, in call order
     terms: list                  # the model's kept terms of each evaluation
-    points: list                 # the point and the time each evaluation was made at
-    times: list
-    R: list                      # wrapper factors per step
-    S: list
+    points: list                 # the point each evaluation was made at
     diagnostics: list
     kind: str
 
@@ -199,12 +228,13 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
         raise DivergenceError("initial state is not finite", step_index=0)
 
     diagnostics: list = []
+    table = GridTable.of(schedule, grid, coeffs.prediction)
     if coeffs.kind == "ss":
-        step_rows = _single_step_rows(coeffs, schedule, grid, diagnostics)
+        step_rows = _single_step_rows(coeffs, schedule, table, diagnostics)
     else:
-        step_rows = _multistep_rows(coeffs, grid, final_corrector)
-    R, S = (f.tolist() for f in wrapper_factors(schedule, grid.steps, coeffs.prediction))
-    states, evals, terms, points, times = [], [], [], [], []
+        step_rows = _multistep_rows(coeffs, table, final_corrector)
+    R, S = table.R, table.S
+    states, evals, terms, points = [], [], [], []
     for i, rows in enumerate(step_rows):
         x_prev = x
         for row in rows:
@@ -217,14 +247,13 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
                 for u, m in enumerate(row.m):
                     x = x + w[u] * evals[m]
             if row.at is not None:
-                e, kept = _evaluate(model, coeffs.prediction, schedule, x, row.at, i)
+                e, kept = _evaluate(model, coeffs.prediction, row.at, x, i)
                 evals.append(e)
                 terms.append(kept)
                 points.append(x)
-                times.append(row.at)
         if i and not np.all(np.isfinite(x)):
             raise DivergenceError(f"state diverged at step {i}", step_index=i)
         states.append(x)
 
     return SolveTrace(states=states, rows=step_rows, evals=evals, terms=terms, points=points,
-                      times=times, R=R, S=S, diagnostics=diagnostics, kind=coeffs.kind)
+                      diagnostics=diagnostics, kind=coeffs.kind)

@@ -9,9 +9,11 @@ because it carries its own truncation error).
 The adaptive pair is Dormand-Prince 5(4), implemented here with SciPy's
 ``RK45`` tableau, first-step rule, RMS error norm, step factors and
 operation order, so it reproduces ``solve_ivp(..., method="RK45")`` bit for
-bit without importing SciPy.  The whole batch is one system: one error norm
-and one step sequence serve every record, so a label depends (within the
-tolerance) on the batch it was solved in.
+bit without importing SciPy; its right-hand side makes one ``schedule.at``
+lookup and forms f and g^2 from it as ``schedule.f`` and ``schedule.g_sq`` do,
+so the labels are those of ``solve_ivp`` on that RHS.  The whole batch is one
+system: one error norm and one step sequence serve every record, so a label
+depends (within the tolerance) on the batch it was solved in.
 
 A :class:`Dataset` is columnar: row i stacks initial noise draw i, its
 perturbed copy ``x_prime`` (which the trainer moves in place) and the
@@ -192,10 +194,10 @@ def _adaptive_rk_solve(config, schedule, model, x_init):
 
     def rhs(t, y):
         state = y.reshape(x.shape)
-        f = float(schedule.f(t))
-        gs = float(schedule.g_sq(t))
-        eps = model.epsilon(schedule, state, t)
-        return (f * state + gs / (2.0 * float(schedule.sigma(t))) * eps).ravel()
+        a, s, da, ds = at = schedule.at(t)
+        f = da / a                          # as schedule.f and schedule.g_sq form them
+        gs = 2.0 * s * ds - 2.0 * f * s * s
+        return (f * state + gs / (2.0 * s) * model.epsilon(at, state)).ravel()
 
     y = _rk45(rhs, schedule.T, x.ravel(), schedule.t_min, config.rel_tol, config.abs_tol)
     return y.reshape(x.shape)

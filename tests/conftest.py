@@ -41,14 +41,14 @@ class ZeroModel:
     dim = 2
     n_components = 0
 
-    def epsilon(self, schedule, x, t):
+    def epsilon(self, at, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def evaluate(self, schedule, x, t, prediction="noise"):
+    def evaluate(self, at, x, prediction="noise"):
         x = np.asarray(x, dtype=float)
-        return (np.zeros_like(x) if prediction == "noise" else x / float(schedule.alpha(t))), None
+        return (np.zeros_like(x) if prediction == "noise" else x / at[0]), None
 
-    def pullback(self, schedule, x, t, terms, cot):
+    def pullback(self, at, x, terms, cot):
         return np.zeros_like(np.asarray(x, dtype=float)), 0.0
 
 

@@ -6,6 +6,7 @@ import pytest
 from fewstep.backprop import backward, check_gradients
 from fewstep.coeffs import init_preset
 from fewstep.grids import LearnableTimeParams, heuristic_grid, materialize
+from fewstep.schedules import VpLinearSchedule
 from fewstep.scores import CountingScoreModel
 from fewstep.solvers import solve
 
@@ -158,8 +159,9 @@ def test_tied_gradient_is_sum_of_untied_rows(ve, mixture, rng):
 
 class TestRematerialization:
     def test_remade_evaluations_match_kept(self, ve, mixture, rng):
-        # the trace keeps each evaluation with the point and time it was made
-        # at, and the model's terms for it: remaking it there reproduces both
+        # the trace keeps each evaluation with the point it was made at, its
+        # schedule lookup (on its row) and the model's terms for it: remaking it
+        # there reproduces both
         grid = heuristic_grid(ve, 5, "logsnr")
         for (kind, preset, final_corrector), prediction in itertools.product(
                 [("lms", "ipndm", True), ("pc", "unipc", True), ("pc", "unipc", False),
@@ -168,10 +170,10 @@ class TestRematerialization:
                                  prediction=prediction, seed=5)
             for x in (rng.standard_normal(2), rng.standard_normal((3, 2))):
                 trace = solve(coeffs, ve, grid, mixture, x, final_corrector=final_corrector)
-                assert len(trace.points) == len(trace.times) == trace.nfe_used
-                for e, kept, point, t in zip(trace.evals, trace.terms, trace.points,
-                                             trace.times):
-                    remade, terms = mixture.evaluate(ve, point, t, prediction)
+                ats = [row.at for rows in trace.rows for row in rows if row.at is not None]
+                assert len(trace.points) == len(ats) == trace.nfe_used
+                for e, kept, point, at in zip(trace.evals, trace.terms, trace.points, ats):
+                    remade, terms = mixture.evaluate(at, point, prediction)
                     assert np.array_equal(remade, e), (kind, prediction, x.shape)
                     assert all(np.array_equal(u, v) for u, v in zip(terms, kept))
 
@@ -201,3 +203,36 @@ def test_mismatched_trace_rejected(ve, mixture):
         backward(trace, coeffs, ve, mixture, np.ones(3), grid=grid)
     with pytest.raises(ValueError):
         backward(trace, coeffs, ve, mixture, np.ones(2))
+
+
+class CountingVp(VpLinearSchedule):
+    """Logs the name of every public method looked up on it."""
+
+    log: list = []
+
+    def __getattribute__(self, name):
+        value = super().__getattribute__(name)
+        if not name.startswith("_") and callable(value):
+            CountingVp.log.append(name)
+        return value
+
+
+@pytest.mark.parametrize("kind, preset", [("lms", "ipndm"), ("pc", "unipc"), ("ss", "gaussian")])
+@pytest.mark.parametrize("prediction", ["noise", "data"])
+def test_schedule_calls_do_not_grow_with_steps(kind, preset, prediction, mixture):
+    # once the grid's table exists, solve + backward asks the schedule the
+    # same things at every N: nothing for lms/pc, the stage-time lookup for ss
+    schedule, x = CountingVp(), np.ones((3, 2))
+    calls = []
+    for n in (4, 8):
+        grid = heuristic_grid(schedule, n, "logsnr")
+        coeffs = init_preset(kind, 2, n, preset, schedule=schedule, grid=grid,
+                             prediction=prediction, seed=3)
+        for _ in range(2):
+            CountingVp.log.clear()
+            trace = solve(coeffs, schedule, grid, mixture, x)
+            backward(trace, coeffs, schedule, mixture, np.ones_like(x), grid=grid)
+        calls.append(list(CountingVp.log))
+    assert calls[0] == calls[1]
+    assert calls[0] == ([] if kind != "ss" else
+                        ["lambda_range", "at", "time_from_lambda", "check_time", "beta"])

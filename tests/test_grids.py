@@ -64,6 +64,21 @@ class TestTimeGridValidation:
         with pytest.raises(ValueError):
             TimeGrid(steps=np.array([1.0, 0.5, 0.1]), score_times=np.array([0.9, 0.5, 0.1]))
 
+    def test_grid_arrays_are_read_only(self, ve):
+        grid = heuristic_grid(ve, 4, "logsnr")
+        with pytest.raises(ValueError):
+            grid.steps[1] = 5.0
+        with pytest.raises(ValueError):
+            grid.score_times[1] = 5.0
+
+    def test_callers_arrays_stay_writeable_and_unaliased(self):
+        steps = np.array([1.0, 0.5, 0.1])
+        score = np.array([1.0, 0.4, 0.1])
+        grid = TimeGrid(steps=steps, score_times=score)
+        steps[1] = 0.7
+        score[1] = 0.6
+        assert grid.steps[1] == 0.5 and grid.score_times[1] == 0.4
+
 
 class TestMaterialize:
     def test_zero_logits_give_uniform_grid(self, ve):

@@ -32,8 +32,8 @@ def test_lambda_round_trip(schedule):
 def test_ve_lambda_at_unit_sigma():
     # alpha == 1, so lambda = -log(sigma); sigma = 1 at t = 1
     ve = VeSchedule()
-    _, sigma, lam = ve.alpha_sigma_lambda(1.0)
-    assert sigma == 1.0 and lam == 0.0
+    alpha, sigma, _, _ = ve.at(1.0)
+    assert sigma == 1.0 and math.log(alpha) - math.log(sigma) == 0.0 == ve.lam(1.0)
 
 
 def test_vp_lambda_ordering():
@@ -53,10 +53,12 @@ def test_vp_log_alpha_matches_numerical_beta_integration():
 @pytest.mark.parametrize("schedule", ALL_SCHEDULES, ids=["vp", "ve", "edm"])
 def test_domain_errors(schedule):
     with pytest.raises(DomainError):
-        schedule.alpha_sigma_lambda(schedule.T * 1.5)
+        schedule.at(schedule.T * 1.5)
     with pytest.raises(DomainError):
-        schedule.alpha_sigma_lambda(schedule.t_min * 0.1)
+        schedule.at(schedule.t_min * 0.1)
     lam_lo, lam_hi = schedule.lambda_range()
+    assert (lam_lo, lam_hi) == (float(schedule.lam(schedule.T)),
+                                float(schedule.lam(schedule.t_min)))
     with pytest.raises(DomainError):
         schedule.time_from_lambda(lam_hi + 1.0)
 
@@ -79,9 +81,34 @@ def test_check_time_scalar_and_array_paths_agree(schedule):
                 schedule.check_time(value)
 
 
-def test_nan_time_is_rejected_by_the_score(ve, mixture):
-    with pytest.raises(DomainError):
-        mixture.epsilon(ve, np.zeros(2), math.nan)
+@pytest.mark.parametrize("schedule", ALL_SCHEDULES, ids=["vp", "ve", "edm"])
+def test_at_equals_the_single_methods(schedule):
+    ts = np.concatenate([np.linspace(schedule.t_min, schedule.T, 257),
+                         np.random.default_rng(1).uniform(schedule.t_min, schedule.T, 256)])
+    methods = (schedule.alpha, schedule.sigma, schedule.d_alpha, schedule.d_sigma)
+    looked_up = schedule.at(ts)
+    for got, method in zip(looked_up, methods):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, method(ts))
+    for k, t in enumerate(ts):
+        for scalar in (float(t), np.float64(t)):
+            values = schedule.at(scalar)
+            assert all(type(v) is float for v in values)
+            assert np.array_equal(values, [float(method(float(t))) for method in methods])
+            assert np.array_equal(values, [v[k] for v in looked_up])
+
+
+@pytest.mark.parametrize("schedule", ALL_SCHEDULES, ids=["vp", "ve", "edm"])
+def test_at_checks_the_domain_as_check_time_does(schedule):
+    slack = 1e-9 * (schedule.T - schedule.t_min)
+    inside = [schedule.t_min - 0.5 * slack, schedule.T + 0.5 * slack]
+    for t in inside:
+        clipped = schedule.check_time(t)
+        assert schedule.at(t) == schedule.at(clipped)
+        assert np.array_equal(schedule.at(np.array([t]))[1], [schedule.at(clipped)[1]])
+    for t in (schedule.t_min - 2.0 * slack, schedule.T + 2.0 * slack, math.nan, math.inf):
+        for value in (t, np.float64(t), np.array([schedule.T, t])):
+            with pytest.raises(DomainError):
+                schedule.at(value)
 
 
 def test_time_from_lambda_boundaries_and_midpoint(vp):
@@ -193,7 +220,7 @@ class TestExactStepReference:
         t_prev, t_next = 6.0, 2.0
         start = exact_gaussian_solution(ve, gauss, x * ve.tilde_sigma, t_end=t_prev)
         out = exact_step_integrand(ve, start, t_prev, t_next,
-                                   lambda s, t: gauss.epsilon(ve, s, t))
+                                   lambda s, t: gauss.epsilon(ve.at(t), s))
         expected = exact_gaussian_solution(ve, gauss, x * ve.tilde_sigma, t_end=t_next)
         assert np.linalg.norm(out - expected) <= 1e-8
 

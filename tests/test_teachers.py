@@ -98,7 +98,7 @@ class TestRk45:
         def rhs(t, y):
             calls.append(t)
             state = y.reshape(x.shape)
-            eps = model.epsilon(schedule, state, t)
+            eps = model.epsilon(schedule.at(t), state)
             return (float(schedule.f(t)) * state
                     + float(schedule.g_sq(t)) / (2.0 * float(schedule.sigma(t))) * eps).ravel()
 
@@ -128,12 +128,17 @@ class TestRk45:
         with pytest.raises(AccuracyError, match="step size"):
             _rk45(lambda t, y: y * y, 0.0, np.ones(1), 2.0, 1e-8, 1e-10)
 
-    def test_teacher_result_equals_solve_ivp(self, vp, mixture, rng):
-        x = rng.standard_normal((5, 2))
-        rhs, _ = self.counted_teacher_rhs(vp, mixture, x)
-        ref = solve_ivp(rhs, (vp.T, vp.t_min), x.ravel(), method="RK45",
+    @pytest.mark.parametrize("schedule", [VeSchedule(), VpLinearSchedule(), EdmSchedule()],
+                             ids=["ve", "vp", "edm"])
+    @pytest.mark.parametrize("batch", [5, 50])
+    def test_teacher_result_equals_solve_ivp(self, schedule, batch, mixture, rng):
+        # the teacher's RHS forms f and g^2 from one schedule lookup; the labels
+        # are still those of solve_ivp on the RHS written with schedule.f/g_sq
+        x = schedule.tilde_sigma * rng.standard_normal((batch, 2))
+        rhs, _ = self.counted_teacher_rhs(schedule, mixture, x)
+        ref = solve_ivp(rhs, (schedule.T, schedule.t_min), x.ravel(), method="RK45",
                         rtol=1e-8, atol=1e-10)
-        out = teacher_solve(TeacherConfig(kind="adaptive_rk"), vp, mixture, x)
+        out = teacher_solve(TeacherConfig(kind="adaptive_rk"), schedule, mixture, x)
         assert np.array_equal(out, ref.y[:, -1].reshape(x.shape))
 
 
