@@ -43,7 +43,8 @@ from fewstep.teachers import exact_gaussian_solution
 
 x_T = ve.tilde_sigma * np.array([0.4, -0.2])
 x_mid = exact_gaussian_solution(ve, model, x_T, t_end=6.0)   # flow down to t=6
-out = exact_step_integrand(ve, x_mid, 6.0, 2.0, lambda x, t: model.epsilon(ve.at(t), x))
+out = exact_step_integrand(ve, x_mid, 6.0, 2.0,
+                           lambda x, t: model.epsilon(model.prepare(ve.at(t)), x))
 expected = exact_gaussian_solution(ve, model, x_T, t_end=2.0)
 print(f"one reference step 6.0 -> 2.0: {np.round(out, 8)}")
 print(f"closed-form flow value:        {np.round(expected, 8)}")

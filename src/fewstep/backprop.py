@@ -6,10 +6,11 @@ parameters (through the schedule's analytic derivatives and the grid
 parametrization), and the initial state.
 
 The trace holds every score evaluation, the point it was made at, its
-schedule lookup ``at`` = (alpha, sigma, alpha', sigma') and the terms the
-model kept for it (for the mixture score, two ``(J, B)`` arrays per
-evaluation), so nothing is evaluated again.  Each evaluation is released once,
-through the model's ``pullback(at, x, terms, cot)``, which returns the vjp of
+schedule lookup ``at`` = (alpha, sigma, alpha', sigma'), the model's prepared
+constants ``prep`` of its time and the terms the model kept for it (for the
+mixture score, two ``(J, B)`` arrays per evaluation), so nothing is evaluated
+again.  Each evaluation is released once, through the model's
+``pullback(prep, x, terms, cot)``, which returns the vjp of
 eps and its time derivative contracted with the cotangent; for data
 prediction, ``_release`` wraps it in the chain rule of x_hat = (x - sigma eps)
 / alpha, with eps read back from the kept x_hat, for every model alike.
@@ -21,7 +22,8 @@ the release of its evaluation; it passes that on to x_{i-1}, to the
 evaluations it combined, to the weight slots it names and, for wrapper rows,
 to R_i and S_i.  The wrapper factors, their t-partials and d lambda/dt at the
 steps come from the grid's :class:`~fewstep.solvers.GridTable`, so a sweep
-over a grid whose table exists asks the schedule nothing.
+over a grid whose table exists asks the schedule nothing, and the model
+prepares nothing.
 
 Clamped quantities (stage-time clamps, score-time offset clips) contribute
 zero gradient when saturated.
@@ -56,13 +58,13 @@ def _dot(a, b) -> float:
     return float((a * b).sum())
 
 
-def _release(model, prediction, at, x, e, terms, cot):
-    """(cotangent on x, cot . d(evaluation)/dt) of the evaluation e made at (at, x)."""
+def _release(model, prediction, row, x, e, terms, cot):
+    """(cotangent on x, cot . d(evaluation)/dt) of the evaluation e that ``row`` made at x."""
     if prediction == "noise":
-        return model.pullback(at, x, terms, cot)
+        return model.pullback(row.prep, x, terms, cot)
     # e = x_hat = (x - sigma eps) / alpha, linear in eps
-    a, s, da, ds = at
-    xbar, tdot = model.pullback(at, x, terms, (-s / a) * cot)
+    a, s, da, ds = row.at
+    xbar, tdot = model.pullback(row.prep, x, terms, (-s / a) * cot)
     eps = (x - a * e) / s
     return xbar + cot / a, tdot - (ds * _dot(cot, eps) + da * _dot(cot, e)) / a
 
@@ -113,7 +115,7 @@ def backward(
         for row in reversed(trace.rows[i]):
             if row.at is not None:
                 m -= 1
-                zbar, tdot = _release(model, coeffs.prediction, row.at, trace.points[m],
+                zbar, tdot = _release(model, coeffs.prediction, row, trace.points[m],
                                       evals[m], trace.terms[m], ebar[m])
                 ybar = zbar if ybar is None else ybar + zbar
                 if row.tc is not None:

@@ -221,8 +221,9 @@ def cli_check_grad(instances, tolerance, seed):
 @main.command("selftest")
 def cli_selftest():
     """Quick invariant bundle: transforms, counts, accounting, grids."""
-    from .schedules import VeSchedule, VpLinearSchedule
+    from .schedules import EdmSchedule, VeSchedule, VpLinearSchedule
     from .scores import CountingScoreModel
+    from .solvers import GridTable
 
     failures = 0
 
@@ -264,6 +265,24 @@ def cli_selftest():
         kept &= model.n_epsilon == 0 and model.n_pullback == expected
     check("NFE accounting (lms/pc/ss)", good)
     check("backward over a kept trace re-evaluates no score", kept)
+
+    same = True
+    rng = np.random.default_rng(0)
+    mixture = default_mixture(2)
+    for schedule in (VeSchedule(), VpLinearSchedule(), EdmSchedule()):
+        grid = heuristic_grid(schedule, 6, "logsnr")
+        for prediction in ("noise", "data"):
+            kept = GridTable.of(schedule, grid, prediction).prepared(mixture)
+            for t, p in zip(grid.score_times, kept):
+                fresh = mixture.prepare(schedule.at(float(t)))
+                x = float(schedule.sigma(t)) * rng.standard_normal((3, 2))
+                cot = rng.standard_normal((3, 2))
+                outs = []
+                for q in (p, fresh):
+                    e, terms = mixture.evaluate(q, x, prediction)
+                    outs.append((e, *mixture.pullback(q, x, terms, cot)))
+                same &= all(np.array_equal(u, v) for u, v in zip(*outs))
+    check("grid-table model constants == fresh prepare (ve/vp/edm)", same)
 
     params = LearnableTimeParams.zeros(8)
     grid = materialize(params, ve)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import StateError
 from .grids import TimeGrid
-from .schedules import NoiseSchedule, phi_functions
+from .schedules import GL_NODES, GL_WEIGHTS, NoiseSchedule, phi_functions
 
 KINDS = ("lms", "ss", "pc")
 PREDICTIONS = ("noise", "data")
@@ -206,8 +206,6 @@ class SolverCoefficients:
 # Preset weight construction
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
 
 def _lagrange_row(past_lams: np.ndarray, lam_lo: float, lam_hi: float, mode: str) -> np.ndarray:
     """Integrate each Lagrange basis over [lam_lo, lam_hi] against the wrapper weight.
@@ -219,7 +217,7 @@ def _lagrange_row(past_lams: np.ndarray, lam_lo: float, lam_hi: float, mode: str
     """
     h = lam_hi - lam_lo
     mid, half = 0.5 * (lam_lo + lam_hi), 0.5 * h
-    lams = mid + half * _GL_NODES
+    lams = mid + half * GL_NODES
     basis = np.ones((len(past_lams), len(lams)))
     for j, node in enumerate(past_lams):
         for m, other in enumerate(past_lams):
@@ -233,7 +231,7 @@ def _lagrange_row(past_lams: np.ndarray, lam_lo: float, lam_hi: float, mode: str
         weight, norm = np.exp(lams - lam_hi), -np.expm1(-h)
     else:
         raise ValueError(f"unknown Lagrange mode {mode!r}")
-    return basis @ (weight * _GL_WEIGHTS) * half / norm
+    return basis @ (weight * GL_WEIGHTS) * half / norm
 
 
 def _phi_ratio_rhs(h: float, count: int) -> np.ndarray:

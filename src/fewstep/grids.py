@@ -22,8 +22,9 @@ GRID_KINDS = ("uniform", "quadratic", "edm", "logsnr")
 
 @dataclasses.dataclass(frozen=True)
 class TimeGrid:
-    """Step and score times, as read-only copies, so the solver's schedule
-    tables the grid keeps in ``tables`` cannot go stale."""
+    """Step and score times, as read-only copies, so the solver's tables the grid
+    keeps in ``tables`` (schedule lookups and the model's prepared constants)
+    cannot go stale."""
 
     steps: np.ndarray
     score_times: np.ndarray
@@ -43,6 +44,11 @@ class TimeGrid:
             owned.flags.writeable = False
             object.__setattr__(self, name, owned)
         object.__setattr__(self, "tables", {})
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, so a copy has
+        # read-only times and no tables of its own
+        return TimeGrid, (self.steps, self.score_times)
 
     @property
     def n_steps(self) -> int:

@@ -26,6 +26,9 @@ from .errors import DomainError, NumericalError
 # in double precision; switch to the (rapidly convergent) Taylor series.
 PHI_SERIES_CUTOFF = 1e-4
 _PHI_SERIES_TERMS = 10
+# The 32-point Gauss-Legendre rule on [-1, 1]: the phi functions' integral here
+# and the exponential-multistep preset weights in coeffs.
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -246,10 +249,9 @@ def phi_functions(h: float, order: int) -> np.ndarray:
         # Upward recurrence (phi_{k+1} = (phi_k - phi_k(0))/h) cancels badly for
         # moderate h, so evaluate the top order from its defining integral and
         # recurse downward, which is stable.
-        nodes, weights = np.polynomial.legendre.leggauss(32)
-        u = 0.5 * (nodes + 1.0)
+        u = 0.5 * (GL_NODES + 1.0)
         top = 0.5 * float(
-            np.dot(weights, np.exp((1.0 - u) * h) * u ** (order - 1))
+            np.dot(GL_WEIGHTS, np.exp((1.0 - u) * h) * u ** (order - 1))
         ) / math.factorial(order - 1)
         values[order - 1] = top
         for k in range(order - 1, 0, -1):

@@ -13,17 +13,26 @@ The kernel never forms a (B, J, d) array: with isotropic components,
 and its time derivative need is a per-component ``(J, B)`` term or a
 ``(B,J)@(J,d)`` product.
 
-The model makes no schedule call: every method takes ``at``, the lookup
-``(alpha_t, sigma_t, d alpha/dt, d sigma/dt)`` of the evaluation time that
-:meth:`~fewstep.schedules.NoiseSchedule.at` returns.
+The model makes no schedule call.  Its one per-time step is
+``prepare(at)``: from ``at``, the lookup ``(alpha_t, sigma_t, d alpha/dt,
+d sigma/dt)`` of the evaluation time that
+:meth:`~fewstep.schedules.NoiseSchedule.at` returns, it makes the record of
+everything the kernel computes from those four numbers alone (the component
+variances v, -1/(2v), alpha^2 |mu_j|^2, the log-normalizers and -2 alpha,
+as ``(J, 1)`` columns), and on the first pullback the slope constants of the
+time derivative.  Every other method takes that record ``p``.  Given arrays of
+K times, ``prepare`` stacks the constants of all K times into three arrays,
+and iterating the stack gives the K records; :class:`~fewstep.solvers.GridTable`
+keeps such a stack per model for the score times of its grid, so repeated
+solves on one grid compute no per-time constant.
 
 One kernel, ``_parts``, serves the forward and the reverse pass.
-``evaluate(at, x)`` returns the evaluation together with the terms it keeps:
+``evaluate(p, x)`` returns the evaluation together with the terms it keeps:
 the responsibilities gamma and the projections mu_j.x, two ``(J, B)``
-arrays.  ``pullback(at, x, terms, cot)`` turns them into
-the vjp and the time derivative contracted with ``cot``, recomputing only
-per-component constants and ``|x - alpha mu_j|^2``; it forms neither the
-``(B, d)`` time derivative nor its ``(B,J)@(J,d)`` product.  The pullback is
+arrays.  ``pullback(p, x, terms, cot)`` turns them into the vjp and the time
+derivative contracted with ``cot``, recomputing only ``|x - alpha mu_j|^2``;
+it forms neither the ``(B, d)`` time derivative nor its ``(B,J)@(J,d)``
+product.  The pullback is
 of eps only: the data-prediction chain rule is applied once, for every model,
 by :mod:`~fewstep.backprop`.
 
@@ -34,6 +43,8 @@ match the input.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +101,37 @@ class GaussianMixtureScore:
         mean = np.zeros(dim) if mean is None else np.asarray(mean, dtype=float)
         return cls(weights=np.array([1.0]), means=mean[None, :], scales=np.array([scale]))
 
+    # -- per-time constants --------------------------------------------------
+    def _columns(self, alpha, sigma):
+        """(v, -1/(2v), alpha^2 |mu_j|^2, log w_j - d/2 log(2 pi v)): the kernel's
+        constants of the times (alpha, sigma) broadcast over, (J, 1) for one time."""
+        a2 = alpha * alpha
+        v = a2 * self._scale_sq
+        v += sigma * sigma
+        lognorm = np.log(2.0 * np.pi * v)
+        lognorm *= -0.5 * self.dim
+        lognorm += self._log_weights
+        return v, -0.5 / v, a2 * self._mean_sq, lognorm
+
+    def _slope_columns(self, alpha, sigma, d_alpha, d_sigma, v):
+        """(rate, rate/(2v), d rate/2, shift, alpha |mu_j|^2, sigma shift): the
+        pullback's constants, with rate = v'/v and shift = alpha'/v."""
+        rate = 2.0 * (alpha * d_alpha * self._scale_sq + sigma * d_sigma) / v
+        shift = d_alpha / v
+        return (rate, 0.5 * rate / v, 0.5 * self.dim * rate, shift,
+                alpha * self._mean_sq, sigma * shift)
+
+    def prepare(self, at):
+        """The constants of the evaluation time(s) whose schedule lookup is ``at`` =
+        ``(alpha, sigma, alpha', sigma')``: a :class:`Prepared` record for float
+        entries, a :class:`PreparedTimes` stack for 1-d arrays of K times."""
+        if isinstance(at[0], np.ndarray):
+            return PreparedTimes(self, at)
+        alpha = at[0]
+        return Prepared(*at, -2.0 * alpha, *self._columns(alpha, at[1]))
+
     # -- internals ---------------------------------------------------------
-    def _prepare(self, x):
+    def _as_batch(self, x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         x2 = x[None, :] if single else x
@@ -101,86 +141,90 @@ class GaussianMixtureScore:
             raise FloatingPointError("non-finite state passed to score model")
         return x2, single
 
-    def _sq_norms(self, x2, xm, alpha):
+    @staticmethod
+    def _sq_norms(x2, xm, p):
         """|x - alpha mu_j|^2 (J, B) as |x|^2 - 2 alpha x.mu_j + alpha^2 |mu_j|^2, clamped
         at 0; the rounding error this adds is of order eps_mach |x|^2 / v_j in the
         log-densities and eps_mach |x| sum_j gamma_j / v_j in eps / sigma."""
-        sq = xm * (-2.0 * alpha)
-        sq += (alpha * alpha) * self._mean_sq
+        sq = xm * p.m2a
+        sq += p.a2m
         sq += np.einsum("bd,bd->b", x2, x2)
         return np.maximum(sq, 0.0, out=sq)
 
-    def _parts(self, x2, alpha, sigma):
+    def _parts(self, x2, p):
         """The mixture kernel: (ubar, gamma, xm), laid out (J, B) so sums over
         components are row operations.  xm holds the projections mu_j.x, gamma the
         responsibilities, and ubar = sum_j gamma_j (x - alpha mu_j) / v_j (B, d) the
         scaled mean residual, with eps = sigma ubar and v_j the component variances."""
-        v = alpha * alpha * self._scale_sq + sigma * sigma
         xm = self.means @ x2.T
-        ell = self._sq_norms(x2, xm, alpha) * (-0.5 / v)
-        ell += self._log_weights - 0.5 * self.dim * np.log(2.0 * np.pi * v)
+        ell = self._sq_norms(x2, xm, p) * p.nhiv
+        ell += p.lognorm
         ell -= ell.max(axis=0)
         gamma = np.exp(ell, out=ell)
         gamma /= gamma.sum(axis=0)
-        g = gamma / v
-        ubar = g.sum(axis=0)[:, None] * x2 - alpha * (g.T @ self.means)
+        g = gamma / p.v
+        ubar = g.sum(axis=0)[:, None] * x2 - p.alpha * (g.T @ self.means)
         return ubar, gamma, xm
 
-    def _slopes(self, x2, alpha, sigma, d_alpha, d_sigma, gamma, xm):
-        """(v, shift, f): how the terms of eps move in t, from the kept (gamma, xm).
+    def _slopes(self, x2, p, gamma, xm):
+        """(shift, sigma shift, f): how the terms of eps move in t, from the kept (gamma, xm).
 
         eps = sigma sum_j gamma_j u_j with u_j = (x - alpha mu_j)/v_j, so
         d eps/dt = sum_j gamma_j (f_j u_j - sigma shift_j mu_j), where
         shift = alpha'/v, f = sigma' + sigma (dln - gamma.dln - rate), rate = v'/v
         and dln_j = d log N_j/dt.  shift is None where alpha' = 0 (VE, EDM).
         """
-        v = alpha * alpha * self._scale_sq + sigma * sigma
-        rate = 2.0 * (alpha * d_alpha * self._scale_sq + sigma * d_sigma) / v
-        dln = (0.5 * rate / v) * self._sq_norms(x2, xm, alpha) - 0.5 * self.dim * rate
-        shift = None
-        if d_alpha:
-            shift = d_alpha / v
-            dln += shift * (xm - alpha * self._mean_sq)
-        return v, shift, d_sigma + sigma * (dln - (gamma * dln).sum(axis=0) - rate)
+        if p.source is None:        # a record of its own: made now
+            slopes = self._slope_columns(p.alpha, p.sigma, p.d_alpha, p.d_sigma, p.v)
+        else:                       # read from its stack, which makes them on first use
+            slopes = p.source.slopes[:, p.index]
+        rate, half_rate_v, dim_rate, shift, alpha_mean_sq, sigma_shift = slopes
+        dln = half_rate_v * self._sq_norms(x2, xm, p) - dim_rate
+        if p.d_alpha:
+            dln += shift * (xm - alpha_mean_sq)
+        else:
+            shift = None
+        return shift, sigma_shift, p.d_sigma + p.sigma * (dln - (gamma * dln).sum(axis=0) - rate)
 
     # -- forward -------------------------------------------------------------
-    def evaluate(self, at, x, prediction: str = "noise"):
+    def evaluate(self, p, x, prediction: str = "noise"):
         """``(e, terms)``: the evaluation e -- eps, or the data prediction x_hat for
-        ``prediction="data"`` -- and the kept terms (gamma, mu.x), two (J, B) arrays
-        from which :meth:`pullback` differentiates eps without re-running the kernel."""
-        x2, single = self._prepare(x)
-        alpha, sigma = at[0], at[1]
-        ubar, gamma, xm = self._parts(x2, alpha, sigma)
+        ``prediction="data"`` -- at the prepared time p, and the kept terms
+        (gamma, mu.x), two (J, B) arrays from which :meth:`pullback` differentiates
+        eps without re-running the kernel."""
+        x2, single = self._as_batch(x)
+        ubar, gamma, xm = self._parts(x2, p)
+        sigma = p.sigma
         out = sigma * ubar
         if prediction == "data":
             # Tweedie: x_hat = (x - sigma eps) / alpha
-            out = (x2 - sigma * out) / alpha
+            out = (x2 - sigma * out) / p.alpha
         return (out[0] if single else out), (gamma, xm)
 
-    def epsilon(self, at, x):
-        """Exact noise prediction -sigma_t * grad log p_t(x)."""
-        return self.evaluate(at, x)[0]
+    def epsilon(self, p, x):
+        """Exact noise prediction -sigma_t * grad log p_t(x) at the prepared time p."""
+        return self.evaluate(p, x)[0]
 
-    def data_prediction(self, at, x):
+    def data_prediction(self, p, x):
         """Tweedie transform x_hat = (x - sigma_t eps) / alpha_t."""
-        return self.evaluate(at, x, "data")[0]
+        return self.evaluate(p, x, "data")[0]
 
     # -- derivatives -----------------------------------------------------------
-    def pullback(self, at, x, terms, cot):
+    def pullback(self, p, x, terms, cot):
         """``((d eps/d x)^T cot, cot . d eps/d t)`` at the float arrays x and cot of
         one shape; the second is a float summed over the batch.
 
-        ``terms`` are the ones :meth:`evaluate` returned at (at, x), so x is not
+        ``terms`` are the ones :meth:`evaluate` returned at (p, x), so x is not
         checked again and the kernel does not run.  d eps/d x = sigma [sum_j
         gamma_j/v_j I - sum_j gamma_j (u_j - ubar) u_j^T] is applied without
         forming it, and the time derivative is contracted with cot before it is
         formed: both need only the per-component dots x.cot and mu_j.cot.
         """
-        alpha, sigma, d_alpha, d_sigma = at
+        alpha, sigma, v = p.alpha, p.sigma, p.v
         gamma, xm = terms
         single = x.ndim == 1
         x2, cot2 = (x[None, :], cot[None, :]) if single else (x, cot)
-        v, shift, f = self._slopes(x2, alpha, sigma, d_alpha, d_sigma, gamma, xm)
+        shift, sigma_shift, f = self._slopes(x2, p, gamma, xm)
         mc = self.means @ cot2.T
         dots = (np.einsum("bd,bd->b", x2, cot2) - alpha * mc) / v      # u_j . cot
         g = gamma / v
@@ -190,24 +234,77 @@ class GaussianMixtureScore:
                         + alpha * (cg.T @ self.means))
         tdots = f * gd
         if shift is not None:
-            tdots -= (sigma * shift) * gamma * mc
+            tdots -= sigma_shift * gamma * mc
         return (xbar[0] if single else xbar), float(tdots.sum())
 
-    def epsilon_vjp(self, at, x, cotangent):
+    def epsilon_vjp(self, p, x, cotangent):
         """(d eps / d x)^T cotangent: :meth:`evaluate`, then :meth:`pullback` on its terms."""
         x, cotangent = np.asarray(x, dtype=float), np.asarray(cotangent, dtype=float)
-        return self.pullback(at, x, self.evaluate(at, x)[1], cotangent)[0]
+        return self.pullback(p, x, self.evaluate(p, x)[1], cotangent)[0]
 
-    def epsilon_time_partial(self, at, x):
+    def epsilon_time_partial(self, p, x):
         """d eps / d t through (alpha_t, sigma_t)."""
-        x2, single = self._prepare(x)
-        alpha, sigma, d_alpha, d_sigma = at
-        _, gamma, xm = self._parts(x2, alpha, sigma)
-        v, shift, f = self._slopes(x2, alpha, sigma, d_alpha, d_sigma, gamma, xm)
-        w = gamma * f / v
-        coef = alpha * w if shift is None else alpha * w + sigma * shift * gamma
+        x2, single = self._as_batch(x)
+        _, gamma, xm = self._parts(x2, p)
+        shift, sigma_shift, f = self._slopes(x2, p, gamma, xm)
+        w = gamma * f / p.v
+        coef = p.alpha * w if shift is None else p.alpha * w + sigma_shift * gamma
         out = w.sum(axis=0)[:, None] * x2 - coef.T @ self.means
         return out[0] if single else out
+
+
+class Prepared(NamedTuple):
+    """What :class:`GaussianMixtureScore` computes from one time's lookup
+    (alpha, sigma, alpha', sigma') alone; the columns are (J, 1).
+
+    A record taken from a :class:`PreparedTimes` stack holds views of its arrays
+    and reads the pullback's constants from it (``source``, ``index``); a record
+    of its own makes them when a pullback asks.
+    """
+
+    alpha: float
+    sigma: float
+    d_alpha: float
+    d_sigma: float
+    m2a: float                   # -2 alpha
+    v: np.ndarray                # component variances alpha^2 s_j^2 + sigma^2
+    nhiv: np.ndarray             # -1 / (2 v)
+    a2m: np.ndarray              # alpha^2 |mu_j|^2
+    lognorm: np.ndarray          # log w_j - d/2 log(2 pi v)
+    source: "PreparedTimes | None" = None
+    index: int = 0
+
+
+class PreparedTimes:
+    """The :class:`Prepared` constants of K times in three stacked arrays:
+    ``scalars`` (5, K) holds alpha, sigma, alpha', sigma' and -2 alpha,
+    ``columns`` (4, K, J, 1) the kernel's columns and ``slopes`` (6, K, J, 1) the
+    pullback's, made on first use, so only times that are differentiated pay for
+    them.  Iterating gives the K records, whose columns are views."""
+
+    __slots__ = ("model", "scalars", "columns", "_slopes")
+
+    def __init__(self, model: GaussianMixtureScore, at):
+        alpha, sigma, d_alpha, d_sigma = (np.asarray(c, dtype=float) for c in at)
+        self.model = model
+        self.scalars = np.stack([alpha, sigma, d_alpha, d_sigma, -2.0 * alpha])
+        self.columns = np.stack(model._columns(alpha[:, None, None], sigma[:, None, None]))
+        self._slopes = None
+
+    def __len__(self):
+        return self.scalars.shape[1]
+
+    def __iter__(self):
+        return itertools.starmap(Prepared, zip(*self.scalars.tolist(), *self.columns,
+                                               itertools.repeat(self), range(len(self))))
+
+    @property
+    def slopes(self):
+        if self._slopes is None:
+            alpha, sigma, d_alpha, d_sigma = self.scalars[:4, :, None, None]
+            self._slopes = np.stack(self.model._slope_columns(alpha, sigma, d_alpha, d_sigma,
+                                                              self.columns[0]))
+        return self._slopes
 
 
 def default_mixture(dim: int = 2) -> GaussianMixtureScore:
@@ -229,10 +326,11 @@ def default_mixture(dim: int = 2) -> GaussianMixtureScore:
 
 
 class CountingScoreModel:
-    """Wraps a score model and counts the rows of its evaluations (``epsilon``
-    and ``evaluate``) and of its pullbacks.
+    """Wraps a score model and counts the times it prepares and the rows of its
+    evaluations (``epsilon`` and ``evaluate``) and of its pullbacks.
 
-    Used to assert NFE accounting and the evaluation budget of the reverse pass.
+    Used to assert NFE accounting, the evaluation budget of the reverse pass and
+    how often a solve prepares the model's per-time constants.
     """
 
     def __init__(self, inner):
@@ -240,6 +338,7 @@ class CountingScoreModel:
         self.reset()
 
     def reset(self):
+        self.n_prepare = 0
         self.n_epsilon = 0
         self.n_pullback = 0
 
@@ -251,18 +350,22 @@ class CountingScoreModel:
     def _rows(x):
         return np.atleast_2d(np.asarray(x)).shape[0]
 
-    def epsilon(self, at, x):
-        self.n_epsilon += self._rows(x)
-        return self.inner.epsilon(at, x)
+    def prepare(self, at):
+        self.n_prepare += np.size(at[0])
+        return self.inner.prepare(at)
 
-    def evaluate(self, at, x, prediction="noise"):
+    def epsilon(self, p, x):
         self.n_epsilon += self._rows(x)
-        return self.inner.evaluate(at, x, prediction)
+        return self.inner.epsilon(p, x)
 
-    def pullback(self, at, x, terms, cot):
+    def evaluate(self, p, x, prediction="noise"):
+        self.n_epsilon += self._rows(x)
+        return self.inner.evaluate(p, x, prediction)
+
+    def pullback(self, p, x, terms, cot):
         self.n_pullback += self._rows(x)
-        return self.inner.pullback(at, x, terms, cot)
+        return self.inner.pullback(p, x, terms, cot)
 
     # goes through the counted evaluate, so it counts once
-    def data_prediction(self, at, x):
-        return GaussianMixtureScore.data_prediction(self, at, x)
+    def data_prediction(self, p, x):
+        return GaussianMixtureScore.data_prediction(self, p, x)

@@ -10,8 +10,10 @@ data prediction, h_i the per-step log-SNR gap.  Wrapper factors always use the
 step times.  :func:`wrapper_factors` (and its t-partials,
 :func:`wrapper_partials`, for the reverse pass) is the one place this formula
 lives.  Each grid keeps a :class:`GridTable` per (schedule, prediction), so
-solves and reverse passes over one grid look the schedule up once; an ``ss``
-solve adds one array lookup for its stage times, which move with its
+solves and reverse passes over one grid look the schedule up once, and the
+table keeps per model what ``model.prepare`` made of its score times, so the
+model computes its per-time constants once; an ``ss`` solve adds one array
+lookup and one ``prepare`` for its stage times, which move with its
 coefficients.
 
 One stepping core runs every family.  Each step is a short list of
@@ -31,9 +33,9 @@ its gradients go: the slots of ``coeffs.values`` its weights occupy, and where
 the time derivative of its evaluation lands (a score time, or a stage's
 log-SNR offset ``c`` and the step start).
 
-The trace keeps, for the reverse pass, the rows (with the lookup of every
-evaluation) and every evaluation with the terms the model's ``evaluate`` kept
-for it and the point it was made at.
+The trace keeps, for the reverse pass, the rows (with the lookup and the
+model's prepared record of every evaluation) and every evaluation with the
+terms the model's ``evaluate`` kept for it and the point it was made at.
 """
 
 from __future__ import annotations
@@ -75,14 +77,17 @@ def wrapper_partials(schedule: NoiseSchedule, steps: np.ndarray, prediction: str
 
 
 class GridTable:
-    """What solves on one grid read of the schedule: the wrapper factors ``R``, ``S``,
-    the lookup ``at`` of every score time and, on first use, ``partials`` (of
-    :func:`wrapper_partials`) and ``log_snr``, lambda and d lambda/dt at the steps."""
+    """What solves on one grid read of the schedule and the model: the wrapper
+    factors ``R``, ``S``, the lookup ``at`` of every score time and, on first use,
+    ``partials`` (of :func:`wrapper_partials`), ``log_snr`` (lambda and
+    d lambda/dt at the steps) and, per model, its prepared constants of every
+    score time (:meth:`prepared`)."""
 
     def __init__(self, schedule: NoiseSchedule, grid: TimeGrid, prediction: str):
         self.schedule, self.steps, self.prediction = schedule, grid.steps, prediction
         self.R, self.S = (f.tolist() for f in wrapper_factors(schedule, grid.steps, prediction))
         self.at = list(zip(*(v.tolist() for v in schedule.at(grid.score_times))))
+        self.models = {}
 
     @classmethod
     def of(cls, schedule: NoiseSchedule, grid: TimeGrid, prediction: str) -> "GridTable":
@@ -91,6 +96,14 @@ class GridTable:
         if key not in grid.tables:
             grid.tables[key] = cls(schedule, grid, prediction)
         return grid.tables[key]
+
+    def prepared(self, model):
+        """``model.prepare`` of every score time at once, made on first use: for the
+        mixture one stacked array per constant, whose iteration gives the records."""
+        stack = self.models.get(model)
+        if stack is None:
+            stack = self.models[model] = model.prepare(tuple(np.array(self.at).T))
+        return stack
 
     @functools.cached_property
     def partials(self):
@@ -108,7 +121,8 @@ class Row(NamedTuple):
 
     The weight gradients go to ``coeffs.values[slots]``; with ``implied`` the
     last weight is 1 - sum(the others) and owns no slot.  A row with ``at``, the
-    schedule lookup of a time, is evaluated there.  The time derivative of that
+    schedule lookup of a time, is evaluated there, with ``prep``, the model's
+    prepared constants of that time.  The time derivative of that
     evaluation goes to score time ``tc``, or, for a stage at log-SNR lambda(t_{i-1}) + c, through
     d lambda to ``lam = (i-1, slot of c or None)``; an unset target (a clamped
     stage) takes none.
@@ -120,32 +134,40 @@ class Row(NamedTuple):
     slots: slice
     implied: bool = False
     at: tuple | None = None
+    prep: object = None
     tc: int | None = None
     lam: tuple | None = None
 
 
-def _multistep_rows(coeffs: SolverCoefficients, table: GridTable, final_corrector: bool):
+def _multistep_rows(coeffs: SolverCoefficients, table: GridTable, model,
+                    final_corrector: bool):
     """lms/pc: evaluation m sits at score time m.  Step i predicts from the q
     most recent evaluations and evaluates the prediction (except at the last
-    step of lms); pc then corrects over [new, recent, ..., oldest]."""
+    step of lms); pc then corrects over [new, recent, ..., oldest].  The
+    oldest weight is 1 - sum(free weights), summed in order, which is how
+    numpy sums fewer than 8 terms in ``coeffs.corrector_weights``."""
     n, ats, values = coeffs.n_steps, table.at, coeffs.values.tolist()
-    steps = [[Row(False, [], range(0), slice(0, 0), at=ats[0], tc=0)]]
+    preps = list(table.prepared(model))
+    steps = [[Row(False, [], range(0), slice(0, 0), at=ats[0], prep=preps[0], tc=0)]]
     for i in range(1, n + 1):
-        q, b_slice = coeffs.q(i), coeffs.b_slice(i)
+        b_slice = coeffs.b_slice(i)
+        q = b_slice.stop - b_slice.start
         correct = coeffs.kind == "pc" and (i < n or final_corrector)
         evaluated = i < n or correct
         rows = [Row(True, values[b_slice], range(i - 1, i - 1 - q, -1), b_slice,
-                    at=ats[i] if evaluated else None, tc=i if evaluated else None)]
+                    at=ats[i] if evaluated else None, prep=preps[i] if evaluated else None,
+                    tc=i if evaluated else None)]
         if correct:
-            rows.append(Row(True, coeffs.corrector_weights(i).tolist(),
-                            range(i, i - 1 - q, -1), coeffs.corrector_slice(i),
+            c_slice = coeffs.corrector_slice(i)
+            free = values[c_slice]
+            rows.append(Row(True, free + [1.0 - sum(free)], range(i, i - 1 - q, -1), c_slice,
                             implied=True))
         steps.append(rows)
     return steps
 
 
 def _single_step_rows(coeffs: SolverCoefficients, schedule: NoiseSchedule, table: GridTable,
-                      diagnostics: list):
+                      model, diagnostics: list):
     """ss: k stage rows at log-SNR offsets from the step start (stage 1 at the
     start, stage j+1 at offset ``c``, clipped to the schedule's log-SNR range),
     then the update row over the k stage evaluations."""
@@ -158,8 +180,9 @@ def _single_step_rows(coeffs: SolverCoefficients, schedule: NoiseSchedule, table
     for i, j in zip(*np.nonzero(clamped)):
         diagnostics.append({"event": "stage_clamp", "step": int(i + 1), "stage": int(j + 1),
                             "requested": float(raw_lams[i, j]), "used": float(stage_lams[i, j])})
-    stage_ats = list(zip(*(v.ravel().tolist()
-                           for v in schedule.at(schedule.time_from_lambda(stage_lams)))))
+    stage_at = [v.ravel() for v in schedule.at(schedule.time_from_lambda(stage_lams))]
+    stage_ats = list(zip(*(v.tolist() for v in stage_at)))
+    stage_preps = list(model.prepare(stage_at))
     values, steps = coeffs.values.tolist(), [[]]
     for i in range(1, n + 1):
         base, a0, c0 = (i - 1) * k, coeffs.ss_a_slice(i).start, coeffs.ss_c_slice(i).start - 1
@@ -167,7 +190,7 @@ def _single_step_rows(coeffs: SolverCoefficients, schedule: NoiseSchedule, table
         for j in range(k):
             a_row = slice(a0 + j * (k - 1), a0 + j * k)    # stage j mixes stages l < j
             rows.append(Row(False, values[a_row], range(base, base + j), a_row,
-                            at=stage_ats[base + j],
+                            at=stage_ats[base + j], prep=stage_preps[base + j],
                             lam=None if clamped[i - 1, j] else (i - 1, c0 + j if j else None)))
         b_slice = coeffs.ss_b_slice(i)
         rows.append(Row(True, values[b_slice], range(base, base + k), b_slice))
@@ -175,17 +198,15 @@ def _single_step_rows(coeffs: SolverCoefficients, schedule: NoiseSchedule, table
     return steps
 
 
-def _evaluate(model, prediction, at, x, step_index):
+def _evaluate(model, prediction, prep, x, step_index):
     """``(e, terms)``: the evaluation the family combines (eps, or x_hat for data
     prediction) and the terms the model keeps for its pullback."""
     try:
-        # divergence surfaces as a DivergenceError below, not as warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            out, terms = model.evaluate(at, x, prediction)
+        out, terms = model.evaluate(prep, x, prediction)
     except FloatingPointError as exc:
         raise DivergenceError(f"score evaluation overflowed: {exc}",
                               step_index=step_index) from exc
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DivergenceError("score evaluation returned non-finite values",
                               step_index=step_index)
     return out, terms
@@ -224,36 +245,40 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
     if grid.n_steps != n:
         raise ValueError(f"grid has {grid.n_steps} steps but coefficients expect {n}")
     x = np.asarray(x_init, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DivergenceError("initial state is not finite", step_index=0)
 
     diagnostics: list = []
     table = GridTable.of(schedule, grid, coeffs.prediction)
     if coeffs.kind == "ss":
-        step_rows = _single_step_rows(coeffs, schedule, table, diagnostics)
+        step_rows = _single_step_rows(coeffs, schedule, table, model, diagnostics)
     else:
-        step_rows = _multistep_rows(coeffs, table, final_corrector)
+        step_rows = _multistep_rows(coeffs, table, model, final_corrector)
     R, S = table.R, table.S
     states, evals, terms, points = [], [], [], []
-    for i, rows in enumerate(step_rows):
-        x_prev = x
-        for row in rows:
-            w = row.w
-            if row.wrapper:
-                x = R[i - 1] * x_prev - S[i - 1] * sum(w[u] * evals[m]
-                                                       for u, m in enumerate(row.m))
-            else:
-                x = x_prev
-                for u, m in enumerate(row.m):
-                    x = x + w[u] * evals[m]
-            if row.at is not None:
-                e, kept = _evaluate(model, coeffs.prediction, row.at, x, i)
-                evals.append(e)
-                terms.append(kept)
-                points.append(x)
-        if i and not np.all(np.isfinite(x)):
-            raise DivergenceError(f"state diverged at step {i}", step_index=i)
-        states.append(x)
+    # divergence surfaces as a DivergenceError below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, rows in enumerate(step_rows):
+            x_prev = x
+            for row in rows:
+                w, m = row.w, row.m
+                if row.wrapper:
+                    acc = w[0] * evals[m[0]]
+                    for u in range(1, len(m)):
+                        acc += w[u] * evals[m[u]]
+                    x = R[i - 1] * x_prev - S[i - 1] * acc
+                else:
+                    x = x_prev
+                    for u, j in enumerate(m):
+                        x = x + w[u] * evals[j]
+                if row.at is not None:
+                    e, kept = _evaluate(model, coeffs.prediction, row.prep, x, i)
+                    evals.append(e)
+                    terms.append(kept)
+                    points.append(x)
+            if i and not np.isfinite(x).all():
+                raise DivergenceError(f"state diverged at step {i}", step_index=i)
+            states.append(x)
 
     return SolveTrace(states=states, rows=step_rows, evals=evals, terms=terms, points=points,
                       diagnostics=diagnostics, kind=coeffs.kind)

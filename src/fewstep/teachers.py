@@ -10,8 +10,9 @@ The adaptive pair is Dormand-Prince 5(4), implemented here with SciPy's
 ``RK45`` tableau, first-step rule, RMS error norm, step factors and
 operation order, so it reproduces ``solve_ivp(..., method="RK45")`` bit for
 bit without importing SciPy; its right-hand side makes one ``schedule.at``
-lookup and forms f and g^2 from it as ``schedule.f`` and ``schedule.g_sq`` do,
-so the labels are those of ``solve_ivp`` on that RHS.  The whole batch is one
+lookup, forms f and g^2 from it as ``schedule.f`` and ``schedule.g_sq`` do and
+prepares the model once from it, so the labels are those of ``solve_ivp`` on
+that RHS.  The whole batch is one
 system: one error norm and one step sequence serve every record, so a label
 depends (within the tolerance) on the batch it was solved in.
 
@@ -197,7 +198,7 @@ def _adaptive_rk_solve(config, schedule, model, x_init):
         a, s, da, ds = at = schedule.at(t)
         f = da / a                          # as schedule.f and schedule.g_sq form them
         gs = 2.0 * s * ds - 2.0 * f * s * s
-        return (f * state + gs / (2.0 * s) * model.epsilon(at, state)).ravel()
+        return (f * state + gs / (2.0 * s) * model.epsilon(model.prepare(at), state)).ravel()
 
     y = _rk45(rhs, schedule.T, x.ravel(), schedule.t_min, config.rel_tol, config.abs_tol)
     return y.reshape(x.shape)

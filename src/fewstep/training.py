@@ -105,24 +105,40 @@ class Adam:
 
 @dataclasses.dataclass
 class TrainResult:
+    """What a training run returns.  Its per-iteration record is kept as columns,
+    ``phases`` and ``losses`` (iterations, 2): an iteration's training loss, and
+    the validation loss after its epoch at an epoch's last iteration (else nan);
+    :attr:`history` lays them out as one dict per iteration."""
+
     coeffs: SolverCoefficients
     params: LearnableTimeParams | None
     grid: TimeGrid
-    history: list
+    phases: list
+    losses: np.ndarray
     status: str
     r: float
     n_params: float
     projection_violations: int
 
     @property
+    def history(self) -> list:
+        """``{iteration, phase, train_loss, val_loss, r}`` per iteration, made on each access."""
+        return [{"iteration": i, "phase": phase, "train_loss": train, "val_loss": val,
+                 "r": self.r}
+                for i, (phase, (train, val)) in enumerate(zip(self.phases, self.losses.tolist()),
+                                                          start=1)]
+
+    def _last_finite(self, column):
+        finite = self.losses[np.isfinite(self.losses[:, column]), column]
+        return float(finite[-1]) if finite.size else float("nan")
+
+    @property
     def final_train_loss(self):
-        rows = [h["train_loss"] for h in self.history if np.isfinite(h["train_loss"])]
-        return rows[-1] if rows else float("nan")
+        return self._last_finite(0)
 
     @property
     def final_val_loss(self):
-        rows = [h["val_loss"] for h in self.history if np.isfinite(h["val_loss"])]
-        return rows[-1] if rows else float("nan")
+        return self._last_finite(1)
 
 
 def _blocks_in_play(phases):
@@ -157,10 +173,9 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
     rng = np.random.default_rng(config.seed)
     n_train = dataset.n_train
     x_init, x_prime, targets = dataset.x_init, dataset.x_prime, dataset.teacher_out
-    history: list = []
+    iteration_phases, losses = [], []        # per iteration; see TrainResult
     status = "ok"
     violations = 0
-    iteration = 0
     snapshot = _snapshot(coeffs, params, x_prime[:n_train])
 
     def current_grid():
@@ -215,13 +230,12 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
                 projected = project_ball(new_xp, x0, r, sigma_tilde)
                 violations += int(np.count_nonzero(_norm(projected - x0) > radius + 1e-12))
                 x_prime[batch] = projected
-                iteration += 1
-                history.append({"iteration": iteration, "phase": phase_name,
-                                "train_loss": loss, "val_loss": float("nan"), "r": r})
+                iteration_phases.append(phase_name)
+                losses.append([loss, np.nan])
             if status != "ok":
                 break
-            if history:
-                history[-1]["val_loss"] = val_loss()
+            if losses:
+                losses[-1][1] = val_loss()
             snapshot = _snapshot(coeffs, params, x_prime[:n_train])
         if status != "ok":
             break
@@ -230,8 +244,9 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
         coeffs, params, x_prime[:n_train] = snapshot
 
     return TrainResult(coeffs=coeffs, params=params, grid=current_grid(),
-                       history=history, status=status, r=r, n_params=n_params,
-                       projection_violations=violations)
+                       phases=iteration_phases,
+                       losses=np.array(losses, dtype=float).reshape(-1, 2), status=status,
+                       r=r, n_params=n_params, projection_violations=violations)
 
 
 def _snapshot(coeffs, params, x_prime):

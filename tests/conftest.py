@@ -30,6 +30,33 @@ def gauss():
     return GaussianMixtureScore.isotropic(2, scale=1.0)
 
 
+def _inline_epsilon(model, at, x2):
+    """eps as the kernel computed it before the per-time constants were prepared:
+    every constant formed from (alpha, sigma) inside the call, op for op."""
+    alpha, sigma = at[0], at[1]
+    scale_sq = (model.scales * model.scales)[:, None]
+    mean_sq = np.einsum("jd,jd->j", model.means, model.means)[:, None]
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(model.weights)[:, None]
+    v = alpha * alpha * scale_sq + sigma * sigma
+    xm = model.means @ x2.T
+    sq = xm * (-2.0 * alpha)
+    sq += (alpha * alpha) * mean_sq
+    sq += np.einsum("bd,bd->b", x2, x2)
+    ell = np.maximum(sq, 0.0, out=sq) * (-0.5 / v)
+    ell += log_weights - 0.5 * model.dim * np.log(2.0 * np.pi * v)
+    ell -= ell.max(axis=0)
+    gamma = np.exp(ell, out=ell)
+    gamma /= gamma.sum(axis=0)
+    g = gamma / v
+    return sigma * (g.sum(axis=0)[:, None] * x2 - alpha * (g.T @ model.means))
+
+
+@pytest.fixture
+def inline_epsilon():
+    return _inline_epsilon
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
@@ -41,14 +68,18 @@ class ZeroModel:
     dim = 2
     n_components = 0
 
-    def epsilon(self, at, x):
+    def prepare(self, at):
+        # all it needs of a time is alpha, for the data prediction x / alpha
+        return at[0]
+
+    def epsilon(self, alpha, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def evaluate(self, at, x, prediction="noise"):
+    def evaluate(self, alpha, x, prediction="noise"):
         x = np.asarray(x, dtype=float)
-        return (np.zeros_like(x) if prediction == "noise" else x / at[0]), None
+        return (np.zeros_like(x) if prediction == "noise" else x / alpha), None
 
-    def pullback(self, at, x, terms, cot):
+    def pullback(self, alpha, x, terms, cot):
         return np.zeros_like(np.asarray(x, dtype=float)), 0.0
 
 

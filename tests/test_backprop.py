@@ -173,7 +173,7 @@ class TestRematerialization:
                 ats = [row.at for rows in trace.rows for row in rows if row.at is not None]
                 assert len(trace.points) == len(ats) == trace.nfe_used
                 for e, kept, point, at in zip(trace.evals, trace.terms, trace.points, ats):
-                    remade, terms = mixture.evaluate(at, point, prediction)
+                    remade, terms = mixture.evaluate(mixture.prepare(at), point, prediction)
                     assert np.array_equal(remade, e), (kind, prediction, x.shape)
                     assert all(np.array_equal(u, v) for u, v in zip(terms, kept))
 
@@ -236,3 +236,21 @@ def test_schedule_calls_do_not_grow_with_steps(kind, preset, prediction, mixture
     assert calls[0] == calls[1]
     assert calls[0] == ([] if kind != "ss" else
                         ["lambda_range", "at", "time_from_lambda", "check_time", "beta"])
+
+
+@pytest.mark.parametrize("kind, preset", [("lms", "ipndm"), ("pc", "unipc"), ("ss", "gaussian")])
+@pytest.mark.parametrize("prediction", ["noise", "data"])
+def test_model_prepares_nothing_once_the_table_exists(kind, preset, prediction, mixture):
+    # the grid's table keeps the model's constants of its score times, so
+    # solve + backward prepare nothing for lms/pc, and the k*N stage times for ss
+    schedule, x = VpLinearSchedule(), np.ones((3, 2))
+    for n in (4, 8):
+        grid = heuristic_grid(schedule, n, "logsnr")
+        coeffs = init_preset(kind, 2, n, preset, schedule=schedule, grid=grid,
+                             prediction=prediction, seed=3)
+        counted = CountingScoreModel(mixture)
+        solve(coeffs, schedule, grid, counted, x)
+        counted.reset()
+        trace = solve(coeffs, schedule, grid, counted, x)
+        backward(trace, coeffs, schedule, counted, np.ones_like(x), grid=grid)
+        assert counted.n_prepare == (0 if kind != "ss" else 2 * n)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +73,18 @@ class TestTimeGridValidation:
             grid.steps[1] = 5.0
         with pytest.raises(ValueError):
             grid.score_times[1] = 5.0
+
+    def test_pickle_and_deepcopy_rebuild_through_the_constructor(self, ve):
+        # a copy has read-only times and no tables of its own, so writing to
+        # its times cannot leave a table stale
+        grid = heuristic_grid(ve, 4, "logsnr")
+        grid.tables["kept"] = object()
+        for other in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid)):
+            assert np.array_equal(other.steps, grid.steps)
+            assert np.array_equal(other.score_times, grid.score_times)
+            assert not other.steps.flags.writeable and not other.score_times.flags.writeable
+            assert other.tables == {}
+        assert "kept" in grid.tables
 
     def test_callers_arrays_stay_writeable_and_unaliased(self):
         steps = np.array([1.0, 0.5, 0.1])

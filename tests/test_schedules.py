@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from fewstep.errors import DomainError
-from fewstep.schedules import (EdmSchedule, VeSchedule, VpLinearSchedule,
+from fewstep import coeffs
+from fewstep.schedules import (GL_NODES, GL_WEIGHTS, EdmSchedule, VeSchedule, VpLinearSchedule,
                                exact_step_integrand, phi_functions)
 
 ALL_SCHEDULES = [VpLinearSchedule(), VeSchedule(), EdmSchedule()]
@@ -186,6 +187,18 @@ class TestPhiFunctions:
             recur = (vals[k - 1] - 1.0 / math.factorial(k)) / 0.5
             assert abs(vals[k] - recur) < 1e-12 * abs(vals[k])
 
+    def test_one_gauss_legendre_rule(self):
+        # the module's 32-point rule serves phi_functions and the preset weights
+        # in coeffs, and is the rule leggauss(32) returns
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        assert np.array_equal(GL_NODES, nodes) and np.array_equal(GL_WEIGHTS, weights)
+        assert coeffs.GL_NODES is GL_NODES and coeffs.GL_WEIGHTS is GL_WEIGHTS
+        for h, order in ((0.7, 3), (-2.5, 4), (12.0, 2)):
+            u = 0.5 * (nodes + 1.0)
+            top = 0.5 * float(np.dot(weights, np.exp((1.0 - u) * h) * u ** (order - 1))) \
+                / math.factorial(order - 1)
+            assert phi_functions(h, order)[-1] == top
+
     def test_branch_crossover(self):
         below = phi_functions(np.nextafter(1e-4, 0.0), 4)
         above = phi_functions(np.nextafter(1e-4, 1.0), 4)
@@ -220,7 +233,7 @@ class TestExactStepReference:
         t_prev, t_next = 6.0, 2.0
         start = exact_gaussian_solution(ve, gauss, x * ve.tilde_sigma, t_end=t_prev)
         out = exact_step_integrand(ve, start, t_prev, t_next,
-                                   lambda s, t: gauss.epsilon(ve.at(t), s))
+                                   lambda s, t: gauss.epsilon(gauss.prepare(ve.at(t)), s))
         expected = exact_gaussian_solution(ve, gauss, x * ve.tilde_sigma, t_end=t_next)
         assert np.linalg.norm(out - expected) <= 1e-8
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from fewstep.grids import heuristic_grid
 from fewstep.scores import CountingScoreModel, GaussianMixtureScore, default_mixture
+from fewstep.solvers import GridTable
 
 
 def einsum_parts(model, x2, alpha, sigma):
@@ -68,42 +70,44 @@ def direct_mixture_score(model, schedule, x, t):
 class TestEpsilon:
     def test_zero_at_symmetric_point(self, ve):
         model = GaussianMixtureScore.isotropic(2, scale=1.0)
-        assert np.allclose(model.epsilon(ve.at(1.0), np.zeros(2)), 0.0)
+        assert np.allclose(model.epsilon(model.prepare(ve.at(1.0)), np.zeros(2)), 0.0)
 
     def test_unit_balance_point(self, ve):
         # at t=1 on this schedule alpha=sigma=1, so eps = x * 1/(1+1)
         model = GaussianMixtureScore.isotropic(2, scale=1.0)
-        out = model.epsilon(ve.at(1.0), np.array([2.0, 0.0]))
+        out = model.epsilon(model.prepare(ve.at(1.0)), np.array([2.0, 0.0]))
         assert np.allclose(out, [1.0, 0.0], atol=1e-14)
 
     def test_single_component_mixture_degenerates(self, ve):
         iso = GaussianMixtureScore.isotropic(2, scale=0.7, mean=[0.3, -0.4])
         mix = GaussianMixtureScore(weights=[1.0], means=[[0.3, -0.4]], scales=[0.7])
         x = np.array([1.1, 0.2])
-        assert np.allclose(iso.epsilon(ve.at(2.5), x), mix.epsilon(ve.at(2.5), x))
+        at = ve.at(2.5)
+        assert np.allclose(iso.epsilon(iso.prepare(at), x), mix.epsilon(mix.prepare(at), x))
 
     def test_matches_direct_density_score(self, ve, mixture, rng):
         for _ in range(50):
             x = rng.normal(scale=3.0, size=2)
             t = float(rng.uniform(ve.t_min, ve.T))
-            eps = mixture.epsilon(ve.at(t), x)
+            eps = mixture.epsilon(mixture.prepare(ve.at(t)), x)
             score = direct_mixture_score(mixture, ve, x, t)
             assert np.allclose(eps, -float(ve.sigma(t)) * score, rtol=1e-10, atol=1e-12)
 
     def test_batched_matches_loop(self, ve, mixture, rng):
         xs = rng.normal(size=(5, 2))
-        batch = mixture.epsilon(ve.at(3.0), xs)
-        rows = np.stack([mixture.epsilon(ve.at(3.0), x) for x in xs])
+        p = mixture.prepare(ve.at(3.0))
+        batch = mixture.epsilon(p, xs)
+        rows = np.stack([mixture.epsilon(p, x) for x in xs])
         assert np.allclose(batch, rows)
 
     def test_non_finite_input_rejected(self, ve, mixture):
         with pytest.raises(FloatingPointError):
-            mixture.epsilon(ve.at(1.0), np.array([np.nan, 0.0]))
+            mixture.epsilon(mixture.prepare(ve.at(1.0)), np.array([np.nan, 0.0]))
 
     def test_stable_at_extreme_log_snr(self, edm, mixture):
-        out = mixture.epsilon(edm.at(edm.T), np.array([50.0, -30.0]))
+        out = mixture.epsilon(mixture.prepare(edm.at(edm.T)), np.array([50.0, -30.0]))
         assert np.all(np.isfinite(out))
-        out = mixture.epsilon(edm.at(edm.t_min), np.array([0.5, 0.1]))
+        out = mixture.epsilon(mixture.prepare(edm.at(edm.t_min)), np.array([0.5, 0.1]))
         assert np.all(np.isfinite(out))
 
 
@@ -123,7 +127,7 @@ class TestValidation:
 
     def test_high_dimension_supported(self, ve):
         model = default_mixture(64)
-        out = model.epsilon(ve.at(2.0), np.ones(64))
+        out = model.epsilon(model.prepare(ve.at(2.0)), np.ones(64))
         assert out.shape == (64,)
 
 
@@ -132,15 +136,15 @@ class TestOwnership:
         w, m, s = np.array([0.6, 0.4]), np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0.5, 0.7])
         model = GaussianMixtureScore(weights=w, means=m, scales=s)
         x = np.array([0.3, -0.2])
-        before = model.epsilon(ve.at(1.0), x)
+        before = model.epsilon(model.prepare(ve.at(1.0)), x)
         m[1, 0] = 5.0
         w[:] = [0.1, 0.9]
         s[0] = 2.0
         assert model.means[1, 0] == 0.0 and model.weights[0] == 0.6 and model.scales[0] == 0.5
-        assert np.array_equal(model.epsilon(ve.at(1.0), x), before)
+        assert np.array_equal(model.epsilon(model.prepare(ve.at(1.0)), x), before)
         fresh = GaussianMixtureScore(weights=[0.6, 0.4], means=[[1.0, 0.0], [0.0, 0.0]],
                                      scales=[0.5, 0.7])
-        assert np.array_equal(fresh.epsilon(ve.at(1.0), x), before)
+        assert np.array_equal(fresh.epsilon(fresh.prepare(ve.at(1.0)), x), before)
 
     def test_arrays_are_read_only(self):
         model = default_mixture(2)
@@ -160,11 +164,11 @@ class TestDerivatives:
         t = 2.0
         a, s = float(ve.alpha(t)), float(ve.sigma(t))
         cot = np.array([0.3, -0.7])
-        out = model.epsilon_vjp(ve.at(t), np.array([0.9, 0.4]), cot)
+        out = model.epsilon_vjp(model.prepare(ve.at(t)), np.array([0.9, 0.4]), cot)
         assert np.allclose(out, s / (a * a + s * s) * cot, rtol=1e-12)
 
     def test_zero_cotangent(self, ve, mixture):
-        out = mixture.epsilon_vjp(ve.at(1.5), np.ones(2), np.zeros(2))
+        out = mixture.epsilon_vjp(mixture.prepare(ve.at(1.5)), np.ones(2), np.zeros(2))
         assert np.allclose(out, 0.0)
 
     def test_vjp_matches_finite_differences(self, ve, mixture, rng):
@@ -174,13 +178,14 @@ class TestDerivatives:
             x = rng.normal(scale=2.5, size=2)
             t = float(rng.uniform(ve.t_min, ve.T))
             cot = rng.normal(size=2)
-            analytic = mixture.epsilon_vjp(ve.at(t), x, cot)
+            p = mixture.prepare(ve.at(t))
+            analytic = mixture.epsilon_vjp(p, x, cot)
             fd = np.zeros(2)
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = step
-                fd[i] = np.dot(cot, mixture.epsilon(ve.at(t), x + e)
-                               - mixture.epsilon(ve.at(t), x - e)) / (2 * step)
+                fd[i] = np.dot(cot, mixture.epsilon(p, x + e)
+                               - mixture.epsilon(p, x - e)) / (2 * step)
             denom = max(np.linalg.norm(fd), 1e-10)
             worst = max(worst, np.linalg.norm(analytic - fd) / denom)
         assert worst <= 1e-5
@@ -190,8 +195,9 @@ class TestDerivatives:
             x = rng.normal(scale=2.0, size=2)
             t = float(rng.uniform(2 * ve.t_min, 0.9 * ve.T))
             dt = 1e-6
-            fd = (mixture.epsilon(ve.at(t + dt), x) - mixture.epsilon(ve.at(t - dt), x)) / (2 * dt)
-            analytic = mixture.epsilon_time_partial(ve.at(t), x)
+            fd = (mixture.epsilon(mixture.prepare(ve.at(t + dt)), x)
+                  - mixture.epsilon(mixture.prepare(ve.at(t - dt)), x)) / (2 * dt)
+            analytic = mixture.epsilon_time_partial(mixture.prepare(ve.at(t)), x)
             assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-8)
 
 
@@ -215,12 +221,13 @@ class TestLinearize:
             t = float(rng.uniform(schedule.t_min, schedule.T))
             x = float(schedule.sigma(t)) * rng.uniform(0.5, 2.0) * rng.normal(size=shape)
             cot = rng.normal(size=shape)
-            eps, terms = model.evaluate(schedule.at(t), x)
-            xbar, tdot = model.pullback(schedule.at(t), x, terms, cot)
-            assert np.array_equal(eps, model.epsilon(schedule.at(t), x))
-            assert np.array_equal(xbar, model.epsilon_vjp(schedule.at(t), x, cot))
+            p = model.prepare(schedule.at(t))
+            eps, terms = model.evaluate(p, x)
+            xbar, tdot = model.pullback(p, x, terms, cot)
+            assert np.array_equal(eps, model.epsilon(p, x))
+            assert np.array_equal(xbar, model.epsilon_vjp(p, x, cot))
             # relative to the scale of the dot product, which itself can cancel
-            parts = cot * model.epsilon_time_partial(schedule.at(t), x)
+            parts = cot * model.epsilon_time_partial(p, x)
             assert isinstance(tdot, float)
             assert abs(tdot - np.sum(parts)) <= 1e-12 * np.sum(np.abs(parts))
 
@@ -251,9 +258,10 @@ class TestAgainstEinsumOracle:
             for x in _oracle_points(schedule, model, rng, float(t)):
                 cot = rng.normal(size=x.shape)
                 eps, vjp, deps_dt = einsum_oracle(model, schedule, x, t, cot)
-                assert _rel(model.epsilon(schedule.at(t), x), eps) <= 1e-12
-                assert _rel(model.epsilon_vjp(schedule.at(t), x, cot), vjp) <= 1e-12
-                assert _rel(model.epsilon_time_partial(schedule.at(t), x), deps_dt) <= 1e-12
+                p = model.prepare(schedule.at(t))
+                assert _rel(model.epsilon(p, x), eps) <= 1e-12
+                assert _rel(model.epsilon_vjp(p, x, cot), vjp) <= 1e-12
+                assert _rel(model.epsilon_time_partial(p, x), deps_dt) <= 1e-12
 
     def test_schedule_ends_with_large_states(self, ve, edm, mixture, rng):
         # VE at t=T and EDM at t=80 draw |x| of order 10 and 80-110
@@ -262,8 +270,9 @@ class TestAgainstEinsumOracle:
             assert np.max(np.linalg.norm(x, axis=1)) > 0.9 * 1.4 * schedule.T
             cot = rng.normal(size=x.shape)
             eps, vjp, deps_dt = einsum_oracle(mixture, schedule, x, schedule.T, cot)
-            got_eps, terms = mixture.evaluate(schedule.at(schedule.T), x)
-            got_vjp, tdot = mixture.pullback(schedule.at(schedule.T), x, terms, cot)
+            p = mixture.prepare(schedule.at(schedule.T))
+            got_eps, terms = mixture.evaluate(p, x)
+            got_vjp, tdot = mixture.pullback(p, x, terms, cot)
             assert _rel(got_eps, eps) <= 1e-12
             assert _rel(got_vjp, vjp) <= 1e-12
             assert abs(tdot - np.sum(cot * deps_dt)) <= 1e-12 * np.sum(np.abs(cot * deps_dt))
@@ -275,25 +284,74 @@ class TestDataPrediction:
             x = rng.normal(scale=2.0, size=2)
             t = float(rng.uniform(ve.t_min, ve.T))
             a, s = float(ve.alpha(t)), float(ve.sigma(t))
-            xhat = mixture.data_prediction(ve.at(t), x)
+            p = mixture.prepare(ve.at(t))
+            xhat = mixture.data_prediction(p, x)
             eps_back = (x - a * xhat) / s
-            assert np.allclose(eps_back, mixture.epsilon(ve.at(t), x), rtol=0, atol=1e-12)
+            assert np.allclose(eps_back, mixture.epsilon(p, x), rtol=0, atol=1e-12)
 
 
 def test_counting_wrapper_tracks_calls(ve, mixture):
     counted = CountingScoreModel(mixture)
-    counted.epsilon(ve.at(1.0), np.ones((3, 2)))
-    counted.data_prediction(ve.at(1.0), np.ones(2))
+    counted.epsilon(counted.prepare(ve.at(1.0)), np.ones((3, 2)))
+    counted.data_prediction(counted.prepare(ve.at(1.0)), np.ones(2))
     assert counted.n_epsilon == 4 and counted.n_pullback == 0
+    counted.prepare(ve.at(np.array([1.0, 0.5])))
+    assert counted.n_prepare == 4
     counted.reset()
-    assert counted.n_epsilon == 0
+    assert counted.n_epsilon == 0 and counted.n_prepare == 0
 
 
 def test_counting_wrapper_counts_pullback_rows(ve, mixture):
     counted = CountingScoreModel(mixture)
-    x, at = np.ones((4, 2)), ve.at(1.0)
-    eps, terms = counted.evaluate(at, x)
-    counted.pullback(at, x, terms, np.ones((4, 2)))
-    counted.pullback(at, np.ones(2), counted.evaluate(at, np.ones(2))[1], np.ones(2))
-    assert counted.n_pullback == 5 and counted.n_epsilon == 5
-    assert np.array_equal(eps, mixture.epsilon(at, x))
+    x, p = np.ones((4, 2)), counted.prepare(ve.at(1.0))
+    eps, terms = counted.evaluate(p, x)
+    counted.pullback(p, x, terms, np.ones((4, 2)))
+    counted.pullback(p, np.ones(2), counted.evaluate(p, np.ones(2))[1], np.ones(2))
+    assert counted.n_pullback == 5 and counted.n_epsilon == 5 and counted.n_prepare == 1
+    assert np.array_equal(eps, mixture.epsilon(p, x))
+
+
+class TestPrepared:
+    """The per-time constants: one record per time, or stacked over a grid's times."""
+
+    @pytest.mark.parametrize("schedule_name", ["ve", "vp", "edm"])
+    def test_kernel_matches_the_inline_constants_bit_for_bit(self, request, schedule_name,
+                                                            mixture, rng, inline_epsilon):
+        schedule = request.getfixturevalue(schedule_name)
+        for t in [schedule.t_min, schedule.T] + list(rng.uniform(schedule.t_min, schedule.T, 6)):
+            at = schedule.at(float(t))
+            x = float(schedule.sigma(t)) * rng.normal(size=(7, 2))
+            assert np.array_equal(mixture.epsilon(mixture.prepare(at), x),
+                                  inline_epsilon(mixture, at, x))
+
+    @pytest.mark.parametrize("schedule_name", ["ve", "vp", "edm"])
+    @pytest.mark.parametrize("prediction", ["noise", "data"])
+    def test_table_records_equal_a_fresh_prepare(self, request, schedule_name, prediction,
+                                                 mixture, rng):
+        # the stacked constants a grid's table keeps give the evaluation, its
+        # terms, the pullback and the time derivative of a record made per time
+        schedule = request.getfixturevalue(schedule_name)
+        grid = heuristic_grid(schedule, 6, "logsnr")
+        records = list(GridTable.of(schedule, grid, prediction).prepared(mixture))
+        assert len(records) == len(grid.score_times)
+        for t, kept in zip(grid.score_times, records):
+            fresh = mixture.prepare(schedule.at(float(t)))
+            for shape in ((2,), (5, 2)):
+                x = float(schedule.sigma(t)) * rng.normal(size=shape)
+                cot = rng.normal(size=shape)
+                e, terms = mixture.evaluate(kept, x, prediction)
+                e_ref, terms_ref = mixture.evaluate(fresh, x, prediction)
+                assert np.array_equal(e, e_ref)
+                assert all(np.array_equal(u, v) for u, v in zip(terms, terms_ref))
+                xbar, tdot = mixture.pullback(kept, x, terms, cot)
+                xbar_ref, tdot_ref = mixture.pullback(fresh, x, terms_ref, cot)
+                assert np.array_equal(xbar, xbar_ref) and tdot == tdot_ref
+                assert np.array_equal(mixture.epsilon_time_partial(kept, x),
+                                      mixture.epsilon_time_partial(fresh, x))
+
+    def test_stack_builds_pullback_constants_on_first_use(self, vp, mixture):
+        stack = mixture.prepare(vp.at(np.array([1.0, 0.5, 0.1])))
+        assert stack._slopes is None and len(stack) == 3
+        first = stack.slopes
+        assert first.shape == (6, 3, mixture.n_components, 1)
+        assert stack.slopes is first

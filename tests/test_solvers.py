@@ -23,7 +23,7 @@ class TestLmsStep:
         coeffs = SolverCoefficients(kind="lms", order=1, n_steps=1)
         coeffs.values[:] = 1.0
         x = np.array([1.0, -2.0])
-        eps = mixture.epsilon(ve.at(float(grid.steps[0])), x)
+        eps = mixture.epsilon(mixture.prepare(ve.at(float(grid.steps[0]))), x)
         out = solve(coeffs, ve, grid, mixture, x).terminal
         t0, t1 = grid.steps[0], grid.steps[1]
         h = float(ve.lam(t1) - ve.lam(t0))
@@ -51,10 +51,10 @@ class TestLmsStep:
             x0, x1 = (exact_gaussian_solution(ve, gauss, np.array([8.0, -3.0]), t_end=t)
                       for t in times[:2])
             ref = exact_step_integrand(ve, x1, times[1], times[2],
-                                       lambda s, t: gauss.epsilon(ve.at(t), s))
+                                       lambda s, t: gauss.epsilon(gauss.prepare(ve.at(t)), s))
             g = TimeGrid(steps=times, score_times=times.copy())
             R, S = wrapper_factors(ve, g.steps, "noise")
-            eps0 = gauss.epsilon(ve.at(times[0]), x0)
+            eps0 = gauss.epsilon(gauss.prepare(ve.at(times[0])), x0)
             coeffs = SolverCoefficients(kind="lms", order=2, n_steps=2)
             coeffs.values[coeffs.b_slice(1)] = np.dot(R[0] * x0 - x1, eps0) / (
                 S[0] * np.dot(eps0, eps0))
@@ -88,9 +88,9 @@ class TestSingleStep:
             t_p, t_n = grid.steps[i - 1], grid.steps[i]
             h = float(ve.lam(t_n) - ve.lam(t_p))
             s_mid = ve.time_from_lambda(float(ve.lam(t_p)) + h / 2)
-            eps_p = mixture.epsilon(ve.at(float(t_p)), xr)
+            eps_p = mixture.epsilon(mixture.prepare(ve.at(float(t_p))), xr)
             u = xr - float(ve.sigma(s_mid)) * math.expm1(h / 2) * eps_p
-            eps_mid = mixture.epsilon(ve.at(float(s_mid)), u)
+            eps_mid = mixture.epsilon(mixture.prepare(ve.at(float(s_mid))), u)
             xr = xr - float(ve.sigma(t_n)) * math.expm1(h) * eps_mid
         coeffs = init_preset("ss", 2, n, "dpmpp", schedule=ve, grid=grid)
         ours = solve(coeffs, ve, grid, mixture, x).terminal
@@ -152,7 +152,7 @@ class TestSolve:
         x = ve.tilde_sigma * np.array([1.0, 0.5])
         out = solve(coeffs, ve, grid, gauss, x).terminal
         t0, t1 = grid.steps
-        eps = gauss.epsilon(ve.at(float(t0)), x)
+        eps = gauss.epsilon(gauss.prepare(ve.at(float(t0))), x)
         h = float(ve.lam(t1) - ve.lam(t0))
         expected = x - float(ve.sigma(t1)) * math.expm1(h) * eps  # alpha ratio is 1
         assert np.allclose(out, expected, rtol=1e-14)
@@ -207,6 +207,18 @@ class TestSolve:
             solve(coeffs, ve, grid, mixture, np.ones(2))
         assert err.value.step_index >= 1
 
+    def test_corrector_rows_imply_the_oldest_weight_as_corrector_weights(self, ve, zero_model,
+                                                                        rng):
+        grid = heuristic_grid(ve, 6, "logsnr")
+        for order in (1, 2, 3, 4):
+            coeffs = SolverCoefficients(kind="pc", order=order, n_steps=6)
+            for _ in range(25):
+                coeffs.values[:] = rng.normal(size=coeffs.values.size) * 10.0 ** rng.integers(
+                    -3, 4, size=coeffs.values.size)
+                rows = solve(coeffs, ve, grid, zero_model, np.ones(2)).rows
+                for i in range(1, 7):
+                    assert rows[i][1].w == coeffs.corrector_weights(i).tolist()
+
     def test_grid_mismatch_rejected(self, ve, mixture):
         coeffs = SolverCoefficients(kind="lms", order=2, n_steps=4)
         grid = heuristic_grid(ve, 5, "logsnr")
@@ -219,9 +231,12 @@ class TestDataPrediction:
         class RescaleModel:
             dim = 2
 
-            def evaluate(self, at, x, prediction="noise"):
+            def prepare(self, at):
+                return at[1]
+
+            def evaluate(self, sigma, x, prediction="noise"):
                 x = np.asarray(x, dtype=float)
-                return (x / at[1] if prediction == "noise"
+                return (x / sigma if prediction == "noise"
                         else np.zeros_like(x)), None
 
         grid = heuristic_grid(ve, 5, "logsnr")
@@ -257,7 +272,7 @@ def _unipc_reference(schedule, model, times, k, x):
     lam = lambda t: float(schedule.lam(t))
     alpha = lambda t: float(schedule.alpha(t))
     sigma = lambda t: float(schedule.sigma(t))
-    eps_list = [model.epsilon(schedule.at(float(times[0])), x)]
+    eps_list = [model.epsilon(model.prepare(schedule.at(float(times[0]))), x)]
     t_list = [float(times[0])]
     for i in range(1, len(times)):
         t_prev, t = t_list[-1], float(times[i])
@@ -288,7 +303,7 @@ def _unipc_reference(schedule, model, times, k, x):
         else:
             pred_res = 0.0
         x_pred = x_t_ - sigma(t) * h_phi_1 * pred_res
-        model_t = model.epsilon(schedule.at(t), x_pred)
+        model_t = model.epsilon(model.prepare(schedule.at(t)), x_pred)
         rhos_c = np.array([rhs[0]]) if order == 1 else np.linalg.solve(rows, rhs)
         corr_res = sum(rhos_c[m] * d1s[m] for m in range(order - 1)) if order > 1 else 0.0
         x = x_t_ - sigma(t) * h_phi_1 * (corr_res + rhos_c[-1] * (model_t - eps_list[-1]))

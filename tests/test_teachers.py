@@ -98,7 +98,7 @@ class TestRk45:
         def rhs(t, y):
             calls.append(t)
             state = y.reshape(x.shape)
-            eps = model.epsilon(schedule.at(t), state)
+            eps = model.epsilon(model.prepare(schedule.at(t)), state)
             return (float(schedule.f(t)) * state
                     + float(schedule.g_sq(t)) / (2.0 * float(schedule.sigma(t))) * eps).ravel()
 
@@ -140,6 +140,26 @@ class TestRk45:
                         rtol=1e-8, atol=1e-10)
         out = teacher_solve(TeacherConfig(kind="adaptive_rk"), schedule, mixture, x)
         assert np.array_equal(out, ref.y[:, -1].reshape(x.shape))
+
+
+    @pytest.mark.parametrize("schedule", [VeSchedule(), VpLinearSchedule(), EdmSchedule()],
+                             ids=["ve", "vp", "edm"])
+    @pytest.mark.parametrize("batch", [5, 50])
+    def test_labels_equal_the_inline_kernel(self, schedule, batch, mixture, rng, inline_epsilon):
+        # the RHS prepares the model once per call; the labels are those of the
+        # kernel that formed every per-time constant inside the call
+        x = schedule.tilde_sigma * rng.standard_normal((batch, 2))
+
+        def rhs(t, y):
+            state = y.reshape(x.shape)
+            a, s, da, ds = at = schedule.at(t)
+            f = da / a
+            gs = 2.0 * s * ds - 2.0 * f * s * s
+            return (f * state + gs / (2.0 * s) * inline_epsilon(mixture, at, state)).ravel()
+
+        ref = _rk45(rhs, schedule.T, x.ravel(), schedule.t_min, 1e-8, 1e-10)
+        out = teacher_solve(TeacherConfig(kind="adaptive_rk"), schedule, mixture, x)
+        assert np.array_equal(out, ref.reshape(x.shape))
 
 
 class TestDatasets:

@@ -105,6 +105,23 @@ class TestTrainS4s:
         assert result.final_val_loss < first_val
         assert result.projection_violations == 0
 
+    def test_history_lays_out_the_loss_columns(self, problem):
+        # the record is kept as columns; history gives one dict per iteration,
+        # with the validation loss at each epoch's last iteration
+        ve, mixture, grid, coeffs, dataset = problem
+        cfg = TrainConfig(epochs=3, batch_size=10, seed=0)
+        result = train_s4s(dataset, coeffs, grid, ve, mixture, cfg)
+        history = result.history
+        per_epoch = len(history) // 3
+        assert result.losses.shape == (len(history), 2) and len(result.phases) == len(history)
+        assert [h["iteration"] for h in history] == list(range(1, len(history) + 1))
+        assert all(h["phase"] == "coeffs" and h["r"] == result.r for h in history)
+        assert [h["train_loss"] for h in history] == result.losses[:, 0].tolist()
+        finite = [i for i, h in enumerate(history) if np.isfinite(h["val_loss"])]
+        assert finite == [per_epoch - 1, 2 * per_epoch - 1, 3 * per_epoch - 1]
+        assert result.final_val_loss == history[-1]["val_loss"]
+        assert result.final_train_loss == history[-1]["train_loss"]
+
     def test_projection_invariant_and_persistence(self, problem):
         ve, mixture, grid, coeffs, dataset = problem
         cfg = TrainConfig(epochs=3, batch_size=10, seed=0)
