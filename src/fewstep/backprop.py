@@ -5,13 +5,13 @@ backwards and return cotangents for the coefficient vector, the time
 parameters (through the schedule's analytic derivatives and the grid
 parametrization), and the initial state.
 
-The trace holds every score evaluation, the point it was made at, its
-schedule lookup ``at`` = (alpha, sigma, alpha', sigma'), the model's prepared
-constants ``prep`` of its time and the terms the model kept for it (for the
-mixture score, two ``(J, B)`` arrays per evaluation), so nothing is evaluated
-again.  Each evaluation is released once, through the model's
-``pullback(prep, x, terms, cot)``, which returns the vjp of
-eps and its time derivative contracted with the cotangent; for data
+The trace holds every score evaluation, the point it was made at and the
+terms the model kept for it (for the mixture score, two ``(J, B)`` arrays per
+evaluation), and its plan holds each evaluation's schedule lookup ``at`` =
+(alpha, sigma, alpha', sigma') and the model's prepared constants ``prep`` of
+its time, so nothing is evaluated again.  Each evaluation is released once,
+through the model's ``pullback(prep, x, terms, cot)``, which returns the vjp
+of eps and its time derivative contracted with the cotangent; for data
 prediction, ``_release`` wraps it in the chain rule of x_hat = (x - sigma eps)
 / alpha, with eps read back from the kept x_hat, for every model alike.
 
@@ -20,10 +20,11 @@ and each step's rows (see :mod:`~fewstep.solvers`) in reverse.  A row's
 cotangent is the state's cotangent (the last row) plus, if it was evaluated,
 the release of its evaluation; it passes that on to x_{i-1}, to the
 evaluations it combined, to the weight slots it names and, for wrapper rows,
-to R_i and S_i.  The wrapper factors, their t-partials and d lambda/dt at the
-steps come from the grid's :class:`~fewstep.solvers.GridTable`, so a sweep
-over a grid whose table exists asks the schedule nothing, and the model
-prepares nothing.
+to R_i and S_i.  The weights are read from ``coeffs.values`` by the same
+:func:`~fewstep.solvers.row_weights` the forward loop uses.  The wrapper
+factors, their t-partials and d lambda/dt at the steps come from the grid's
+:class:`~fewstep.solvers.GridTable`, so a sweep over a grid whose table
+exists asks the schedule nothing, and the model prepares nothing.
 
 Clamped quantities (stage-time clamps, score-time offset clips) contribute
 zero gradient when saturated.
@@ -38,7 +39,7 @@ import numpy as np
 from .coeffs import SolverCoefficients
 from .grids import LearnableTimeParams, TimeGrid, grid_gradient_vjp, materialize
 from .schedules import NoiseSchedule
-from .solvers import GridTable, SolveTrace
+from .solvers import GridTable, SolveTrace, row_weights
 
 
 @dataclasses.dataclass
@@ -58,13 +59,14 @@ def _dot(a, b) -> float:
     return float((a * b).sum())
 
 
-def _release(model, prediction, row, x, e, terms, cot):
-    """(cotangent on x, cot . d(evaluation)/dt) of the evaluation e that ``row`` made at x."""
+def _release(model, prediction, at, prep, x, e, terms, cot):
+    """(cotangent on x, cot . d(evaluation)/dt) of the evaluation e made at x, at the
+    time of lookup ``at`` and prepared record ``prep``."""
     if prediction == "noise":
-        return model.pullback(row.prep, x, terms, cot)
+        return model.pullback(prep, x, terms, cot)
     # e = x_hat = (x - sigma eps) / alpha, linear in eps
-    a, s, da, ds = row.at
-    xbar, tdot = model.pullback(row.prep, x, terms, (-s / a) * cot)
+    a, s, da, ds = at
+    xbar, tdot = model.pullback(prep, x, terms, (-s / a) * cot)
     eps = (x - a * e) / s
     return xbar + cot / a, tdot - (ds * _dot(cot, eps) + da * _dot(cot, e)) / a
 
@@ -81,7 +83,8 @@ def backward(
 ) -> AdjointResult:
     """Exact reverse-mode derivative of x0 -> solve -> loss.
 
-    Pass the grid the trace was produced with.  Pass the learnable parameters
+    Pass the coefficients and the grid the trace was produced with: the rows'
+    weights are read from ``coeffs.values``.  Pass the learnable parameters
     it was materialized from to get cotangents on (xi, xi_c) too: the grid
     must then be ``materialize(params, schedule)``, and given only the
     parameters, backward materializes it itself.
@@ -106,39 +109,43 @@ def backward(
     table = GridTable.of(schedule, grid, coeffs.prediction)
     evals, R, S = trace.evals, table.R, table.S
     dR_p, dR_n, dS_p, dS_n = table.partials
+    plan, values = trace.plan, coeffs.values.tolist()
+    ats, preps, points, terms = plan.ats, plan.preps, trace.points, trace.terms
     ebar = [np.zeros_like(xbar) for _ in evals]
     m = len(evals)
 
-    for i in range(len(trace.rows) - 1, -1, -1):
+    for i in range(len(plan.steps) - 1, -1, -1):
         rbar = sbar = 0.0
         ybar, xprev_bar = xbar, None
-        for row in reversed(trace.rows[i]):
-            if row.at is not None:
+        for row in reversed(plan.steps[i]):
+            if row.evaluated:
                 m -= 1
-                zbar, tdot = _release(model, coeffs.prediction, row, trace.points[m],
-                                      evals[m], trace.terms[m], ebar[m])
+                at = ats[m]
+                zbar, tdot = _release(model, coeffs.prediction, at, preps[m], points[m],
+                                      evals[m], terms[m], ebar[m])
                 ybar = zbar if ybar is None else ybar + zbar
                 if row.tc is not None:
                     tcbar[row.tc] += tdot
-                if row.lam is not None:
+                if row.lam is not None and not plan.clamped[m]:
                     # the stage time moves with lambda
-                    a, s, da, ds = row.at
+                    a, s, da, ds = at
                     step, c = row.lam
                     tdot *= 1.0 / (da / a - ds / s)
                     if c is not None:
                         grad_values[c] += tdot
                     tbar[step] += tdot * table.log_snr[1][step]
+            w = row_weights(values, row)
             dots = [_dot(ybar, evals[u]) for u in row.m]
             if row.wrapper:
                 rbar += _dot(ybar, trace.states[i - 1])
-                sbar -= float(np.dot(row.w, dots))
+                sbar -= float(np.dot(w, dots))
                 scale, share = -S[i - 1], R[i - 1] * ybar
             else:
                 scale, share = 1.0, ybar
             g = scale * np.array(dots)
             grad_values[row.slots] += g[:-1] - g[-1] if row.implied else g
             for u, e in enumerate(row.m):
-                ebar[e] += (scale * row.w[u]) * ybar
+                ebar[e] += (scale * w[u]) * ybar
             xprev_bar = share if xprev_bar is None else xprev_bar + share
             ybar = None
         if i:

@@ -284,6 +284,24 @@ def cli_selftest():
                 same &= all(np.array_equal(u, v) for u, v in zip(*outs))
     check("grid-table model constants == fresh prepare (ve/vp/edm)", same)
 
+    same, built = True, False
+    for schedule in (VeSchedule(), VpLinearSchedule(), EdmSchedule()):
+        grid = heuristic_grid(schedule, 6, "logsnr")
+        x = schedule.tilde_sigma * rng.standard_normal((3, 2))
+        for kind, preset in (("lms", "ipndm"), ("pc", "unipc"), ("ss", "dpmpp")):
+            coeffs = init_preset(kind, 2, 6, preset, schedule=schedule, grid=grid)
+            first = solve(coeffs, schedule, grid, mixture, x)
+            coeffs.values *= 1.0 + 0.01 * rng.standard_normal(coeffs.values.size)
+            second = solve(coeffs, schedule, grid, mixture, x)
+            fresh = solve(coeffs, schedule, heuristic_grid(schedule, 6, "logsnr"), mixture, x)
+            # lms/pc reuse the table's whole plan; ss its rows, with new stage times
+            if kind == "ss":
+                built |= second.plan.steps is not first.plan.steps
+            else:
+                built |= second.plan is not first.plan
+            same &= all(np.array_equal(u, v) for u, v in zip(second.states, fresh.states))
+    check("new weights, same grid: no rows built, == fresh grid (ve/vp/edm)", same and not built)
+
     params = LearnableTimeParams.zeros(8)
     grid = materialize(params, ve)
     uniform = np.linspace(ve.T, ve.t_min, 9)

@@ -26,6 +26,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import artifacts
 from .coeffs import init_preset
 from .configs import ExperimentConfig, build_model, build_schedule, config_to_dict
@@ -41,7 +43,7 @@ _REFERENCE_MAGIC, _REFERENCE_VERSION = b"FSTREFS1", 1
 RESULT_COLUMNS = [
     "schedule", "solver", "order", "preset", "prediction", "mode", "nfe",
     "status", "mean_error", "median_error", "max_error",
-    "mean_error_normalized", "baseline_mean_error", "delta_vs_baseline",
+    "mean_error_normalized", "baseline_mean_error", "delta_vs_baseline", "delta_se",
     "final_train_loss", "final_val_loss", "r", "nfe_used", "wall_time_s",
     "seed", "message",
 ]
@@ -164,7 +166,7 @@ def run_cell(cfg: ExperimentConfig, nfe: int, mode: str, cache_dir=None) -> dict
                             seed=eval_seed, reference=reference)
         row["baseline_mean_error"] = baseline["mean_error"]
         if mode == "baseline":
-            row.update(metric_columns(baseline), delta_vs_baseline=0.0,
+            row.update(metric_columns(baseline), delta_vs_baseline=0.0, delta_se=0.0,
                        final_train_loss="", final_val_loss="", r="")
             return row
         dataset = _dataset_for(cfg, schedule, model, teacher, cache_dir)
@@ -175,8 +177,10 @@ def run_cell(cfg: ExperimentConfig, nfe: int, mode: str, cache_dir=None) -> dict
             row.update(status=result.status, message="training diverged")
         metrics = evaluate(result.coeffs, schedule, model, teacher, grid=result.grid,
                            n_eval=N_EVAL, seed=eval_seed, reference=reference)
+        paired = np.subtract(metrics["errors"], baseline["errors"])
         row.update(metric_columns(metrics),
                    delta_vs_baseline=metrics["mean_error"] - baseline["mean_error"],
+                   delta_se=float(paired.std(ddof=1) / np.sqrt(paired.size)),
                    final_train_loss=result.final_train_loss,
                    final_val_loss=result.final_val_loss, r=result.r)
     except Exception as exc:  # cell isolation: failures become rows

@@ -157,7 +157,8 @@ class GaussianMixtureScore:
         responsibilities, and ubar = sum_j gamma_j (x - alpha mu_j) / v_j (B, d) the
         scaled mean residual, with eps = sigma ubar and v_j the component variances."""
         xm = self.means @ x2.T
-        ell = self._sq_norms(x2, xm, p) * p.nhiv
+        ell = self._sq_norms(x2, xm, p)
+        ell *= p.nhiv
         ell += p.lognorm
         ell -= ell.max(axis=0)
         gamma = np.exp(ell, out=ell)
@@ -191,7 +192,11 @@ class GaussianMixtureScore:
         """``(e, terms)``: the evaluation e -- eps, or the data prediction x_hat for
         ``prediction="data"`` -- at the prepared time p, and the kept terms
         (gamma, mu.x), two (J, B) arrays from which :meth:`pullback` differentiates
-        eps without re-running the kernel."""
+        eps without re-running the kernel.
+
+        FloatingPointError if x is not finite: every model's ``evaluate`` rejects
+        a non-finite point, and :func:`~fewstep.solvers.solve` checks no state
+        that its own step evaluated."""
         x2, single = self._as_batch(x)
         ubar, gamma, xm = self._parts(x2, p)
         sigma = p.sigma

@@ -26,16 +26,25 @@ shapes:
   evaluation at the initial state that opens ``lms``/``pc`` (step 0).
 
 A row may be evaluated at a time, which appends the next evaluation, and the
-last row of a step is its state.  The family builders (:func:`_multistep_rows`,
-:func:`_single_step_rows`) only write rows; :func:`solve` runs them, and
-:func:`fewstep.backprop.backward` runs them transposed.  A row also names where
-its gradients go: the slots of ``coeffs.values`` its weights occupy, and where
-the time derivative of its evaluation lands (a score time, or a stage's
-log-SNR offset ``c`` and the step start).
+last row of a step is its state.  A row is structure only: it names the
+slots of ``coeffs.values`` its weights occupy (:func:`row_weights` reads
+them, so both loops see the coefficients of the call), and where the time
+derivative of its evaluation lands (a score time, or a stage's log-SNR
+offset ``c`` and the step start).  The family builders
+(:func:`_multistep_rows`, :func:`_single_step_rows`) only write rows, once
+per layout, and the grid's table keeps them in a :class:`Plan` per layout and
+model beside each evaluation's lookup and prepared record; an ``ss`` plan
+takes those, with its stage clamps, from the coefficients per solve
+(:func:`_stage_times`).
+:func:`solve` runs the rows, and :func:`fewstep.backprop.backward` runs them
+transposed.
 
-The trace keeps, for the reverse pass, the rows (with the lookup and the
-model's prepared record of every evaluation) and every evaluation with the
-terms the model's ``evaluate`` kept for it and the point it was made at.
+The model rejects a non-finite point with FloatingPointError, so a state
+some row of its own step evaluated is checked once, by the model; the loop
+checks the others.
+
+The trace keeps, for the reverse pass, the plan and every evaluation with
+the terms the model's ``evaluate`` kept for it and the point it was made at.
 """
 
 from __future__ import annotations
@@ -80,14 +89,15 @@ class GridTable:
     """What solves on one grid read of the schedule and the model: the wrapper
     factors ``R``, ``S``, the lookup ``at`` of every score time and, on first use,
     ``partials`` (of :func:`wrapper_partials`), ``log_snr`` (lambda and
-    d lambda/dt at the steps) and, per model, its prepared constants of every
-    score time (:meth:`prepared`)."""
+    d lambda/dt at the steps), per model its prepared constants of every score
+    time (:meth:`prepared`) and, per layout and model, the :class:`Plan` a solve
+    runs (:meth:`plan`)."""
 
     def __init__(self, schedule: NoiseSchedule, grid: TimeGrid, prediction: str):
         self.schedule, self.steps, self.prediction = schedule, grid.steps, prediction
         self.R, self.S = (f.tolist() for f in wrapper_factors(schedule, grid.steps, prediction))
         self.at = list(zip(*(v.tolist() for v in schedule.at(grid.score_times))))
-        self.models = {}
+        self.models, self.plans = {}, {}
 
     @classmethod
     def of(cls, schedule: NoiseSchedule, grid: TimeGrid, prediction: str) -> "GridTable":
@@ -105,6 +115,20 @@ class GridTable:
             stack = self.models[model] = model.prepare(tuple(np.array(self.at).T))
         return stack
 
+    def plan(self, coeffs: SolverCoefficients, model, final_corrector: bool) -> "Plan":
+        """The :class:`Plan` of ``coeffs``' layout and ``model`` on this grid, made on
+        first use; an ss plan still needs :func:`_stage_times`."""
+        layout = (coeffs.kind, coeffs.order, coeffs.n_steps, coeffs.tied, final_corrector)
+        plan = self.plans.get(layout + (model,))
+        if plan is None:
+            plan = _layout_plan(*layout)
+            if coeffs.kind != "ss":     # evaluation m sits at score time m
+                n_evals = sum(row.evaluated for rows in plan.steps for row in rows)
+                plan = plan._replace(ats=self.at[:n_evals],
+                                     preps=list(self.prepared(model))[:n_evals])
+            self.plans[layout + (model,)] = plan
+        return plan
+
     @functools.cached_property
     def partials(self):
         return [f.tolist() for f in wrapper_partials(self.schedule, self.steps, self.prediction)]
@@ -119,92 +143,129 @@ class Row(NamedTuple):
     """One row of a step: ``R_i x_{i-1} - S_i sum_u w[u] e_{m[u]}`` (``wrapper``)
     or ``x_{i-1} + sum_u w[u] e_{m[u]}``, with e the evaluations in call order.
 
-    The weight gradients go to ``coeffs.values[slots]``; with ``implied`` the
-    last weight is 1 - sum(the others) and owns no slot.  A row with ``at``, the
-    schedule lookup of a time, is evaluated there, with ``prep``, the model's
-    prepared constants of that time.  The time derivative of that
-    evaluation goes to score time ``tc``, or, for a stage at log-SNR lambda(t_{i-1}) + c, through
-    d lambda to ``lam = (i-1, slot of c or None)``; an unset target (a clamped
-    stage) takes none.
+    A row is structure only: its weights ``w`` are ``coeffs.values[slots]``, read
+    by :func:`row_weights`; with ``implied`` the last weight is 1 - sum(the
+    others) and owns no slot.  An ``evaluated`` row is evaluated at its result,
+    which appends the next evaluation (its lookup and prepared record are the
+    :class:`Plan`'s).  The time derivative of that evaluation goes to score
+    time ``tc``, or, for a stage at log-SNR lambda(t_{i-1}) + c, through d lambda
+    to ``lam = (i-1, slot of c or None)``, unless the stage was clamped.
     """
 
     wrapper: bool
-    w: list
     m: range
     slots: slice
     implied: bool = False
-    at: tuple | None = None
-    prep: object = None
+    evaluated: bool = False
     tc: int | None = None
     lam: tuple | None = None
 
 
-def _multistep_rows(coeffs: SolverCoefficients, table: GridTable, model,
-                    final_corrector: bool):
+class Plan(NamedTuple):
+    """What a solve runs: ``steps``, the rows of steps 0..N, and per evaluation in
+    call order its schedule lookup (``ats``), the model's prepared record
+    (``preps``) and, for ss, whether its stage time was ``clamped``.
+
+    A grid table keeps one per layout and model, over the rows every table
+    shares (:func:`_layout_plan`).  An lms/pc plan is complete; an ss plan
+    keeps its rows and ``c_index``, the (N, k-1) positions of the stage offsets
+    c in ``coeffs.values``, and :func:`_stage_times` fills in the rest per
+    solve, since stage times move with the coefficients.
+    """
+
+    steps: tuple
+    ats: list | None = None
+    preps: list | None = None
+    clamped: list | None = None
+    c_index: np.ndarray | None = None
+
+
+def row_weights(values: list, row: Row) -> list:
+    """The weights of ``row``, from ``values = coeffs.values.tolist()``: its slots,
+    then for ``implied`` 1 - sum(them), summed in order, which is how numpy sums
+    fewer than 8 terms in ``coeffs.corrector_weights``."""
+    w = values[row.slots]
+    if row.implied:
+        w.append(1.0 - sum(w))
+    return w
+
+
+@functools.lru_cache(maxsize=64)
+def _layout_plan(kind: str, order: int, n_steps: int, tied: bool, final_corrector: bool) -> Plan:
+    """The rows of a layout, which depend on nothing else, so every grid table
+    shares one copy; immutable, like the ss ``c_index``."""
+    coeffs = SolverCoefficients(kind, order, n_steps, tied=tied)
+    if kind == "ss":
+        return _single_step_rows(coeffs)
+    return Plan(_multistep_rows(coeffs, final_corrector))
+
+
+def _multistep_rows(coeffs: SolverCoefficients, final_corrector: bool) -> tuple:
     """lms/pc: evaluation m sits at score time m.  Step i predicts from the q
     most recent evaluations and evaluates the prediction (except at the last
-    step of lms); pc then corrects over [new, recent, ..., oldest].  The
-    oldest weight is 1 - sum(free weights), summed in order, which is how
-    numpy sums fewer than 8 terms in ``coeffs.corrector_weights``."""
-    n, ats, values = coeffs.n_steps, table.at, coeffs.values.tolist()
-    preps = list(table.prepared(model))
-    steps = [[Row(False, [], range(0), slice(0, 0), at=ats[0], prep=preps[0], tc=0)]]
+    step of lms); pc then corrects over [new, recent, ..., oldest]."""
+    n = coeffs.n_steps
+    steps = [(Row(False, range(0), slice(0, 0), evaluated=True, tc=0),)]
     for i in range(1, n + 1):
         b_slice = coeffs.b_slice(i)
         q = b_slice.stop - b_slice.start
         correct = coeffs.kind == "pc" and (i < n or final_corrector)
         evaluated = i < n or correct
-        rows = [Row(True, values[b_slice], range(i - 1, i - 1 - q, -1), b_slice,
-                    at=ats[i] if evaluated else None, prep=preps[i] if evaluated else None,
+        rows = [Row(True, range(i - 1, i - 1 - q, -1), b_slice, evaluated=evaluated,
                     tc=i if evaluated else None)]
         if correct:
-            c_slice = coeffs.corrector_slice(i)
-            free = values[c_slice]
-            rows.append(Row(True, free + [1.0 - sum(free)], range(i, i - 1 - q, -1), c_slice,
+            rows.append(Row(True, range(i, i - 1 - q, -1), coeffs.corrector_slice(i),
                             implied=True))
-        steps.append(rows)
-    return steps
+        steps.append(tuple(rows))
+    return tuple(steps)
 
 
-def _single_step_rows(coeffs: SolverCoefficients, schedule: NoiseSchedule, table: GridTable,
-                      model, diagnostics: list):
+def _single_step_rows(coeffs: SolverCoefficients) -> Plan:
     """ss: k stage rows at log-SNR offsets from the step start (stage 1 at the
-    start, stage j+1 at offset ``c``, clipped to the schedule's log-SNR range),
-    then the update row over the k stage evaluations."""
+    start, stage j+1 at offset ``c``), then the update row over the k stage
+    evaluations."""
     n, k = coeffs.n_steps, coeffs.order
-    offsets = np.array([coeffs.values[coeffs.ss_c_slice(i)] for i in range(1, n + 1)])
+    steps = [()]
+    for i in range(1, n + 1):
+        base, a0, c0 = (i - 1) * k, coeffs.ss_a_slice(i).start, coeffs.ss_c_slice(i).start - 1
+        rows = []
+        for j in range(k):
+            a_row = slice(a0 + j * (k - 1), a0 + j * k)    # stage j mixes stages l < j
+            rows.append(Row(False, range(base, base + j), a_row, evaluated=True,
+                            lam=(i - 1, c0 + j if j else None)))
+        rows.append(Row(True, range(base, base + k), coeffs.ss_b_slice(i)))
+        steps.append(tuple(rows))
+    c_slices = [coeffs.ss_c_slice(i) for i in range(1, n + 1)]
+    c_index = np.array([range(c.start, c.stop) for c in c_slices], dtype=np.intp).reshape(n, k - 1)
+    c_index.flags.writeable = False
+    return Plan(tuple(steps), c_index=c_index)
+
+
+def _stage_times(plan: Plan, coeffs: SolverCoefficients, schedule: NoiseSchedule,
+                 table: GridTable, model, diagnostics: list) -> Plan:
+    """The ss plan of this solve: each stage at lambda(t_{i-1}) + c, clipped to the
+    schedule's log-SNR range, with its lookup, prepared record and clamp flag."""
+    n = coeffs.n_steps
     raw_lams = table.log_snr[0][:-1, None] + np.concatenate(
-        [np.zeros((n, 1)), offsets], axis=1)
+        [np.zeros((n, 1)), coeffs.values[plan.c_index]], axis=1)
     stage_lams = np.clip(raw_lams, *schedule.lambda_range())
     clamped = stage_lams != raw_lams
     for i, j in zip(*np.nonzero(clamped)):
         diagnostics.append({"event": "stage_clamp", "step": int(i + 1), "stage": int(j + 1),
                             "requested": float(raw_lams[i, j]), "used": float(stage_lams[i, j])})
     stage_at = [v.ravel() for v in schedule.at(schedule.time_from_lambda(stage_lams))]
-    stage_ats = list(zip(*(v.tolist() for v in stage_at)))
-    stage_preps = list(model.prepare(stage_at))
-    values, steps = coeffs.values.tolist(), [[]]
-    for i in range(1, n + 1):
-        base, a0, c0 = (i - 1) * k, coeffs.ss_a_slice(i).start, coeffs.ss_c_slice(i).start - 1
-        rows = []
-        for j in range(k):
-            a_row = slice(a0 + j * (k - 1), a0 + j * k)    # stage j mixes stages l < j
-            rows.append(Row(False, values[a_row], range(base, base + j), a_row,
-                            at=stage_ats[base + j], prep=stage_preps[base + j],
-                            lam=None if clamped[i - 1, j] else (i - 1, c0 + j if j else None)))
-        b_slice = coeffs.ss_b_slice(i)
-        rows.append(Row(True, values[b_slice], range(base, base + k), b_slice))
-        steps.append(rows)
-    return steps
+    return plan._replace(ats=list(zip(*(v.tolist() for v in stage_at))),
+                         preps=list(model.prepare(stage_at)), clamped=clamped.ravel().tolist())
 
 
 def _evaluate(model, prediction, prep, x, step_index):
     """``(e, terms)``: the evaluation the family combines (eps, or x_hat for data
-    prediction) and the terms the model keeps for its pullback."""
+    prediction) and the terms the model keeps for its pullback.  The model
+    raises FloatingPointError on a non-finite point, so x needs no check here."""
     try:
         out, terms = model.evaluate(prep, x, prediction)
     except FloatingPointError as exc:
-        raise DivergenceError(f"score evaluation overflowed: {exc}",
+        raise DivergenceError(f"score evaluation failed at step {step_index}: {exc}",
                               step_index=step_index) from exc
     if not np.isfinite(out).all():
         raise DivergenceError("score evaluation returned non-finite values",
@@ -217,7 +278,7 @@ class SolveTrace:
     """Full trajectory of one solve, with what the reverse pass needs."""
 
     states: list                 # x_0 .. x_N
-    rows: list                   # per step 0..N, the rows it ran
+    plan: Plan                   # the rows it ran, and each evaluation's lookup and record
     evals: list                  # every evaluation, in call order
     terms: list                  # the model's kept terms of each evaluation
     points: list                 # the point each evaluation was made at
@@ -239,29 +300,28 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
 
     x_init may be a single state (d,) or a batch (B, d); the trace keeps the
     given shape.  nfe_used counts score-model calls per sample, matching the
-    per-step accounting of the solver family.
+    per-step accounting of the solver family.  A state that is not finite
+    raises DivergenceError with its step: the model rejects a state its own
+    step evaluates, and the loop checks every other one.
     """
     n = coeffs.n_steps
     if grid.n_steps != n:
         raise ValueError(f"grid has {grid.n_steps} steps but coefficients expect {n}")
     x = np.asarray(x_init, dtype=float)
-    if not np.isfinite(x).all():
-        raise DivergenceError("initial state is not finite", step_index=0)
 
     diagnostics: list = []
     table = GridTable.of(schedule, grid, coeffs.prediction)
+    plan = table.plan(coeffs, model, final_corrector)
     if coeffs.kind == "ss":
-        step_rows = _single_step_rows(coeffs, schedule, table, model, diagnostics)
-    else:
-        step_rows = _multistep_rows(coeffs, table, model, final_corrector)
-    R, S = table.R, table.S
+        plan = _stage_times(plan, coeffs, schedule, table, model, diagnostics)
+    R, S, preps, values = table.R, table.S, plan.preps, coeffs.values.tolist()
     states, evals, terms, points = [], [], [], []
     # divergence surfaces as a DivergenceError below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, rows in enumerate(step_rows):
+        for i, rows in enumerate(plan.steps):
             x_prev = x
             for row in rows:
-                w, m = row.w, row.m
+                w, m = row_weights(values, row), row.m
                 if row.wrapper:
                     acc = w[0] * evals[m[0]]
                     for u in range(1, len(m)):
@@ -271,14 +331,14 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
                     x = x_prev
                     for u, j in enumerate(m):
                         x = x + w[u] * evals[j]
-                if row.at is not None:
-                    e, kept = _evaluate(model, coeffs.prediction, row.prep, x, i)
+                if row.evaluated:
+                    e, kept = _evaluate(model, coeffs.prediction, preps[len(evals)], x, i)
                     evals.append(e)
                     terms.append(kept)
                     points.append(x)
-            if i and not np.isfinite(x).all():
-                raise DivergenceError(f"state diverged at step {i}", step_index=i)
+            if not (rows and rows[-1].evaluated) and not np.isfinite(x).all():
+                raise DivergenceError(f"state at step {i} is not finite", step_index=i)
             states.append(x)
 
-    return SolveTrace(states=states, rows=step_rows, evals=evals, terms=terms, points=points,
+    return SolveTrace(states=states, plan=plan, evals=evals, terms=terms, points=points,
                       diagnostics=diagnostics, kind=coeffs.kind)

@@ -10,7 +10,8 @@ The adaptive pair is Dormand-Prince 5(4), implemented here with SciPy's
 ``RK45`` tableau, first-step rule, RMS error norm, step factors and
 operation order, so it reproduces ``solve_ivp(..., method="RK45")`` bit for
 bit without importing SciPy; its right-hand side makes one ``schedule.at``
-lookup, forms f and g^2 from it as ``schedule.f`` and ``schedule.g_sq`` do and
+lookup per distinct time (a step's last stage and its FSAL call share one),
+forms f and g^2 from it as ``schedule.f`` and ``schedule.g_sq`` do and
 prepares the model once from it, so the labels are those of ``solve_ivp`` on
 that RHS.  The whole batch is one
 system: one error norm and one step sequence serve every record, so a label
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 
@@ -127,7 +129,8 @@ _RK_SAFETY, _RK_MIN_FACTOR, _RK_MAX_FACTOR = 0.9, 0.2, 10
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    # np.linalg.norm's own operations on a flat float vector, without its dispatch
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
@@ -192,13 +195,17 @@ def _rk45(fun, t0: float, y0, t_bound: float, rtol: float, atol: float):
 
 def _adaptive_rk_solve(config, schedule, model, x_init):
     x = np.asarray(x_init, dtype=float)
+    last_t = f = scale = p = None    # f, g^2/(2 sigma) and the prepared record at last_t
 
     def rhs(t, y):
+        nonlocal last_t, f, scale, p
+        if t != last_t:         # each RK45 step's last stage and its FSAL call share t + h
+            a, s, da, ds = at = schedule.at(t)
+            f = da / a                      # as schedule.f and schedule.g_sq form them
+            gs = 2.0 * s * ds - 2.0 * f * s * s
+            last_t, scale, p = t, gs / (2.0 * s), model.prepare(at)
         state = y.reshape(x.shape)
-        a, s, da, ds = at = schedule.at(t)
-        f = da / a                          # as schedule.f and schedule.g_sq form them
-        gs = 2.0 * s * ds - 2.0 * f * s * s
-        return (f * state + gs / (2.0 * s) * model.epsilon(model.prepare(at), state)).ravel()
+        return (f * state + scale * model.epsilon(p, state)).ravel()
 
     y = _rk45(rhs, schedule.T, x.ravel(), schedule.t_min, config.rel_tol, config.abs_tol)
     return y.reshape(x.shape)
@@ -212,7 +219,10 @@ def _fine_fixed_solve(config, schedule, model, x_init):
 
 
 def teacher_solve(config: TeacherConfig, schedule: NoiseSchedule, model, x_init):
-    """Reference terminal state at t_min for the given initial noise."""
+    """Reference terminal state at t_min for the given initial noise; an empty
+    batch gives an empty result without integrating."""
+    if np.size(x_init) == 0:
+        return np.array(x_init, dtype=float)
     if config.kind == "exact_gaussian":
         return exact_gaussian_solution(schedule, model, x_init)
     if config.kind == "adaptive_rk":

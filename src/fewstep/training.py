@@ -299,6 +299,8 @@ def train_in_mode(mode: str, dataset, coeffs, grid, schedule, model, config,
 
 
 def _fresh_noise(schedule, model, n_eval, seed):
+    if n_eval < 1:
+        raise ValueError(f"n_eval must be >= 1, got {n_eval}")
     rng = np.random.default_rng(seed)
     return schedule.tilde_sigma * rng.standard_normal((n_eval, model.dim))
 
@@ -313,7 +315,8 @@ def evaluation_reference(teacher_config: TeacherConfig, schedule, model,
 def evaluate(coeffs, schedule, model, teacher_config: TeacherConfig,
              grid: TimeGrid | None = None, params: LearnableTimeParams | None = None,
              n_eval: int = 100, seed: int = 0, reference: np.ndarray | None = None) -> dict:
-    """Terminal-error metrics on fresh noise (never the trained inputs).
+    """Terminal-error metrics on fresh noise (never the trained inputs), with
+    ``errors``, the error of each draw, for paired comparisons on the same draws.
 
     ``reference``, when given, is ``evaluation_reference`` for the same
     teacher, schedule, model, ``n_eval`` and ``seed``; the teacher is then
@@ -339,4 +342,5 @@ def evaluate(coeffs, schedule, model, teacher_config: TeacherConfig,
         "max_error": float(err.max()),
         "mean_error_normalized": float((err / ref_norm).mean()),
         "nfe_used": trace.nfe_used,
+        "errors": err.tolist(),
     }

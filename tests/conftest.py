@@ -77,6 +77,8 @@ class ZeroModel:
 
     def evaluate(self, alpha, x, prediction="noise"):
         x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():     # the model protocol: reject a non-finite point
+            raise FloatingPointError("non-finite state passed to score model")
         return (np.zeros_like(x) if prediction == "noise" else x / alpha), None
 
     def pullback(self, alpha, x, terms, cot):

@@ -160,8 +160,8 @@ def test_tied_gradient_is_sum_of_untied_rows(ve, mixture, rng):
 class TestRematerialization:
     def test_remade_evaluations_match_kept(self, ve, mixture, rng):
         # the trace keeps each evaluation with the point it was made at, its
-        # schedule lookup (on its row) and the model's terms for it: remaking it
-        # there reproduces both
+        # schedule lookup (in its plan, one per evaluated row) and the model's
+        # terms for it: remaking it there reproduces both
         grid = heuristic_grid(ve, 5, "logsnr")
         for (kind, preset, final_corrector), prediction in itertools.product(
                 [("lms", "ipndm", True), ("pc", "unipc", True), ("pc", "unipc", False),
@@ -170,8 +170,9 @@ class TestRematerialization:
                                  prediction=prediction, seed=5)
             for x in (rng.standard_normal(2), rng.standard_normal((3, 2))):
                 trace = solve(coeffs, ve, grid, mixture, x, final_corrector=final_corrector)
-                ats = [row.at for rows in trace.rows for row in rows if row.at is not None]
-                assert len(trace.points) == len(ats) == trace.nfe_used
+                ats = trace.plan.ats
+                n_evaluated = sum(row.evaluated for rows in trace.plan.steps for row in rows)
+                assert len(trace.points) == len(ats) == n_evaluated == trace.nfe_used
                 for e, kept, point, at in zip(trace.evals, trace.terms, trace.points, ats):
                     remade, terms = mixture.evaluate(mixture.prepare(at), point, prediction)
                     assert np.array_equal(remade, e), (kind, prediction, x.shape)

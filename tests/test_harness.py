@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import pathlib
 import shutil
 
@@ -220,6 +221,27 @@ class TestCells:
         assert row["mean_error"] == row["baseline_mean_error"] + row["delta_vs_baseline"]
         assert np.isfinite(row["final_train_loss"])
 
+    def test_delta_se_is_the_paired_standard_error(self, monkeypatch):
+        results = []
+        original = experiments.evaluate
+
+        def recording(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(experiments, "evaluate", recording)
+        baseline_row = run_cell(tiny_config(), nfe=4, mode="baseline")
+        assert baseline_row["delta_se"] == 0.0
+        results.clear()
+        row = run_cell(tiny_config(), nfe=4, mode="s4s")
+        baseline, trained = results
+        diff = np.array(trained["errors"]) - np.array(baseline["errors"])
+        n = diff.size
+        expected = math.sqrt(((diff - diff.mean()) ** 2).sum() / (n - 1) / n)
+        assert n == experiments.N_EVAL
+        assert row["delta_se"] == pytest.approx(expected, rel=1e-12)
+        assert row["delta_vs_baseline"] == pytest.approx(diff.mean(), rel=1e-9, abs=1e-15)
+
     def test_s4s_cell_trains_through_module_attribute(self, monkeypatch):
         calls = []
         original = training.train_s4s
@@ -235,13 +257,19 @@ class TestCells:
         assert isinstance(args[3], VeSchedule)
         assert isinstance(args[4], GaussianMixtureScore) and args[4].dim == 2
 
-    def test_failure_recorded_not_raised(self):
+    def test_failure_recorded_not_raised(self, tmp_path):
         cfg = tiny_config(model=ModelSpec(kind="gaussian_mixture", dim=2,
                                           weights=[0.5, 0.6],
                                           means=[[0.0, 0.0], [1.0, 1.0]],
                                           scales=[1.0, 1.0]))
         row = run_cell(cfg, nfe=4, mode="baseline")
         assert row["status"] == "failed" and "sum to 1" in row["message"]
+        table = ResultTable()
+        table.add(row)
+        table.write_csv(tmp_path / "results.csv")
+        with open(tmp_path / "results.csv") as fh:
+            (written,) = csv.DictReader(fh)
+        assert written["status"] == "failed" and written["delta_se"] == ""
 
 
 class TestSweep:

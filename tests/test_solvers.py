@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from fewstep.backprop import backward
 from fewstep.coeffs import SolverCoefficients, init_preset
 from fewstep.errors import DivergenceError
 from fewstep.grids import TimeGrid, heuristic_grid
 from fewstep.schedules import VeSchedule, exact_step_integrand
 from fewstep.scores import CountingScoreModel
-from fewstep.solvers import solve, wrapper_factors
+from fewstep.solvers import row_weights, solve, wrapper_factors
 from fewstep.teachers import exact_gaussian_solution
 
 
@@ -215,15 +216,93 @@ class TestSolve:
             for _ in range(25):
                 coeffs.values[:] = rng.normal(size=coeffs.values.size) * 10.0 ** rng.integers(
                     -3, 4, size=coeffs.values.size)
-                rows = solve(coeffs, ve, grid, zero_model, np.ones(2)).rows
+                steps = solve(coeffs, ve, grid, zero_model, np.ones(2)).plan.steps
+                values = coeffs.values.tolist()
                 for i in range(1, 7):
-                    assert rows[i][1].w == coeffs.corrector_weights(i).tolist()
+                    assert row_weights(values, steps[i][1]) == \
+                        coeffs.corrector_weights(i).tolist()
 
     def test_grid_mismatch_rejected(self, ve, mixture):
         coeffs = SolverCoefficients(kind="lms", order=2, n_steps=4)
         grid = heuristic_grid(ve, 5, "logsnr")
         with pytest.raises(ValueError):
             solve(coeffs, ve, grid, mixture, np.ones(2))
+
+
+FAMILIES = [("lms", 3, "ipndm"), ("pc", 2, "unipc"), ("ss", 2, "gaussian")]
+
+
+def _row_slots(coeffs, i):
+    """``(row kind, slot)``: one slot each row of step i reads a weight from."""
+    if coeffs.kind == "ss":
+        k = coeffs.order
+        return [("stage", coeffs.ss_a_slice(i).start + k - 1),     # stage 2 mixes stage 1
+                ("update", coeffs.ss_b_slice(i).start)]
+    slots = [("predictor", coeffs.b_slice(i).start)]
+    if coeffs.kind == "pc":
+        slots.append(("corrector", coeffs.corrector_slice(i).start))
+    return slots
+
+
+class TestPlans:
+    """Rows are built once per grid table; a solve reads its weights from the
+    coefficients, and each state is checked for finiteness once."""
+
+    @pytest.mark.parametrize("kind, order, preset", FAMILIES)
+    @pytest.mark.parametrize("prediction", ["noise", "data"])
+    @pytest.mark.parametrize("schedule_name", ["ve", "vp"])
+    def test_second_solve_with_new_weights_matches_a_fresh_grid(self, request, kind, order,
+                                                                 preset, prediction,
+                                                                 schedule_name, mixture, rng):
+        schedule = request.getfixturevalue(schedule_name)
+        grid = heuristic_grid(schedule, 6, "logsnr")
+        coeffs = init_preset(kind, order, 6, preset, schedule=schedule, grid=grid,
+                             prediction=prediction, seed=2)
+        x = rng.standard_normal((4, 2))
+        cot = rng.standard_normal((4, 2))
+        for _ in range(2):
+            trace = solve(coeffs, schedule, grid, mixture, x)
+            fresh_grid = heuristic_grid(schedule, 6, "logsnr")
+            fresh = solve(coeffs, schedule, fresh_grid, mixture, x)
+            assert all(np.array_equal(u, v) for u, v in zip(trace.states, fresh.states))
+            got = backward(trace, coeffs, schedule, mixture, cot, grid=grid)
+            ref = backward(fresh, coeffs, schedule, mixture, cot, grid=fresh_grid)
+            for block in ("grad_coeffs", "grad_x0", "grad_steps", "grad_score_times"):
+                assert np.array_equal(getattr(got, block), getattr(ref, block)), block
+            coeffs.values *= 1.0 + 0.05 * rng.standard_normal(coeffs.values.size)
+
+    @pytest.mark.parametrize("kind, order, preset", FAMILIES)
+    def test_second_solve_on_a_table_reuses_its_rows(self, kind, order, preset, ve, mixture):
+        grid = heuristic_grid(ve, 5, "logsnr")
+        coeffs = init_preset(kind, order, 5, preset, schedule=ve, grid=grid, seed=1)
+        first = solve(coeffs, ve, grid, mixture, np.ones(2)).plan
+        coeffs.values += 0.01
+        second = solve(coeffs, ve, grid, mixture, np.ones(2)).plan
+        assert second.steps is first.steps
+        if kind == "ss":            # the stage times moved with the coefficients
+            assert second.ats != first.ats
+        else:                       # lookups and records too: the plan is the table's
+            assert second is first
+
+    @pytest.mark.parametrize("kind, order, preset", FAMILIES)
+    @pytest.mark.parametrize("model_name", ["mixture", "zero_model"])
+    def test_non_finite_state_raises_at_its_step(self, request, kind, order, preset,
+                                                 model_name, ve):
+        # a state some row of its own step evaluated is rejected by the model, any
+        # other one by the loop; either way the error names the step
+        model = request.getfixturevalue(model_name)
+        grid = heuristic_grid(ve, 5, "logsnr")
+        base = init_preset(kind, order, 5, preset, schedule=ve, grid=grid, seed=1)
+        for i in range(1, 6):
+            for row_kind, slot in _row_slots(base, i):
+                coeffs = base.copy()
+                coeffs.values[slot] = np.inf
+                with pytest.raises(DivergenceError) as err:
+                    solve(coeffs, ve, grid, model, np.ones((3, 2)))
+                assert err.value.step_index == i, (row_kind, i)
+        with pytest.raises(DivergenceError) as err:
+            solve(base, ve, grid, model, np.array([1.0, np.nan]))
+        assert err.value.step_index == 0
 
 
 class TestDataPrediction:

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fewstep import artifacts
+from fewstep import artifacts, teachers
 from fewstep.errors import AccuracyError, CompatibilityError
 from fewstep.schedules import EdmSchedule, VeSchedule, VpLinearSchedule
 from fewstep.scores import GaussianMixtureScore, default_mixture
-from fewstep.teachers import (_DATASET_MAGIC, DATASET_VERSION, TeacherConfig, _rk45,
+from fewstep.teachers import (_DATASET_MAGIC, DATASET_VERSION, TEACHER_KINDS, TeacherConfig,
+                              _rk45,
                               dataset_checksum, exact_gaussian_solution,
                               generate_dataset, load_dataset, save_dataset,
                               teacher_solve)
@@ -130,10 +131,12 @@ class TestRk45:
 
     @pytest.mark.parametrize("schedule", [VeSchedule(), VpLinearSchedule(), EdmSchedule()],
                              ids=["ve", "vp", "edm"])
-    @pytest.mark.parametrize("batch", [5, 50])
+    @pytest.mark.parametrize("batch", [2, 5, 50, 160])
     def test_teacher_result_equals_solve_ivp(self, schedule, batch, mixture, rng):
-        # the teacher's RHS forms f and g^2 from one schedule lookup; the labels
-        # are still those of solve_ivp on the RHS written with schedule.f/g_sq
+        # the teacher's RHS forms f and g^2 from one schedule lookup, reused when
+        # a step's last stage and its FSAL call share a time, and its error norm
+        # is np.linalg.norm's arithmetic; the labels are still those of solve_ivp
+        # on the RHS written with schedule.f/g_sq
         x = schedule.tilde_sigma * rng.standard_normal((batch, 2))
         rhs, _ = self.counted_teacher_rhs(schedule, mixture, x)
         ref = solve_ivp(rhs, (schedule.T, schedule.t_min), x.ravel(), method="RK45",
@@ -160,6 +163,18 @@ class TestRk45:
         ref = _rk45(rhs, schedule.T, x.ravel(), schedule.t_min, 1e-8, 1e-10)
         out = teacher_solve(TeacherConfig(kind="adaptive_rk"), schedule, mixture, x)
         assert np.array_equal(out, ref.reshape(x.shape))
+
+
+@pytest.mark.parametrize("kind", TEACHER_KINDS)
+def test_empty_batch_gives_an_empty_result_without_integrating(kind, monkeypatch):
+    def no_integration(*args):
+        raise AssertionError("an empty batch was integrated")
+
+    monkeypatch.setattr(teachers, "_rk45", no_integration)
+    monkeypatch.setattr(teachers, "solve", no_integration)
+    model = GaussianMixtureScore.isotropic(3, scale=0.5)
+    out = teacher_solve(TeacherConfig(kind=kind), VeSchedule(), model, np.zeros((0, 3)))
+    assert out.shape == (0, 3)
 
 
 class TestDatasets:

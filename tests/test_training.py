@@ -235,6 +235,13 @@ class TestEvaluate:
             evaluate(coeffs, ve, mixture, FAST_TEACHER, grid=grid, n_eval=30, seed=4,
                      reference=reference)
 
+    @pytest.mark.parametrize("n_eval", [0, -1])
+    def test_draw_count_below_one_rejected(self, ve, mixture, n_eval):
+        grid = heuristic_grid(ve, 5, "logsnr")
+        coeffs = init_preset("lms", 3, 5, "ipndm", schedule=ve, grid=grid)
+        with pytest.raises(ValueError, match="n_eval must be >= 1"):
+            evaluate(coeffs, ve, mixture, FAST_TEACHER, grid=grid, n_eval=n_eval, seed=4)
+
     def test_no_access_to_perturbed_inputs(self):
         # inference-style evaluation draws its own noise; structurally there is
         # no dataset (and hence no x_prime) in reach
