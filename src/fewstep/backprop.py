@@ -9,20 +9,29 @@ The trace holds every score evaluation, the point it was made at and the
 terms the model kept for it (for the mixture score, two ``(J, B)`` arrays per
 evaluation), and its plan holds each evaluation's schedule lookup ``at`` =
 (alpha, sigma, alpha', sigma') and the model's prepared constants ``prep`` of
-its time, so nothing is evaluated again.  Each evaluation is released once,
-through the model's ``pullback(prep, x, terms, cot)``, which returns the vjp
-of eps and its time derivative contracted with the cotangent; for data
-prediction, ``_release`` wraps it in the chain rule of x_hat = (x - sigma eps)
-/ alpha, with eps read back from the kept x_hat, for every model alike.
+its time, so nothing is evaluated again.
 
-One transposed loop serves every family: it walks the steps the solve ran,
-and each step's rows (see :mod:`~fewstep.solvers`) in reverse.  A row's
-cotangent is the state's cotangent (the last row) plus, if it was evaluated,
-the release of its evaluation; it passes that on to x_{i-1}, to the
-evaluations it combined, to the weight slots it names and, for wrapper rows,
-to R_i and S_i.  The weights are read from ``coeffs.values`` by the same
-:func:`~fewstep.solvers.row_weights` the forward loop uses.  The wrapper
-factors, their t-partials and d lambda/dt at the steps come from the grid's
+The reverse pass runs in two sweeps.  The sequential sweep walks the steps
+the solve ran, and each step's rows (see :mod:`~fewstep.solvers`), in
+reverse, one loop for every family, and carries only what the recurrence
+needs: the cotangents of the states and the evaluations.  A row's cotangent
+is the state's cotangent (the last row) plus, if it was evaluated, the
+x-part of its evaluation's pullback, ``model.pullback(prep, x, terms, cot)``;
+it passes that on to x_{i-1} and to the evaluations it combined, with the
+weights :func:`~fewstep.solvers.row_weights` reads from ``coeffs.values``
+as the forward loop does.  For data prediction the pullback of eps is wrapped
+in the chain rule of x_hat = (x - sigma eps) / alpha, for every model alike.
+
+The batched pass then forms every scalar contraction over all M evaluations
+of the trace at once: the time derivatives, through the model's one
+``time_derivatives`` over what the pullbacks returned (with the data
+prediction's chain-rule dots), and the dots of each row's cotangent with its
+evaluations (its weight slots) and, for wrapper rows, with x_{i-1} (R_i, S_i).
+Each dot is the same pairwise sum over the same contiguous products as a
+dot taken alone, and the scalars are accumulated into the weight slots, the
+``c`` slots and the step and score times in the order of the sweep, so the
+result is the bits of contracting one row at a time.  The wrapper factors,
+their t-partials and d lambda/dt at the steps come from the grid's
 :class:`~fewstep.solvers.GridTable`, so a sweep over a grid whose table
 exists asks the schedule nothing, and the model prepares nothing.
 
@@ -55,20 +64,15 @@ class AdjointResult:
     loss_value: float = 0.0
 
 
-def _dot(a, b) -> float:
-    return float((a * b).sum())
+def _flat(arrays) -> np.ndarray:
+    """Arrays of one shape as the rows of one (len(arrays), size) array."""
+    return np.concatenate(arrays).reshape(len(arrays), -1)
 
 
-def _release(model, prediction, at, prep, x, e, terms, cot):
-    """(cotangent on x, cot . d(evaluation)/dt) of the evaluation e made at x, at the
-    time of lookup ``at`` and prepared record ``prep``."""
-    if prediction == "noise":
-        return model.pullback(prep, x, terms, cot)
-    # e = x_hat = (x - sigma eps) / alpha, linear in eps
-    a, s, da, ds = at
-    xbar, tdot = model.pullback(prep, x, terms, (-s / a) * cot)
-    eps = (x - a * e) / s
-    return xbar + cot / a, tdot - (ds * _dot(cot, eps) + da * _dot(cot, e)) / a
+def _row_dots(a, b) -> np.ndarray:
+    """The dot of each row pair of two (P, size) arrays, each the pairwise sum over
+    its contiguous products, so row k is ``float((a_k * b_k).sum())``."""
+    return (a * b).sum(axis=1)
 
 
 def backward(
@@ -103,58 +107,104 @@ def backward(
     if xbar.shape != np.asarray(trace.states[-1]).shape:
         raise ValueError("loss cotangent shape does not match the terminal state")
 
-    grad_values = np.zeros_like(coeffs.values)
-    tbar = np.zeros(n + 1)
-    tcbar = np.zeros(n + 1)
     table = GridTable.of(schedule, grid, coeffs.prediction)
     evals, R, S = trace.evals, table.R, table.S
-    dR_p, dR_n, dS_p, dS_n = table.partials
     plan, values = trace.plan, coeffs.values.tolist()
     ats, preps, points, terms = plan.ats, plan.preps, trace.points, trace.terms
-    ebar = [np.zeros_like(xbar) for _ in evals]
-    m = len(evals)
+    data = coeffs.prediction == "data"
+    m = n_evals = len(evals)
+    ebars = np.zeros((n_evals,) + xbar.shape)
+    ebar, products = list(ebars), [None] * n_evals
+    # each row's cotangent and weights in sweep order, and the pairs (row, array)
+    # whose dots its weight slots and R, S take: its evaluations, then x_{i-1}
+    # for a wrapper row, as indices into evals + states
+    ybars, weights, pair_rows, pair_others = [], [], [], []
 
+    # sequential sweep: the cotangents of the states and the evaluations
     for i in range(len(plan.steps) - 1, -1, -1):
-        rbar = sbar = 0.0
         ybar, xprev_bar = xbar, None
         for row in reversed(plan.steps[i]):
             if row.evaluated:
                 m -= 1
-                at = ats[m]
-                zbar, tdot = _release(model, coeffs.prediction, at, preps[m], points[m],
-                                      evals[m], terms[m], ebar[m])
+                cot = ebar[m]
+                if data:    # e = x_hat = (x - sigma eps) / alpha, linear in eps
+                    a, s = ats[m][:2]
+                    zbar, products[m] = model.pullback(preps[m], points[m], terms[m],
+                                                       (-s / a) * cot)
+                    zbar = zbar + cot / a
+                else:
+                    zbar, products[m] = model.pullback(preps[m], points[m], terms[m], cot)
                 ybar = zbar if ybar is None else ybar + zbar
+            w = row_weights(values, row)
+            pair_rows += [len(ybars)] * (len(row.m) + row.wrapper)
+            pair_others += row.m
+            ybars.append(ybar)
+            weights.append(w)
+            if row.wrapper:
+                pair_others.append(n_evals + i - 1)
+                scale, share = -S[i - 1], R[i - 1] * ybar
+            else:
+                scale, share = 1.0, ybar
+            for u, e in enumerate(row.m):
+                ebar[e] += (scale * w[u]) * ybar
+            xprev_bar = share if xprev_bar is None else xprev_bar + share
+            ybar = None
+        if xprev_bar is not None:
+            xbar = xprev_bar
+
+    # batched pass: every scalar contraction over the trace
+    tdots = model.time_derivatives(preps, points, terms, products)
+    if data:        # eps is read back from the kept x_hat
+        a, s, da, ds = np.array(ats).T
+        e = _flat(evals)
+        eps = (_flat(points) - a[:, None] * e) / s[:, None]
+        cots = ebars.reshape(n_evals, -1)
+        tdots = tdots - (ds * _row_dots(cots, eps) + da * _row_dots(cots, e)) / a
+    dots = _row_dots(_flat(ybars)[pair_rows], _flat(evals + trace.states)[pair_others])
+
+    # the scalar accumulations, in the order of the sweep
+    grad_values, tbar, tcbar = [0.0] * len(values), [0.0] * (n + 1), [0.0] * (n + 1)
+    dR_p, dR_n, dS_p, dS_n = table.partials
+    tdots, dots, weights = tdots.tolist(), dots.tolist(), iter(weights)
+    m, p = n_evals, 0
+    for i in range(len(plan.steps) - 1, -1, -1):
+        rbar = sbar = 0.0
+        for row in reversed(plan.steps[i]):
+            w = next(weights)
+            if row.evaluated:
+                m -= 1
+                tdot = tdots[m]
                 if row.tc is not None:
                     tcbar[row.tc] += tdot
                 if row.lam is not None and not plan.clamped[m]:
                     # the stage time moves with lambda
-                    a, s, da, ds = at
+                    a, s, da, ds = ats[m]
                     step, c = row.lam
                     tdot *= 1.0 / (da / a - ds / s)
                     if c is not None:
                         grad_values[c] += tdot
                     tbar[step] += tdot * table.log_snr[1][step]
-            w = row_weights(values, row)
-            dots = [_dot(ybar, evals[u]) for u in row.m]
+            row_dots = dots[p:p + len(row.m)]
+            p += len(row.m)
             if row.wrapper:
-                rbar += _dot(ybar, trace.states[i - 1])
-                sbar -= float(np.dot(w, dots))
-                scale, share = -S[i - 1], R[i - 1] * ybar
+                rbar += dots[p]
+                p += 1
+                sbar -= float(np.dot(w, row_dots))
+                scale = -S[i - 1]
             else:
-                scale, share = 1.0, ybar
-            g = scale * np.array(dots)
-            grad_values[row.slots] += g[:-1] - g[-1] if row.implied else g
-            for u, e in enumerate(row.m):
-                ebar[e] += (scale * w[u]) * ybar
-            xprev_bar = share if xprev_bar is None else xprev_bar + share
-            ybar = None
+                scale = 1.0
+            g = [scale * d for d in row_dots]
+            if row.implied:
+                last = g.pop()
+                g = [u - last for u in g]
+            for slot, u in zip(range(row.slots.start, row.slots.stop), g):
+                grad_values[slot] += u
         if i:
             tbar[i] += rbar * dR_n[i - 1] + sbar * dS_n[i - 1]
             tbar[i - 1] += rbar * dR_p[i - 1] + sbar * dS_p[i - 1]
-        if xprev_bar is not None:
-            xbar = xprev_bar
 
-    result = AdjointResult(grad_coeffs=grad_values, grad_x0=xbar, grad_steps=tbar,
+    tbar, tcbar = np.array(tbar), np.array(tcbar)
+    result = AdjointResult(grad_coeffs=np.array(grad_values), grad_x0=xbar, grad_steps=tbar,
                            grad_score_times=tcbar, loss_value=loss_value)
     if params is not None:
         result.grad_xi, result.grad_xi_c = grid_gradient_vjp(params, schedule, tbar, tcbar)

@@ -266,7 +266,7 @@ def cli_selftest():
     check("NFE accounting (lms/pc/ss)", good)
     check("backward over a kept trace re-evaluates no score", kept)
 
-    same = True
+    same = batched = True
     rng = np.random.default_rng(0)
     mixture = default_mixture(2)
     for schedule in (VeSchedule(), VpLinearSchedule(), EdmSchedule()):
@@ -280,9 +280,22 @@ def cli_selftest():
                 outs = []
                 for q in (p, fresh):
                     e, terms = mixture.evaluate(q, x, prediction)
-                    outs.append((e, *mixture.pullback(q, x, terms, cot)))
+                    xbar, products = mixture.pullback(q, x, terms, cot)
+                    outs.append((e, xbar, mixture.time_derivatives([q], [x], [terms], [products])))
                 same &= all(np.array_equal(u, v) for u, v in zip(*outs))
+            for kind in ("lms", "pc", "ss"):        # random weights, kept small
+                coeffs = init_preset(kind, 2, 6, "gaussian", prediction=prediction, seed=0)
+                coeffs.values *= 0.2
+                trace = solve(coeffs, schedule, grid, mixture,
+                              schedule.tilde_sigma * rng.standard_normal((3, 2)))
+                cots = rng.standard_normal((trace.nfe_used, 3, 2))
+                evals = [(q, x, terms, mixture.pullback(q, x, terms, cot)[1]) for q, x, terms, cot
+                         in zip(trace.plan.preps, trace.points, trace.terms, cots)]
+                batched &= np.array_equal(mixture.time_derivatives(*zip(*evals)),
+                                          [mixture.time_derivatives(*zip(e))[0] for e in evals])
     check("grid-table model constants == fresh prepare (ve/vp/edm)", same)
+    check("batched time contraction == one evaluation at a time (ve/vp/edm x noise/data)",
+          batched)
 
     same, built = True, False
     for schedule in (VeSchedule(), VpLinearSchedule(), EdmSchedule()):

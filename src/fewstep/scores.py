@@ -19,8 +19,8 @@ d sigma/dt)`` of the evaluation time that
 :meth:`~fewstep.schedules.NoiseSchedule.at` returns, it makes the record of
 everything the kernel computes from those four numbers alone (the component
 variances v, -1/(2v), alpha^2 |mu_j|^2, the log-normalizers and -2 alpha,
-as ``(J, 1)`` columns), and on the first pullback the slope constants of the
-time derivative.  Every other method takes that record ``p``.  Given arrays of
+as ``(J, 1)`` columns), and on first use the slope constants of the time
+derivative.  Every other method takes that record ``p``.  Given arrays of
 K times, ``prepare`` stacks the constants of all K times into three arrays,
 and iterating the stack gives the K records; :class:`~fewstep.solvers.GridTable`
 keeps such a stack per model for the score times of its grid, so repeated
@@ -29,12 +29,16 @@ solves on one grid compute no per-time constant.
 One kernel, ``_parts``, serves the forward and the reverse pass.
 ``evaluate(p, x)`` returns the evaluation together with the terms it keeps:
 the responsibilities gamma and the projections mu_j.x, two ``(J, B)``
-arrays.  ``pullback(p, x, terms, cot)`` turns them into the vjp and the time
-derivative contracted with ``cot``, recomputing only ``|x - alpha mu_j|^2``;
-it forms neither the ``(B, d)`` time derivative nor its ``(B,J)@(J,d)``
-product.  The pullback is
-of eps only: the data-prediction chain rule is applied once, for every model,
-by :mod:`~fewstep.backprop`.
+arrays.  The reverse pass takes two methods.  ``pullback(p, x, terms, cot)``
+returns the vjp of one evaluation and the ``(J, B)`` products
+(gamma_j u_j.cot, mu_j.cot) that its time derivative needs; it forms no
+time derivative.  ``time_derivatives(preps, points, terms, products)``
+contracts cot with d eps/dt for M evaluations at once, as ``(M, J, B)``
+arrays, rebuilding ``|x - alpha mu_j|^2`` from the kept mu_j.x and the
+points; it forms neither the ``(B, d)`` time derivative nor its
+``(B,J)@(J,d)`` product, and it is the only place that contraction is made.
+Both are of eps only: the data-prediction chain rule is applied once, for
+every model, by :mod:`~fewstep.backprop`.
 
 Shapes: ``x`` may be a single state ``(d,)`` or a batch ``(B, d)``; outputs
 match the input.
@@ -115,7 +119,7 @@ class GaussianMixtureScore:
 
     def _slope_columns(self, alpha, sigma, d_alpha, d_sigma, v):
         """(rate, rate/(2v), d rate/2, shift, alpha |mu_j|^2, sigma shift): the
-        pullback's constants, with rate = v'/v and shift = alpha'/v."""
+        time derivative's constants, with rate = v'/v and shift = alpha'/v."""
         rate = 2.0 * (alpha * d_alpha * self._scale_sq + sigma * d_sigma) / v
         shift = d_alpha / v
         return (rate, 0.5 * rate / v, 0.5 * self.dim * rate, shift,
@@ -144,11 +148,12 @@ class GaussianMixtureScore:
     @staticmethod
     def _sq_norms(x2, xm, p):
         """|x - alpha mu_j|^2 (J, B) as |x|^2 - 2 alpha x.mu_j + alpha^2 |mu_j|^2, clamped
-        at 0; the rounding error this adds is of order eps_mach |x|^2 / v_j in the
-        log-densities and eps_mach |x| sum_j gamma_j / v_j in eps / sigma."""
+        at 0, or (M, J, B) for M evaluations stacked as x2 (M, 1, B, d); the rounding
+        error this adds is of order eps_mach |x|^2 / v_j in the log-densities and
+        eps_mach |x| sum_j gamma_j / v_j in eps / sigma."""
         sq = xm * p.m2a
         sq += p.a2m
-        sq += np.einsum("bd,bd->b", x2, x2)
+        sq += np.einsum("...d,...d->...", x2, x2)
         return np.maximum(sq, 0.0, out=sq)
 
     def _parts(self, x2, p):
@@ -168,7 +173,8 @@ class GaussianMixtureScore:
         return ubar, gamma, xm
 
     def _slopes(self, x2, p, gamma, xm):
-        """(shift, sigma shift, f): how the terms of eps move in t, from the kept (gamma, xm).
+        """(shift, sigma shift, f): how the terms of eps move in t, from the kept (gamma, xm),
+        at one record p, or at a record :meth:`_stacked` made of M evaluations.
 
         eps = sigma sum_j gamma_j u_j with u_j = (x - alpha mu_j)/v_j, so
         d eps/dt = sum_j gamma_j (f_j u_j - sigma shift_j mu_j), where
@@ -181,22 +187,24 @@ class GaussianMixtureScore:
             slopes = p.source.slopes[:, p.index]
         rate, half_rate_v, dim_rate, shift, alpha_mean_sq, sigma_shift = slopes
         dln = half_rate_v * self._sq_norms(x2, xm, p) - dim_rate
-        if p.d_alpha:
+        if np.any(p.d_alpha):
             dln += shift * (xm - alpha_mean_sq)
         else:
             shift = None
-        return shift, sigma_shift, p.d_sigma + p.sigma * (dln - (gamma * dln).sum(axis=0) - rate)
+        dln -= (gamma * dln).sum(axis=-2, keepdims=True)
+        dln -= rate
+        return shift, sigma_shift, p.d_sigma + p.sigma * dln
 
     # -- forward -------------------------------------------------------------
     def evaluate(self, p, x, prediction: str = "noise"):
         """``(e, terms)``: the evaluation e -- eps, or the data prediction x_hat for
         ``prediction="data"`` -- at the prepared time p, and the kept terms
-        (gamma, mu.x), two (J, B) arrays from which :meth:`pullback` differentiates
-        eps without re-running the kernel.
+        (gamma, mu.x), two (J, B) arrays from which :meth:`pullback` and
+        :meth:`time_derivatives` differentiate eps without re-running the kernel.
 
         FloatingPointError if x is not finite: every model's ``evaluate`` rejects
         a non-finite point, and :func:`~fewstep.solvers.solve` checks no state
-        that its own step evaluated."""
+        that a row evaluates."""
         x2, single = self._as_batch(x)
         ubar, gamma, xm = self._parts(x2, p)
         sigma = p.sigma
@@ -216,20 +224,19 @@ class GaussianMixtureScore:
 
     # -- derivatives -----------------------------------------------------------
     def pullback(self, p, x, terms, cot):
-        """``((d eps/d x)^T cot, cot . d eps/d t)`` at the float arrays x and cot of
-        one shape; the second is a float summed over the batch.
+        """``((d eps/d x)^T cot, products)`` at the float arrays x and cot of one shape;
+        ``products`` are the (J, B) arrays (gamma_j u_j.cot, mu_j.cot) from which
+        :meth:`time_derivatives` contracts cot with d eps/dt.
 
         ``terms`` are the ones :meth:`evaluate` returned at (p, x), so x is not
         checked again and the kernel does not run.  d eps/d x = sigma [sum_j
         gamma_j/v_j I - sum_j gamma_j (u_j - ubar) u_j^T] is applied without
-        forming it, and the time derivative is contracted with cot before it is
-        formed: both need only the per-component dots x.cot and mu_j.cot.
+        forming it: it needs only the per-component dots x.cot and mu_j.cot.
         """
         alpha, sigma, v = p.alpha, p.sigma, p.v
         gamma, xm = terms
         single = x.ndim == 1
         x2, cot2 = (x[None, :], cot[None, :]) if single else (x, cot)
-        shift, sigma_shift, f = self._slopes(x2, p, gamma, xm)
         mc = self.means @ cot2.T
         dots = (np.einsum("bd,bd->b", x2, cot2) - alpha * mc) / v      # u_j . cot
         g = gamma / v
@@ -237,10 +244,39 @@ class GaussianMixtureScore:
         cg = g * (dots - gd.sum(axis=0))
         xbar = sigma * (g.sum(axis=0)[:, None] * cot2 - cg.sum(axis=0)[:, None] * x2
                         + alpha * (cg.T @ self.means))
+        return (xbar[0] if single else xbar), (gd, mc)
+
+    def time_derivatives(self, preps, points, terms, products):
+        """``cot_m . d eps/dt`` of M evaluations as an (M,) array, summed over each batch.
+
+        Evaluation m was made at the prepared time ``preps[m]`` and the point
+        ``points[m]`` (all of one shape), :meth:`evaluate` kept ``terms[m]`` and
+        :meth:`pullback` with cotangent cot_m returned ``products[m]``.  The M
+        evaluations are contracted at once, as (M, J, B) arrays: d eps/dt =
+        sum_j gamma_j (f_j u_j - sigma shift_j mu_j) (see :meth:`_slopes`) is
+        never formed, only sum f gamma u.cot - sigma shift gamma mu.cot.
+        """
+        x = _stack(points)[:, None]
+        gamma, xm = (_stack(u) for u in zip(*terms))
+        gd, mc = (_stack(u) for u in zip(*products))
+        shift, sigma_shift, f = self._slopes(x, self._stacked(preps), gamma, xm)
         tdots = f * gd
         if shift is not None:
             tdots -= sigma_shift * gamma * mc
-        return (xbar[0] if single else xbar), float(tdots.sum())
+        return tdots.reshape(len(preps), -1).sum(axis=1)
+
+    def _stacked(self, preps):
+        """One :class:`Prepared` of the M records ``preps``: scalars (M, 1, 1), columns
+        (M, J, 1), reading its slope constants from the stack the records are views
+        of, or from a stack made of their lookups."""
+        source, first = preps[0].source, preps[0].index
+        index = [q.index for q in preps]
+        if source is None or any(q.source is not source for q in preps):
+            source, index = self.prepare(tuple(np.array([q[:4] for q in preps]).T)), slice(None)
+        elif index == list(range(first, first + len(preps))):     # views, not copies
+            index = slice(first, first + len(preps))
+        return Prepared(*source.scalars[:, index, None, None], *source.columns[:, index],
+                        source, index)
 
     def epsilon_vjp(self, p, x, cotangent):
         """(d eps / d x)^T cotangent: :meth:`evaluate`, then :meth:`pullback` on its terms."""
@@ -263,8 +299,8 @@ class Prepared(NamedTuple):
     (alpha, sigma, alpha', sigma') alone; the columns are (J, 1).
 
     A record taken from a :class:`PreparedTimes` stack holds views of its arrays
-    and reads the pullback's constants from it (``source``, ``index``); a record
-    of its own makes them when a pullback asks.
+    and reads the time derivative's constants from it (``source``, ``index``); a
+    record of its own makes them when asked.
     """
 
     alpha: float
@@ -284,8 +320,8 @@ class PreparedTimes:
     """The :class:`Prepared` constants of K times in three stacked arrays:
     ``scalars`` (5, K) holds alpha, sigma, alpha', sigma' and -2 alpha,
     ``columns`` (4, K, J, 1) the kernel's columns and ``slopes`` (6, K, J, 1) the
-    pullback's, made on first use, so only times that are differentiated pay for
-    them.  Iterating gives the K records, whose columns are views."""
+    time derivative's, made on first use, so only times that are differentiated pay
+    for them.  Iterating gives the K records, whose columns are views."""
 
     __slots__ = ("model", "scalars", "columns", "_slopes")
 
@@ -312,6 +348,11 @@ class PreparedTimes:
         return self._slopes
 
 
+def _stack(arrays):
+    """M arrays of one shape (..., n) as one (M, -1, n) array."""
+    return np.concatenate(arrays).reshape(len(arrays), -1, arrays[0].shape[-1])
+
+
 def default_mixture(dim: int = 2) -> GaussianMixtureScore:
     """The toy benchmark: three well-separated components.
 
@@ -332,7 +373,8 @@ def default_mixture(dim: int = 2) -> GaussianMixtureScore:
 
 class CountingScoreModel:
     """Wraps a score model and counts the times it prepares and the rows of its
-    evaluations (``epsilon`` and ``evaluate``) and of its pullbacks.
+    evaluations (``epsilon`` and ``evaluate``) and of its pullbacks (the rows the
+    reverse pass releases).
 
     Used to assert NFE accounting, the evaluation budget of the reverse pass and
     how often a solve prepares the model's per-time constants.
@@ -370,6 +412,9 @@ class CountingScoreModel:
     def pullback(self, p, x, terms, cot):
         self.n_pullback += self._rows(x)
         return self.inner.pullback(p, x, terms, cot)
+
+    def time_derivatives(self, preps, points, terms, products):
+        return self.inner.time_derivatives(preps, points, terms, products)
 
     # goes through the counted evaluate, so it counts once
     def data_prediction(self, p, x):

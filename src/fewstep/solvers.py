@@ -40,7 +40,9 @@ takes those, with its stage clamps, from the coefficients per solve
 transposed.
 
 The model rejects a non-finite point with FloatingPointError, so a state
-some row of its own step evaluated is checked once, by the model; the loop
+that a row evaluates is checked once, by the model: the last row of its
+step, or the first row of the next step where that row restates it (stage 1
+of an ``ss`` step), which then reports the state's own step.  The loop
 checks the others.
 
 The trace keeps, for the reverse pass, the plan and every evaluation with
@@ -149,7 +151,10 @@ class Row(NamedTuple):
     which appends the next evaluation (its lookup and prepared record are the
     :class:`Plan`'s).  The time derivative of that evaluation goes to score
     time ``tc``, or, for a stage at log-SNR lambda(t_{i-1}) + c, through d lambda
-    to ``lam = (i-1, slot of c or None)``, unless the stage was clamped.
+    to ``lam = (i-1, slot of c or None)``, unless the stage was clamped.  A row
+    that ``restates`` is x_{i-1} itself, evaluated (the opening evaluation of
+    lms/pc, the first stage of an ss step), so the model's check of its point is
+    the check of the state of step i-1.
     """
 
     wrapper: bool
@@ -159,6 +164,7 @@ class Row(NamedTuple):
     evaluated: bool = False
     tc: int | None = None
     lam: tuple | None = None
+    restates: bool = False
 
 
 class Plan(NamedTuple):
@@ -205,7 +211,7 @@ def _multistep_rows(coeffs: SolverCoefficients, final_corrector: bool) -> tuple:
     most recent evaluations and evaluates the prediction (except at the last
     step of lms); pc then corrects over [new, recent, ..., oldest]."""
     n = coeffs.n_steps
-    steps = [(Row(False, range(0), slice(0, 0), evaluated=True, tc=0),)]
+    steps = [(Row(False, range(0), slice(0, 0), evaluated=True, tc=0, restates=True),)]
     for i in range(1, n + 1):
         b_slice = coeffs.b_slice(i)
         q = b_slice.stop - b_slice.start
@@ -232,7 +238,7 @@ def _single_step_rows(coeffs: SolverCoefficients) -> Plan:
         for j in range(k):
             a_row = slice(a0 + j * (k - 1), a0 + j * k)    # stage j mixes stages l < j
             rows.append(Row(False, range(base, base + j), a_row, evaluated=True,
-                            lam=(i - 1, c0 + j if j else None)))
+                            lam=(i - 1, c0 + j if j else None), restates=not j))
         rows.append(Row(True, range(base, base + k), coeffs.ss_b_slice(i)))
         steps.append(tuple(rows))
     c_slices = [coeffs.ss_c_slice(i) for i in range(1, n + 1)]
@@ -301,8 +307,8 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
     x_init may be a single state (d,) or a batch (B, d); the trace keeps the
     given shape.  nfe_used counts score-model calls per sample, matching the
     per-step accounting of the solver family.  A state that is not finite
-    raises DivergenceError with its step: the model rejects a state its own
-    step evaluates, and the loop checks every other one.
+    raises DivergenceError with its step: the model rejects a state a row
+    evaluates, and the loop checks every other one.
     """
     n = coeffs.n_steps
     if grid.n_steps != n:
@@ -315,10 +321,11 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
     if coeffs.kind == "ss":
         plan = _stage_times(plan, coeffs, schedule, table, model, diagnostics)
     R, S, preps, values = table.R, table.S, plan.preps, coeffs.values.tolist()
+    steps = plan.steps
     states, evals, terms, points = [], [], [], []
     # divergence surfaces as a DivergenceError below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, rows in enumerate(plan.steps):
+        for i, rows in enumerate(steps):
             x_prev = x
             for row in rows:
                 w, m = row_weights(values, row), row.m
@@ -332,11 +339,14 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
                     for u, j in enumerate(m):
                         x = x + w[u] * evals[j]
                 if row.evaluated:
-                    e, kept = _evaluate(model, coeffs.prediction, preps[len(evals)], x, i)
+                    # a row restating x_{i-1} checks the state of step i-1 (x_0 at i = 0)
+                    step = max(i - 1, 0) if row.restates else i
+                    e, kept = _evaluate(model, coeffs.prediction, preps[len(evals)], x, step)
                     evals.append(e)
                     terms.append(kept)
                     points.append(x)
-            if not (rows and rows[-1].evaluated) and not np.isfinite(x).all():
+            if not (rows and rows[-1].evaluated or i < n and steps[i + 1][0].restates) \
+                    and not np.isfinite(x).all():
                 raise DivergenceError(f"state at step {i} is not finite", step_index=i)
             states.append(x)
 

@@ -82,7 +82,10 @@ class ZeroModel:
         return (np.zeros_like(x) if prediction == "noise" else x / alpha), None
 
     def pullback(self, alpha, x, terms, cot):
-        return np.zeros_like(np.asarray(x, dtype=float)), 0.0
+        return np.zeros_like(np.asarray(x, dtype=float)), None
+
+    def time_derivatives(self, alphas, points, terms, products):
+        return np.zeros(len(alphas))
 
 
 @pytest.fixture

@@ -7,10 +7,15 @@ and ss-2 ``gaussian`` for data prediction) x {VE, VP-linear} x {noise, data}
 x {fixed, learnable grid}, N = 5, a batch of 3 states.
 
 Run from the repository root: ``PYTHONPATH=src python tests/data/make_solver_golden.py``.
+With ``--digest`` it prints one sha256 over every block, computed afresh (the
+file is neither read nor written), so two checkouts are bit-identical on these
+cases when they print the same digest.
 """
 
+import hashlib
 import itertools
 import pathlib
+import sys
 
 import numpy as np
 
@@ -58,6 +63,19 @@ def golden_blocks() -> dict:
     return out
 
 
+def digest(blocks: dict) -> str:
+    """sha256 over every block's key, shape and little-endian float64 bytes, in key order."""
+    h = hashlib.sha256()
+    for key in sorted(blocks):
+        value = np.ascontiguousarray(blocks[key], dtype="<f8")
+        h.update(f"{key}:{value.shape}".encode())
+        h.update(value.tobytes())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
-    np.savez(GOLDEN, **golden_blocks())
-    print(f"wrote {GOLDEN}")
+    if sys.argv[1:] == ["--digest"]:
+        print(digest(golden_blocks()))
+    else:
+        np.savez(GOLDEN, **golden_blocks())
+        print(f"wrote {GOLDEN}")

@@ -35,3 +35,11 @@ def test_solver_matches_golden(blocks):
             assert value.shape == ref.shape, key
             err = np.linalg.norm(value - ref) / max(np.linalg.norm(ref), 1e-300)
             assert err <= 1e-12, (key, err)
+
+
+def test_digest_covers_every_bit_of_every_block(blocks):
+    reference = golden.digest(blocks)
+    assert golden.digest(dict(reversed(list(blocks.items())))) == reference
+    key = sorted(blocks)[0]
+    nudged = dict(blocks, **{key: np.nextafter(blocks[key], np.inf)})
+    assert golden.digest(nudged) != reference

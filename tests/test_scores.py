@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from fewstep.coeffs import init_preset
 from fewstep.grids import heuristic_grid
 from fewstep.scores import CountingScoreModel, GaussianMixtureScore, default_mixture
-from fewstep.solvers import GridTable
+from fewstep.solvers import GridTable, solve
 
 
 def einsum_parts(model, x2, alpha, sigma):
@@ -223,7 +224,8 @@ class TestLinearize:
             cot = rng.normal(size=shape)
             p = model.prepare(schedule.at(t))
             eps, terms = model.evaluate(p, x)
-            xbar, tdot = model.pullback(p, x, terms, cot)
+            xbar, products = model.pullback(p, x, terms, cot)
+            (tdot,) = model.time_derivatives([p], [x], [terms], [products])
             assert np.array_equal(eps, model.epsilon(p, x))
             assert np.array_equal(xbar, model.epsilon_vjp(p, x, cot))
             # relative to the scale of the dot product, which itself can cancel
@@ -245,8 +247,15 @@ def _oracle_points(schedule, model, rng, t):
             mean + near]
 
 
+def _assert_contraction_close(tdot, cot, deps_dt):
+    # relative to the scale of the dot product, which itself can cancel
+    parts = cot * deps_dt
+    assert abs(tdot - np.sum(parts)) <= 1e-12 * np.sum(np.abs(parts))
+
+
 class TestAgainstEinsumOracle:
-    """The (B, J)-only kernel reproduces the former (B, J, d) einsum kernel."""
+    """The (B, J)-only kernel reproduces the former (B, J, d) einsum kernel, through
+    evaluate, pullback and the batched time contraction."""
 
     @pytest.mark.parametrize("schedule_name", ["ve", "vp", "edm"])
     @pytest.mark.parametrize("wide", [False, True], ids=["default", "d64j64"])
@@ -255,13 +264,22 @@ class TestAgainstEinsumOracle:
         model = _wide_mixture() if wide else default_mixture(2)
         times = [schedule.t_min, schedule.T] + list(rng.uniform(schedule.t_min, schedule.T, 8))
         for t in times:
-            for x in _oracle_points(schedule, model, rng, float(t)):
-                cot = rng.normal(size=x.shape)
-                eps, vjp, deps_dt = einsum_oracle(model, schedule, x, t, cot)
-                p = model.prepare(schedule.at(t))
-                assert _rel(model.epsilon(p, x), eps) <= 1e-12
-                assert _rel(model.epsilon_vjp(p, x, cot), vjp) <= 1e-12
-                assert _rel(model.epsilon_time_partial(p, x), deps_dt) <= 1e-12
+            p = model.prepare(schedule.at(t))
+            points = _oracle_points(schedule, model, rng, float(t))
+            cots, oracles, kept, products = [], [], [], []
+            for x in points:
+                cots.append(rng.normal(size=x.shape))
+                oracles.append(einsum_oracle(model, schedule, x, t, cots[-1]))
+                eps, terms = model.evaluate(p, x)
+                xbar, prods = model.pullback(p, x, terms, cots[-1])
+                kept.append(terms)
+                products.append(prods)
+                assert _rel(eps, oracles[-1][0]) <= 1e-12
+                assert _rel(xbar, oracles[-1][1]) <= 1e-12
+                assert _rel(model.epsilon_time_partial(p, x), oracles[-1][2]) <= 1e-12
+            tdots = model.time_derivatives([p] * len(points), points, kept, products)
+            for tdot, cot, oracle in zip(tdots, cots, oracles):
+                _assert_contraction_close(tdot, cot, oracle[2])
 
     def test_schedule_ends_with_large_states(self, ve, edm, mixture, rng):
         # VE at t=T and EDM at t=80 draw |x| of order 10 and 80-110
@@ -272,10 +290,11 @@ class TestAgainstEinsumOracle:
             eps, vjp, deps_dt = einsum_oracle(mixture, schedule, x, schedule.T, cot)
             p = mixture.prepare(schedule.at(schedule.T))
             got_eps, terms = mixture.evaluate(p, x)
-            got_vjp, tdot = mixture.pullback(p, x, terms, cot)
+            got_vjp, products = mixture.pullback(p, x, terms, cot)
+            (tdot,) = mixture.time_derivatives([p], [x], [terms], [products])
             assert _rel(got_eps, eps) <= 1e-12
             assert _rel(got_vjp, vjp) <= 1e-12
-            assert abs(tdot - np.sum(cot * deps_dt)) <= 1e-12 * np.sum(np.abs(cot * deps_dt))
+            _assert_contraction_close(tdot, cot, deps_dt)
 
 
 class TestDataPrediction:
@@ -343,9 +362,12 @@ class TestPrepared:
                 e_ref, terms_ref = mixture.evaluate(fresh, x, prediction)
                 assert np.array_equal(e, e_ref)
                 assert all(np.array_equal(u, v) for u, v in zip(terms, terms_ref))
-                xbar, tdot = mixture.pullback(kept, x, terms, cot)
-                xbar_ref, tdot_ref = mixture.pullback(fresh, x, terms_ref, cot)
-                assert np.array_equal(xbar, xbar_ref) and tdot == tdot_ref
+                xbar, products = mixture.pullback(kept, x, terms, cot)
+                xbar_ref, products_ref = mixture.pullback(fresh, x, terms_ref, cot)
+                assert np.array_equal(xbar, xbar_ref)
+                assert np.array_equal(
+                    mixture.time_derivatives([kept], [x], [terms], [products]),
+                    mixture.time_derivatives([fresh], [x], [terms_ref], [products_ref]))
                 assert np.array_equal(mixture.epsilon_time_partial(kept, x),
                                       mixture.epsilon_time_partial(fresh, x))
 
@@ -355,3 +377,29 @@ class TestPrepared:
         first = stack.slopes
         assert first.shape == (6, 3, mixture.n_components, 1)
         assert stack.slopes is first
+
+
+@pytest.mark.parametrize("kind, order, preset", [("lms", 3, "ipndm"), ("pc", 3, "unipc"),
+                                                 ("ss", 2, "gaussian")])
+@pytest.mark.parametrize("schedule_name", ["ve", "vp", "edm"])
+@pytest.mark.parametrize("prediction", ["noise", "data"])
+@pytest.mark.parametrize("shape", [(2,), (5, 2)], ids=["single", "batched"])
+def test_time_contraction_over_a_trace_equals_one_evaluation_at_a_time(
+        request, kind, order, preset, schedule_name, prediction, shape, mixture, rng):
+    # the reverse pass contracts every evaluation of a trace at once; each entry
+    # must be the bits of contracting that evaluation alone
+    schedule = request.getfixturevalue(schedule_name)
+    grid = heuristic_grid(schedule, 6, "logsnr")
+    coeffs = init_preset(kind, order, 6, preset, schedule=schedule, grid=grid,
+                         prediction=prediction, seed=3)
+    if preset == "gaussian":        # random weights, kept small
+        coeffs.values *= 0.2
+    trace = solve(coeffs, schedule, grid, mixture, schedule.tilde_sigma * rng.normal(size=shape))
+    preps, points, terms = trace.plan.preps, trace.points, trace.terms
+    products = [mixture.pullback(p, x, kept, rng.normal(size=shape))[1]
+                for p, x, kept in zip(preps, points, terms)]
+    batched = mixture.time_derivatives(preps, points, terms, products)
+    single = [mixture.time_derivatives(*([u] for u in args))[0]
+              for args in zip(preps, points, terms, products)]
+    assert batched.shape == (trace.nfe_used,)
+    assert np.array_equal(batched, single)

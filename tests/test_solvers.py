@@ -305,6 +305,32 @@ class TestPlans:
         assert err.value.step_index == 0
 
 
+    @pytest.mark.parametrize("schedule_name", ["ve", "vp"])
+    def test_ss_checks_each_state_once(self, request, schedule_name, mixture, monkeypatch):
+        # stage 1 of step i evaluates x_{i-1} as it is, so the model's check of that
+        # point is the check of state i-1: 12 points and 12 evaluations are checked,
+        # and the loop checks only the terminal state
+        schedule = request.getfixturevalue(schedule_name)
+        grid = heuristic_grid(schedule, 6, "logsnr")
+        coeffs = init_preset("ss", 2, 6, "dpmpp", schedule=schedule, grid=grid)
+        x = schedule.tilde_sigma * np.random.default_rng(0).standard_normal((100, 2))
+        solve(coeffs, schedule, grid, mixture, x)
+        calls, isfinite = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda *a, **k: calls.append(1) or isfinite(*a, **k))
+        solve(coeffs, schedule, grid, mixture, x)
+        monkeypatch.undo()
+        assert len(calls) == 25
+        with pytest.raises(DivergenceError) as err:
+            solve(coeffs, schedule, grid, mixture, np.full((3, 2), np.nan))
+        assert err.value.step_index == 0
+        for i in range(1, 7):           # blow-up of the state of step i
+            blown = coeffs.copy()
+            blown.values[blown.ss_b_slice(i)] = np.inf
+            with pytest.raises(DivergenceError) as err:
+                solve(blown, schedule, grid, mixture, x)
+            assert err.value.step_index == i
+
+
 class TestDataPrediction:
     def test_zero_data_prediction_rescales_by_sigma_ratio(self, ve):
         class RescaleModel:
