@@ -3,14 +3,14 @@
 Every solver in this package lives in the log-SNR variable lambda(t) =
 log(alpha_t / sigma_t).  This script shows the three schedule kinds, the
 round trip between t and lambda, the phi functions of the exponential
-integrator, and the slow reference step used as a test oracle.
+integrator, and a fine log-SNR solve against the closed-form Gaussian flow.
 """
 
 import numpy as np
 
-from fewstep import (EdmSchedule, VeSchedule, VpLinearSchedule,
-                     exact_step_integrand, phi_functions)
-from fewstep.scores import GaussianMixtureScore
+from fewstep import (EdmSchedule, GaussianMixtureScore, VeSchedule, VpLinearSchedule,
+                     heuristic_grid, init_preset, phi_functions, solve)
+from fewstep.teachers import exact_gaussian_solution
 
 print("=== Schedule kinds ===")
 for schedule in (VpLinearSchedule(), VeSchedule(), EdmSchedule()):
@@ -36,16 +36,17 @@ for h in (0.5, 2.0):
     print(f"h={h}: phi_1..3 = {np.round(table, 6)}  "
           f"recurrence check |phi_2 - (phi_1 - 1)/h| = {abs(table[1] - recur):.1e}")
 
-print("\n=== Reference step vs. the closed-form Gaussian flow ===")
-ve = VeSchedule()
+print("\n=== Log-SNR solves vs. the closed-form Gaussian flow ===")
+# the exponential Adams-Bashforth preset integrates the phi-weighted increments
+# above; refining a grid uniform in lambda brings it onto the exact flow
 model = GaussianMixtureScore.isotropic(2, scale=1.0)
-from fewstep.teachers import exact_gaussian_solution
-
-x_T = ve.tilde_sigma * np.array([0.4, -0.2])
-x_mid = exact_gaussian_solution(ve, model, x_T, t_end=6.0)   # flow down to t=6
-out = exact_step_integrand(ve, x_mid, 6.0, 2.0,
-                           lambda x, t: model.epsilon(model.prepare(ve.at(t)), x))
-expected = exact_gaussian_solution(ve, model, x_T, t_end=2.0)
-print(f"one reference step 6.0 -> 2.0: {np.round(out, 8)}")
-print(f"closed-form flow value:        {np.round(expected, 8)}")
-print(f"agreement: {np.linalg.norm(out - expected):.2e}")
+print(f"{'|solve - exact|':<18} " + " ".join(f"{f'N={n}':>9}" for n in (25, 50, 100, 200)))
+for schedule in (VpLinearSchedule(), VeSchedule()):
+    x = schedule.tilde_sigma * np.array([0.4, -0.2])
+    expected = exact_gaussian_solution(schedule, model, x)
+    errs = []
+    for n in (25, 50, 100, 200):
+        grid = heuristic_grid(schedule, n, "logsnr")
+        coeffs = init_preset("lms", 3, n, "adams_bashforth", schedule=schedule, grid=grid)
+        errs.append(np.linalg.norm(solve(coeffs, schedule, grid, model, x).terminal - expected))
+    print(f"{type(schedule).__name__:<18} " + " ".join(f"{e:9.2e}" for e in errs))

@@ -14,9 +14,8 @@ all use (:mod:`~fewstep.artifacts`).
 from .backprop import AdjointResult, backward, check_gradients
 from .coeffs import SolverCoefficients, init_preset, table_param_count
 from .grids import LearnableTimeParams, TimeGrid, grid_gradient_vjp, heuristic_grid, materialize
-from .schedules import (EdmSchedule, NoiseSchedule, VeSchedule, VpLinearSchedule,
-                        exact_step_integrand, phi_functions)
-from .scores import CountingScoreModel, GaussianMixtureScore, default_mixture
+from .schedules import EdmSchedule, NoiseSchedule, VeSchedule, VpLinearSchedule, phi_functions
+from .scores import GaussianMixtureScore, default_mixture
 from .solvers import SolveTrace, solve
 from .teachers import (Dataset, TeacherConfig, generate_dataset, load_dataset,
                        save_dataset, teacher_solve)
@@ -30,9 +29,8 @@ __all__ = [
     "AdjointResult", "backward", "check_gradients",
     "SolverCoefficients", "init_preset", "table_param_count",
     "LearnableTimeParams", "TimeGrid", "grid_gradient_vjp", "heuristic_grid", "materialize",
-    "EdmSchedule", "NoiseSchedule", "VeSchedule", "VpLinearSchedule",
-    "exact_step_integrand", "phi_functions",
-    "CountingScoreModel", "GaussianMixtureScore", "default_mixture",
+    "EdmSchedule", "NoiseSchedule", "VeSchedule", "VpLinearSchedule", "phi_functions",
+    "GaussianMixtureScore", "default_mixture",
     "SolveTrace", "solve",
     "Dataset", "TeacherConfig", "generate_dataset",
     "load_dataset", "save_dataset", "teacher_solve",

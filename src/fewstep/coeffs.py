@@ -245,33 +245,40 @@ def _phi_ratio_rhs(h: float, count: int) -> np.ndarray:
     return out
 
 
-def _unified_predictor_row(past_lams: np.ndarray, lam_next: float) -> np.ndarray:
-    """Predictor weights of the phi-function linear-system family (order q)."""
+def _unified_predictor_row(past_lams: np.ndarray, lam_next: float,
+                           prediction: str = "noise") -> np.ndarray:
+    """Predictor weights of the phi-function linear-system family (order q).
+
+    The data-prediction form solves against the phi functions of -h (UniPC,
+    Zhao et al. 2023), as its increment integrates against e^{lam - lam_next}.
+    """
     q = len(past_lams)
     h = lam_next - past_lams[0]
     if q == 1:
         return np.array([1.0])
     r = (past_lams[1:] - past_lams[0]) / h            # (q-1,) negative ratios
     powers = np.vander(r, q - 1, increasing=True).T   # rows r^0 .. r^{q-2}
-    a = np.linalg.solve(powers, _phi_ratio_rhs(h, q - 1))
+    a = np.linalg.solve(powers, _phi_ratio_rhs(h if prediction == "noise" else -h, q - 1))
     row = np.empty(q)
     row[0] = 1.0 - np.sum(a / r)
     row[1:] = a / r
     return row
 
 
-def _unified_corrector_pool(past_lams: np.ndarray, lam_next: float) -> np.ndarray:
-    """Corrector pool weights [new, recent, ..., oldest], summing to 1 exactly."""
+def _unified_corrector_pool(past_lams: np.ndarray, lam_next: float,
+                            prediction: str = "noise") -> np.ndarray:
+    """Corrector pool weights [new, recent, ..., oldest], summing to 1 exactly;
+    -h for data prediction, as in :func:`_unified_predictor_row`."""
     q = len(past_lams)
     h = lam_next - past_lams[0]
+    hh = h if prediction == "noise" else -h
     if q == 1:
-        rks = np.array([1.0])
-        a = _phi_ratio_rhs(h, 1)
+        a = _phi_ratio_rhs(hh, 1)
         return np.array([a[0], 1.0 - a[0]])
     r = (past_lams[1:] - past_lams[0]) / h
     rks = np.concatenate([r, [1.0]])
     powers = np.vander(rks, q, increasing=True).T
-    a = np.linalg.solve(powers, _phi_ratio_rhs(h, q))
+    a = np.linalg.solve(powers, _phi_ratio_rhs(hh, q))
     w_new = a[-1]
     w_older = a[:-1] / r
     w_recent = 1.0 - w_older.sum() - w_new
@@ -328,17 +335,16 @@ def init_preset(
         _init_ss_preset(coeffs, preset, schedule, lams)
         return coeffs
 
-    exp_mode = "exp_noise" if prediction == "noise" else "exp_data"
     for i in range(1, n_steps + 1):
         q = coeffs.q(i)
         past = lams[i - 1 :: -1][:q]
-        coeffs.values[coeffs.b_slice(i)] = _preset_lms_row(preset, past, lams[i], q, exp_mode)
+        coeffs.values[coeffs.b_slice(i)] = _preset_lms_row(preset, past, lams[i], q, prediction)
 
     if kind == "pc":
         for i in range(1, n_steps + 1):
             q = coeffs.q(i)
             if preset == "unipc":
-                pool = _unified_corrector_pool(lams[i - 1 :: -1][:q], lams[i])
+                pool = _unified_corrector_pool(lams[i - 1 :: -1][:q], lams[i], prediction)
                 coeffs.values[coeffs.corrector_slice(i)] = pool[:-1]
             else:
                 # degenerate corrector: no weight on the new evaluation, the
@@ -349,17 +355,17 @@ def init_preset(
     return coeffs
 
 
-def _preset_lms_row(preset, past_lams, lam_next, q, exp_mode):
+def _preset_lms_row(preset, past_lams, lam_next, q, prediction):
     if preset == "ipndm":
         if q > 4:
             raise ValueError("the classical constant-coefficient preset stops at order 4")
         return _CLASSICAL_AB[q].copy()
     if preset == "adams_bashforth":
-        return _lagrange_row(past_lams, past_lams[0], lam_next, exp_mode)
+        return _lagrange_row(past_lams, past_lams[0], lam_next, f"exp_{prediction}")
     if preset == "dpmpp":
         return _lagrange_row(past_lams, past_lams[0], lam_next, "flat")
     if preset == "unipc":
-        return _unified_predictor_row(past_lams, lam_next)
+        return _unified_predictor_row(past_lams, lam_next, prediction)
     raise ValueError(f"preset {preset!r} is not defined for multistep rows")
 
 

@@ -5,14 +5,6 @@ class DomainError(ValueError):
     """A time or log-SNR argument fell outside the schedule's domain."""
 
 
-class NumericalError(RuntimeError):
-    """A numerical routine failed to converge; carries diagnostics."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
-
 class DivergenceError(RuntimeError):
     """A solve produced a non-finite state; carries the offending step index."""
 

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 
 # Below this |h| the closed forms of the phi functions cancel catastrophically
 # in double precision; switch to the (rapidly convergent) Taylor series.
@@ -78,9 +78,6 @@ class NoiseSchedule:
     def lam(self, t):
         """Log signal-to-noise ratio log(alpha_t / sigma_t)."""
         return np.log(self.alpha(t)) - np.log(self.sigma(t))
-
-    def d_lam(self, t):
-        return self.d_alpha(t) / self.alpha(t) - self.d_sigma(t) / self.sigma(t)
 
     def kappa(self, t):
         """Noise-to-signal ratio sigma_t / alpha_t (strictly increasing)."""
@@ -258,69 +255,3 @@ def phi_functions(h: float, order: int) -> np.ndarray:
             values[k - 1] = h * values[k] + 1.0 / math.factorial(k)
     return values
 
-
-def exact_step_integrand(
-    schedule: NoiseSchedule,
-    x_prev: np.ndarray,
-    t_prev: float,
-    t_next: float,
-    eps_fn,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    quad_nodes: int = 48,
-    agreement_tol: float = 1e-8,
-) -> np.ndarray:
-    """Reference one-step solution via the exact log-SNR integral form.
-
-    Integrates the noise-prediction term against e^{-lam} with Gauss-Legendre
-    quadrature along a tightly-resolved trajectory.  This is the slow oracle
-    the fast solvers are tested against, not a sampling path.  It is the only
-    code in the package that needs SciPy, which it imports on first use.
-    """
-    from scipy.integrate import solve_ivp
-
-    if not t_next < t_prev:
-        raise ValueError("exact step requires t_next < t_prev (reverse time)")
-    t_prev = float(schedule.check_time(t_prev))
-    t_next = float(schedule.check_time(t_next))
-    x_prev = np.asarray(x_prev, dtype=float)
-    lam_p = float(schedule.lam(t_prev))
-    lam_n = float(schedule.lam(t_next))
-
-    def rhs(lam, y):
-        t = schedule.time_from_lambda(lam)
-        x = y.reshape(x_prev.shape)
-        dloga = float(schedule.f(t)) / float(schedule.d_lam(t))
-        dx = dloga * x - float(schedule.sigma(t)) * eps_fn(x, t)
-        return dx.ravel()
-
-    sol = solve_ivp(
-        rhs, (lam_p, lam_n), x_prev.ravel(), method="RK45",
-        rtol=rtol, atol=atol, dense_output=True,
-    )
-    if not sol.success:
-        raise NumericalError("trajectory resolution failed", {"message": sol.message})
-
-    alpha_p = float(schedule.alpha(t_prev))
-    alpha_n = float(schedule.alpha(t_next))
-
-    def quadrature(n_nodes):
-        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-        mid, half = 0.5 * (lam_p + lam_n), 0.5 * (lam_n - lam_p)
-        lams = mid + half * nodes
-        total = np.zeros_like(x_prev)
-        for lam, t, w in zip(lams, schedule.time_from_lambda(lams), weights):
-            x = sol.sol(lam).reshape(x_prev.shape)
-            total += w * math.exp(-lam) * eps_fn(x, t)
-        return half * total
-
-    q_hi = quadrature(quad_nodes)
-    q_lo = quadrature(max(8, quad_nodes // 2))
-    deviation = float(np.max(np.abs(q_hi - q_lo)))
-    scale = max(1.0, float(np.max(np.abs(q_hi))))
-    if deviation > agreement_tol * scale:
-        raise NumericalError(
-            "quadrature did not converge",
-            {"deviation": deviation, "nodes": quad_nodes, "tol": agreement_tol},
-        )
-    return (alpha_n / alpha_p) * x_prev - alpha_n * q_hi

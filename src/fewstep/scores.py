@@ -218,10 +218,6 @@ class GaussianMixtureScore:
         """Exact noise prediction -sigma_t * grad log p_t(x) at the prepared time p."""
         return self.evaluate(p, x)[0]
 
-    def data_prediction(self, p, x):
-        """Tweedie transform x_hat = (x - sigma_t eps) / alpha_t."""
-        return self.evaluate(p, x, "data")[0]
-
     # -- derivatives -----------------------------------------------------------
     def pullback(self, p, x, terms, cot):
         """``((d eps/d x)^T cot, products)`` at the float arrays x and cot of one shape;
@@ -370,52 +366,3 @@ def default_mixture(dim: int = 2) -> GaussianMixtureScore:
         scales=np.array([0.45, 0.55, 0.35]),
     )
 
-
-class CountingScoreModel:
-    """Wraps a score model and counts the times it prepares and the rows of its
-    evaluations (``epsilon`` and ``evaluate``) and of its pullbacks (the rows the
-    reverse pass releases).
-
-    Used to assert NFE accounting, the evaluation budget of the reverse pass and
-    how often a solve prepares the model's per-time constants.
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.reset()
-
-    def reset(self):
-        self.n_prepare = 0
-        self.n_epsilon = 0
-        self.n_pullback = 0
-
-    @property
-    def dim(self):
-        return self.inner.dim
-
-    @staticmethod
-    def _rows(x):
-        return np.atleast_2d(np.asarray(x)).shape[0]
-
-    def prepare(self, at):
-        self.n_prepare += np.size(at[0])
-        return self.inner.prepare(at)
-
-    def epsilon(self, p, x):
-        self.n_epsilon += self._rows(x)
-        return self.inner.epsilon(p, x)
-
-    def evaluate(self, p, x, prediction="noise"):
-        self.n_epsilon += self._rows(x)
-        return self.inner.evaluate(p, x, prediction)
-
-    def pullback(self, p, x, terms, cot):
-        self.n_pullback += self._rows(x)
-        return self.inner.pullback(p, x, terms, cot)
-
-    def time_derivatives(self, preps, points, terms, products):
-        return self.inner.time_derivatives(preps, points, terms, products)
-
-    # goes through the counted evaluate, so it counts once
-    def data_prediction(self, p, x):
-        return GaussianMixtureScore.data_prediction(self, p, x)

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,26 @@ def _inline_epsilon(model, at, x2):
 @pytest.fixture
 def inline_epsilon():
     return _inline_epsilon
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """A Counter of the rows every :class:`GaussianMixtureScore` prepares (times),
+    evaluates and pulls back (points), keyed by method name; ``epsilon`` goes
+    through ``evaluate``, so it counts once."""
+    counts = collections.Counter()
+
+    def counted(name):
+        original = getattr(GaussianMixtureScore, name)
+
+        def method(self, *args):
+            counts[name] += np.size(args[0][0]) if name == "prepare" else len(np.atleast_2d(args[1]))
+            return original(self, *args)
+        return method
+
+    for name in ("prepare", "evaluate", "pullback"):
+        monkeypatch.setattr(GaussianMixtureScore, name, counted(name))
+    return counts
 
 
 @pytest.fixture

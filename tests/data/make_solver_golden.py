@@ -7,9 +7,10 @@ and ss-2 ``gaussian`` for data prediction) x {VE, VP-linear} x {noise, data}
 x {fixed, learnable grid}, N = 5, a batch of 3 states.
 
 Run from the repository root: ``PYTHONPATH=src python tests/data/make_solver_golden.py``.
-With ``--digest`` it prints one sha256 over every block, computed afresh (the
-file is neither read nor written), so two checkouts are bit-identical on these
-cases when they print the same digest.
+With ``--digest`` it prints one sha256 per case, then one over every block,
+computed afresh (the file is neither read nor written), so two checkouts are
+bit-identical on these cases when they print the same total digest, and the
+per-case lines name the cases a change moved.
 """
 
 import hashlib
@@ -75,7 +76,10 @@ def digest(blocks: dict) -> str:
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--digest"]:
-        print(digest(golden_blocks()))
+        blocks = golden_blocks()
+        for case in sorted({key.split("/")[0] for key in blocks}):
+            print(case, digest({k: v for k, v in blocks.items() if k.startswith(case + "/")}))
+        print("total", digest(blocks))
     else:
         np.savez(GOLDEN, **golden_blocks())
         print(f"wrote {GOLDEN}")

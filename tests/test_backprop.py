@@ -7,7 +7,6 @@ from fewstep.backprop import backward, check_gradients
 from fewstep.coeffs import init_preset
 from fewstep.grids import LearnableTimeParams, heuristic_grid, materialize
 from fewstep.schedules import VpLinearSchedule
-from fewstep.scores import CountingScoreModel
 from fewstep.solvers import solve
 
 
@@ -178,19 +177,18 @@ class TestRematerialization:
                     assert np.array_equal(remade, e), (kind, prediction, x.shape)
                     assert all(np.array_equal(u, v) for u, v in zip(terms, kept))
 
-    def test_backward_evaluation_budget(self, ve, mixture, rng):
+    def test_backward_evaluation_budget(self, ve, mixture, rng, counting):
         # a kept trace holds each evaluation and the model's terms for it, so
         # backward pulls each evaluation back once and evaluates nothing
         grid = heuristic_grid(ve, 6, "logsnr")
         coeffs = init_preset("lms", 3, 6, "ipndm", schedule=ve, grid=grid)
-        counted = CountingScoreModel(mixture)
         x = rng.standard_normal(2)
-        trace = solve(coeffs, ve, grid, counted, x)
-        forward_evals = counted.n_epsilon
-        counted.reset()
-        backward(trace, coeffs, ve, counted, np.ones(2), grid=grid)
-        assert counted.n_epsilon == 0
-        assert counted.n_pullback == forward_evals == 6
+        trace = solve(coeffs, ve, grid, mixture, x)
+        forward_evals = counting["evaluate"]
+        counting.clear()
+        backward(trace, coeffs, ve, mixture, np.ones(2), grid=grid)
+        assert counting["evaluate"] == 0
+        assert counting["pullback"] == forward_evals == 6
 
 
 def test_mismatched_trace_rejected(ve, mixture):
@@ -241,7 +239,8 @@ def test_schedule_calls_do_not_grow_with_steps(kind, preset, prediction, mixture
 
 @pytest.mark.parametrize("kind, preset", [("lms", "ipndm"), ("pc", "unipc"), ("ss", "gaussian")])
 @pytest.mark.parametrize("prediction", ["noise", "data"])
-def test_model_prepares_nothing_once_the_table_exists(kind, preset, prediction, mixture):
+def test_model_prepares_nothing_once_the_table_exists(kind, preset, prediction, mixture,
+                                                      counting):
     # the grid's table keeps the model's constants of its score times, so
     # solve + backward prepare nothing for lms/pc, and the k*N stage times for ss
     schedule, x = VpLinearSchedule(), np.ones((3, 2))
@@ -249,9 +248,8 @@ def test_model_prepares_nothing_once_the_table_exists(kind, preset, prediction, 
         grid = heuristic_grid(schedule, n, "logsnr")
         coeffs = init_preset(kind, 2, n, preset, schedule=schedule, grid=grid,
                              prediction=prediction, seed=3)
-        counted = CountingScoreModel(mixture)
-        solve(coeffs, schedule, grid, counted, x)
-        counted.reset()
-        trace = solve(coeffs, schedule, grid, counted, x)
-        backward(trace, coeffs, schedule, counted, np.ones_like(x), grid=grid)
-        assert counted.n_prepare == (0 if kind != "ss" else 2 * n)
+        solve(coeffs, schedule, grid, mixture, x)
+        counting.clear()
+        trace = solve(coeffs, schedule, grid, mixture, x)
+        backward(trace, coeffs, schedule, mixture, np.ones_like(x), grid=grid)
+        assert counting["prepare"] == (0 if kind != "ss" else 2 * n)

@@ -1,5 +1,5 @@
 """Every name a package module imports is used there (``__init__`` re-exports aside),
-and importing the package loads no SciPy integrator."""
+and the package neither imports nor loads SciPy: it is only the tests' oracle."""
 
 import ast
 import pathlib
@@ -37,10 +37,31 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_modules(source: str) -> set:
+    """The top-level names of every module an ``import`` statement anywhere in source names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_import_scanner_sees_nested_imports():
+    source = "import os.path\ndef f():\n    from scipy.integrate import quad\nfrom . import x\n"
+    assert imported_modules(source) == {"os", "scipy"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    assert "scipy" not in imported_modules(path.read_text())
+
+
 def test_package_import_leaves_scipy_integrate_unloaded():
-    # SciPy serves only the slow reference step, which imports it on first use
+    # no scipy module at all, not only its integrators
     code = ("import sys, fewstep, fewstep.experiments, fewstep.cli; "
-            "assert 'scipy.integrate' not in sys.modules, sorted(m for m in sys.modules "
-            "if m.startswith('scipy'))")
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], check=True, cwd=SRC.parent,
                    capture_output=True, timeout=120)

@@ -9,7 +9,8 @@ from scipy.integrate import solve_ivp
 from fewstep.errors import DomainError
 from fewstep import coeffs
 from fewstep.schedules import (GL_NODES, GL_WEIGHTS, EdmSchedule, VeSchedule, VpLinearSchedule,
-                               exact_step_integrand, phi_functions)
+                               phi_functions)
+from oracle import NumericalError, exact_step_integrand
 
 ALL_SCHEDULES = [VpLinearSchedule(), VeSchedule(), EdmSchedule()]
 
@@ -252,8 +253,6 @@ def test_round_trip_property(t):
 def test_exact_step_reports_quadrature_non_convergence(ve):
     # a score oscillating far faster than the quadrature resolves
     wild = lambda s, t: np.sin(500.0 * float(ve.lam(t))) * np.ones_like(s)
-    from fewstep.errors import NumericalError
-
     with pytest.raises(NumericalError) as err:
         exact_step_integrand(ve, np.ones(2), 2.0, 1.0, wild, rtol=1e-5,
                              atol=1e-8, quad_nodes=16)

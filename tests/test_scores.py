@@ -3,7 +3,7 @@ import pytest
 
 from fewstep.coeffs import init_preset
 from fewstep.grids import heuristic_grid
-from fewstep.scores import CountingScoreModel, GaussianMixtureScore, default_mixture
+from fewstep.scores import GaussianMixtureScore, default_mixture
 from fewstep.solvers import GridTable, solve
 
 
@@ -304,29 +304,27 @@ class TestDataPrediction:
             t = float(rng.uniform(ve.t_min, ve.T))
             a, s = float(ve.alpha(t)), float(ve.sigma(t))
             p = mixture.prepare(ve.at(t))
-            xhat = mixture.data_prediction(p, x)
+            xhat = mixture.evaluate(p, x, "data")[0]
             eps_back = (x - a * xhat) / s
             assert np.allclose(eps_back, mixture.epsilon(p, x), rtol=0, atol=1e-12)
 
 
-def test_counting_wrapper_tracks_calls(ve, mixture):
-    counted = CountingScoreModel(mixture)
-    counted.epsilon(counted.prepare(ve.at(1.0)), np.ones((3, 2)))
-    counted.data_prediction(counted.prepare(ve.at(1.0)), np.ones(2))
-    assert counted.n_epsilon == 4 and counted.n_pullback == 0
-    counted.prepare(ve.at(np.array([1.0, 0.5])))
-    assert counted.n_prepare == 4
-    counted.reset()
-    assert counted.n_epsilon == 0 and counted.n_prepare == 0
+def test_counting_wrapper_tracks_calls(ve, mixture, counting):
+    mixture.epsilon(mixture.prepare(ve.at(1.0)), np.ones((3, 2)))
+    mixture.evaluate(mixture.prepare(ve.at(1.0)), np.ones(2), "data")
+    assert counting["evaluate"] == 4 and counting["pullback"] == 0
+    mixture.prepare(ve.at(np.array([1.0, 0.5])))
+    assert counting["prepare"] == 4
+    counting.clear()
+    assert counting["evaluate"] == 0 and counting["prepare"] == 0
 
 
-def test_counting_wrapper_counts_pullback_rows(ve, mixture):
-    counted = CountingScoreModel(mixture)
-    x, p = np.ones((4, 2)), counted.prepare(ve.at(1.0))
-    eps, terms = counted.evaluate(p, x)
-    counted.pullback(p, x, terms, np.ones((4, 2)))
-    counted.pullback(p, np.ones(2), counted.evaluate(p, np.ones(2))[1], np.ones(2))
-    assert counted.n_pullback == 5 and counted.n_epsilon == 5 and counted.n_prepare == 1
+def test_counting_wrapper_counts_pullback_rows(ve, mixture, counting):
+    x, p = np.ones((4, 2)), mixture.prepare(ve.at(1.0))
+    eps, terms = mixture.evaluate(p, x)
+    mixture.pullback(p, x, terms, np.ones((4, 2)))
+    mixture.pullback(p, np.ones(2), mixture.evaluate(p, np.ones(2))[1], np.ones(2))
+    assert counting["pullback"] == 5 and counting["evaluate"] == 5 and counting["prepare"] == 1
     assert np.array_equal(eps, mixture.epsilon(p, x))
 
 

@@ -7,10 +7,10 @@ from fewstep.backprop import backward
 from fewstep.coeffs import SolverCoefficients, init_preset
 from fewstep.errors import DivergenceError
 from fewstep.grids import TimeGrid, heuristic_grid
-from fewstep.schedules import VeSchedule, exact_step_integrand
-from fewstep.scores import CountingScoreModel
+from fewstep.schedules import VeSchedule, VpLinearSchedule
 from fewstep.solvers import row_weights, solve, wrapper_factors
-from fewstep.teachers import exact_gaussian_solution
+from fewstep.teachers import TeacherConfig, exact_gaussian_solution, teacher_solve
+from oracle import exact_step_integrand
 
 
 def _first_step(grid):
@@ -135,14 +135,13 @@ class TestPredictorCorrector:
             ours = solve(coeffs, ve, grid, mixture, x0).terminal
             assert np.linalg.norm(ours - ref) <= 1e-10
 
-    def test_final_corrector_toggle_changes_nfe(self, ve, mixture):
+    def test_final_corrector_toggle_changes_nfe(self, ve, mixture, counting):
         grid = heuristic_grid(ve, 5, "logsnr")
         coeffs = init_preset("pc", 2, 5, "unipc", schedule=ve, grid=grid)
-        counted = CountingScoreModel(mixture)
-        assert solve(coeffs, ve, grid, counted, np.ones(2)).nfe_used == 6
-        counted.reset()
-        trace = solve(coeffs, ve, grid, counted, np.ones(2), final_corrector=False)
-        assert trace.nfe_used == 5 == counted.n_epsilon
+        assert solve(coeffs, ve, grid, mixture, np.ones(2)).nfe_used == 6
+        counting.clear()
+        trace = solve(coeffs, ve, grid, mixture, np.ones(2), final_corrector=False)
+        assert trace.nfe_used == 5 == counting["evaluate"]
 
 
 class TestSolve:
@@ -185,7 +184,7 @@ class TestSolve:
         b = solve(coeffs, ve, grid, mixture, x)
         assert all(np.array_equal(u, v) for u, v in zip(a.states, b.states))
 
-    def test_nfe_accounting(self, ve, mixture):
+    def test_nfe_accounting(self, ve, mixture, counting):
         x = np.ones(2)
         for kind, preset, order, expected in (
             ("lms", "ipndm", 3, 8),
@@ -196,9 +195,9 @@ class TestSolve:
             coeffs = init_preset(kind, order, 8, preset, schedule=ve, grid=grid)
             for prediction in ("noise", "data"):
                 coeffs.prediction = prediction
-                counted = CountingScoreModel(mixture)
-                trace = solve(coeffs, ve, grid, counted, x)
-                assert trace.nfe_used == expected == counted.n_epsilon
+                counting.clear()
+                trace = solve(coeffs, ve, grid, mixture, x)
+                assert trace.nfe_used == expected == counting["evaluate"]
 
     def test_divergence_carries_step_index(self, ve, mixture):
         grid = heuristic_grid(ve, 4, "logsnr")
@@ -370,6 +369,24 @@ class TestDataPrediction:
             n_data = SolverCoefficients(kind=kind, order=2, n_steps=6,
                                         prediction="data").param_count()
             assert n_noise == n_data
+
+    @pytest.mark.parametrize("schedule", [VeSchedule(), VpLinearSchedule()], ids=["ve", "vp"])
+    @pytest.mark.parametrize("kind, least", [("pc", 3.7), ("lms", 2.7)])
+    def test_unipc_order(self, schedule, kind, least, mixture):
+        # the data form solves against the phi functions of -h: pc-3 then reads
+        # order ~4.1-4.3 and lms-3 ~2.8-2.9 from N=32 to 64 (~2.2 with those of +h)
+        xs = schedule.tilde_sigma * np.random.default_rng(0).standard_normal((50, 2))
+        ref = teacher_solve(TeacherConfig(kind="adaptive_rk", rel_tol=1e-11, abs_tol=1e-13),
+                            schedule, mixture, xs)
+        errs = []
+        for n in (8, 16, 32, 64):
+            grid = heuristic_grid(schedule, n, "logsnr")
+            coeffs = init_preset(kind, 3, n, "unipc", schedule=schedule, grid=grid,
+                                 prediction="data")
+            out = solve(coeffs, schedule, grid, mixture, xs).terminal
+            errs.append(np.linalg.norm(out - ref, axis=-1).mean())
+        assert all(a > b for a, b in zip(errs, errs[1:]))
+        assert np.log2(errs[-2] / errs[-1]) >= least, errs
 
 
 def _unipc_reference(schedule, model, times, k, x):
