@@ -6,10 +6,10 @@ parameters (through the schedule's analytic derivatives and the grid
 parametrization), and the initial state.
 
 The trace holds every score evaluation, the point it was made at and the
-terms the model kept for it (for the mixture score, two ``(J, B)`` arrays per
-evaluation), and its plan holds each evaluation's schedule lookup ``at`` =
-(alpha, sigma, alpha', sigma') and the model's prepared constants ``prep`` of
-its time, so nothing is evaluated again.
+terms the model kept for it (for the mixture score, the responsibilities, one
+``(J, B)`` array per evaluation), and its plan holds each evaluation's
+schedule lookup ``at`` = (alpha, sigma, alpha', sigma') and the model's
+prepared constants ``prep`` of its time, so nothing is evaluated again.
 
 The reverse pass runs in two sweeps.  The sequential sweep walks the steps
 the solve ran, and each step's rows (see :mod:`~fewstep.solvers`), in

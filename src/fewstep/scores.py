@@ -7,38 +7,49 @@ and cheap, and its Jacobian (for the reverse-mode pass) and time derivative
 are closed-form.  Mixture responsibilities are evaluated with log-sum-exp so
 large |log-SNR| values stay stable.
 
-The kernel never forms a (B, J, d) array: with isotropic components,
-``|x - alpha mu_j|^2`` expands into ``|x|^2``, the ``(J,d)@(d,B)`` product
-``mu_j.x`` and ``|mu_j|^2``, and every contraction the evaluation, its vjp
-and its time derivative need is a per-component ``(J, B)`` term or a
-``(B,J)@(J,d)`` product.
+The kernel is two matrix products around a softmax, and never forms a
+(B, J, d) array.  With v_j = alpha^2 s_j^2 + sigma^2 the component variances
+at the time, the log-densities ``log w_j N(x; alpha mu_j, v_j I)`` of a
+batch are the (J, B) array
+
+    ell = win @ x.T + nhiv |x|^2 + c,
+
+with ``win = alpha mu / v`` (J, d), ``nhiv = -1/(2v)`` and ``c = nhiv alpha^2
+|mu_j|^2 + log w_j - d/2 log(2 pi v)`` (J, 1): the expansion of
+``|x - alpha mu_j|^2``.  Where it cancels, at x = alpha mu_j, its rounding
+error is of order eps_mach alpha^2 |mu_j|^2 / v_j in ell; the tests hold the
+kernel to one that forms every ``x - alpha mu_j``, at both ends of a
+schedule, at |x| = 8 sigma, and near and at the scaled means.  The softmax
+over j gives the responsibilities gamma, and eps = sigma sum_j gamma_j
+(x - alpha mu_j)/v_j is
+
+    o = gamma.T @ wout,  eps = o[:, :1] x - o[:, 1:],
+
+with ``wout = sigma [1/v | alpha mu / v]`` (J, 1+d).
 
 The model makes no schedule call.  Its one per-time step is
 ``prepare(at)``: from ``at``, the lookup ``(alpha_t, sigma_t, d alpha/dt,
 d sigma/dt)`` of the evaluation time that
 :meth:`~fewstep.schedules.NoiseSchedule.at` returns, it makes the record of
-everything the kernel computes from those four numbers alone (the component
-variances v, -1/(2v), alpha^2 |mu_j|^2, the log-normalizers and -2 alpha,
-as ``(J, 1)`` columns), and on first use the slope constants of the time
-derivative.  Every other method takes that record ``p``.  Given arrays of
-K times, ``prepare`` stacks the constants of all K times into three arrays,
-and iterating the stack gives the K records; :class:`~fewstep.solvers.GridTable`
-keeps such a stack per model for the score times of its grid, so repeated
-solves on one grid compute no per-time constant.
+the time: the lookup and nhiv, c, win and wout, views of one ``(J, 3+2d)``
+array.  Every other method takes that record ``p``.  Given arrays of K times,
+``prepare`` stacks the constants of all K times, and on first use the slope
+constants of the time derivative, and iterating the stack gives the K
+records; :class:`~fewstep.solvers.GridTable` keeps such a stack per model for
+the score times of its grid, so repeated solves on one grid compute no
+per-time constant.
 
-One kernel, ``_parts``, serves the forward and the reverse pass.
-``evaluate(p, x)`` returns the evaluation together with the terms it keeps:
-the responsibilities gamma and the projections mu_j.x, two ``(J, B)``
-arrays.  The reverse pass takes two methods.  ``pullback(p, x, terms, cot)``
-returns the vjp of one evaluation and the ``(J, B)`` products
-(gamma_j u_j.cot, mu_j.cot) that its time derivative needs; it forms no
-time derivative.  ``time_derivatives(preps, points, terms, products)``
-contracts cot with d eps/dt for M evaluations at once, as ``(M, J, B)``
-arrays, rebuilding ``|x - alpha mu_j|^2`` from the kept mu_j.x and the
-points; it forms neither the ``(B, d)`` time derivative nor its
-``(B,J)@(J,d)`` product, and it is the only place that contraction is made.
-Both are of eps only: the data-prediction chain rule is applied once, for
-every model, by :mod:`~fewstep.backprop`.
+``evaluate(p, x)`` returns the evaluation together with the one term it
+keeps, gamma.  The reverse pass takes two methods.  ``pullback(p, x, gamma,
+cot)`` returns the vjp of one evaluation, as products with wout, and the
+``(J, B)`` products (gamma_j u_j.cot, mu_j.cot), u_j = (x - alpha mu_j)/v_j,
+that its time derivative needs; it forms no time derivative.
+``time_derivatives(preps, points, terms, products)`` contracts cot with
+d eps/dt for M evaluations at once, as ``(M, J, B)`` arrays, making mu_j.x
+of all M points in one product; it forms neither the ``(B, d)`` time
+derivative nor its ``(B,J)@(J,d)`` product, and it is the only place that
+contraction is made.  Both are of eps only: the data-prediction chain rule is
+applied once, for every model, by :mod:`~fewstep.backprop`.
 
 Shapes: ``x`` may be a single state ``(d,)`` or a batch ``(B, d)``; outputs
 match the input.
@@ -85,11 +96,14 @@ class GaussianMixtureScore:
         for name, owned in (("weights", w), ("means", m), ("scales", s)):
             owned.flags.writeable = False
             object.__setattr__(self, name, owned)
-        # per-component constants of every evaluation, as (J, 1) columns
+        # per-component constants of every evaluation
+        ones, mean_sq = np.ones((len(w), 1)), np.einsum("jd,jd->j", m, m)[:, None]
         with np.errstate(divide="ignore"):
-            object.__setattr__(self, "_log_weights", np.log(w)[:, None])
-        object.__setattr__(self, "_mean_sq", np.einsum("jd,jd->j", m, m)[:, None])
+            log_norm = np.log(w)[:, None] - 0.5 * m.shape[1] * np.log(2.0 * np.pi)
+        object.__setattr__(self, "_log_norm", log_norm)
+        object.__setattr__(self, "_mean_sq", mean_sq)
         object.__setattr__(self, "_scale_sq", (s * s)[:, None])
+        object.__setattr__(self, "_basis", np.concatenate([ones, mean_sq, m, ones, m], axis=1))
 
     @property
     def dim(self) -> int:
@@ -106,24 +120,43 @@ class GaussianMixtureScore:
         return cls(weights=np.array([1.0]), means=mean[None, :], scales=np.array([scale]))
 
     # -- per-time constants --------------------------------------------------
-    def _columns(self, alpha, sigma):
-        """(v, -1/(2v), alpha^2 |mu_j|^2, log w_j - d/2 log(2 pi v)): the kernel's
-        constants of the times (alpha, sigma) broadcast over, (J, 1) for one time."""
-        a2 = alpha * alpha
-        v = a2 * self._scale_sq
+    def _variances(self, alpha, sigma):
+        """The component variances v = alpha^2 s_j^2 + sigma^2 of the times (alpha, sigma)."""
+        v = (alpha * alpha) * self._scale_sq
         v += sigma * sigma
-        lognorm = np.log(2.0 * np.pi * v)
-        lognorm *= -0.5 * self.dim
-        lognorm += self._log_weights
-        return v, -0.5 / v, a2 * self._mean_sq, lognorm
+        return v
 
-    def _slope_columns(self, alpha, sigma, d_alpha, d_sigma, v):
-        """(rate, rate/(2v), d rate/2, shift, alpha |mu_j|^2, sigma shift): the
-        time derivative's constants, with rate = v'/v and shift = alpha'/v."""
+    def _factors(self, alpha, sigma):
+        """The time factors of the kernel's columns (see :meth:`_kernel`)."""
+        d = self.dim
+        return [-0.5, -0.5 * (alpha * alpha), *(alpha,) * d, sigma, *(sigma * alpha,) * d]
+
+    def _kernel(self, alpha, sigma, factors):
+        """The kernel's columns [nhiv | c | win | wout] (..., J, 3+2d) of the times
+        (alpha, sigma) broadcast over, from their row of :meth:`_factors` (..., 1, 3+2d):
+        the per-component basis [1 | |mu_j|^2 | mu_j | 1 | mu_j] scaled by
+        [-1/2, -alpha^2/2, alpha, sigma, sigma alpha] / v, with log w_j - d/2 log(2 pi v)
+        added to c."""
+        v = self._variances(alpha, sigma)
+        kernel = self._basis * factors
+        kernel /= v
+        lognorm = np.log(v)
+        lognorm *= -0.5 * self.dim
+        lognorm += self._log_norm
+        kernel[..., 1:2] += lognorm
+        return kernel
+
+    def _columns(self, kernel):
+        """(nhiv, c, win, wout): views of a kernel's columns."""
+        d = self.dim
+        return kernel[..., :1], kernel[..., 1:2], kernel[..., 2:2 + d], kernel[..., 2 + d:]
+
+    def _slope_columns(self, alpha, sigma, d_alpha, d_sigma):
+        """(rate, rate/(2v), shift): the time derivative's constants, with v'/v = rate
+        and alpha'/v = shift."""
+        v = self._variances(alpha, sigma)
         rate = 2.0 * (alpha * d_alpha * self._scale_sq + sigma * d_sigma) / v
-        shift = d_alpha / v
-        return (rate, 0.5 * rate / v, 0.5 * self.dim * rate, shift,
-                alpha * self._mean_sq, sigma * shift)
+        return rate, 0.5 * rate / v, d_alpha / v
 
     def prepare(self, at):
         """The constants of the evaluation time(s) whose schedule lookup is ``at`` =
@@ -131,8 +164,9 @@ class GaussianMixtureScore:
         entries, a :class:`PreparedTimes` stack for 1-d arrays of K times."""
         if isinstance(at[0], np.ndarray):
             return PreparedTimes(self, at)
-        alpha = at[0]
-        return Prepared(*at, -2.0 * alpha, *self._columns(alpha, at[1]))
+        alpha, sigma = at[0], at[1]
+        kernel = self._kernel(alpha, sigma, np.array(self._factors(alpha, sigma)))
+        return Prepared(*at, *self._columns(kernel))
 
     # -- internals ---------------------------------------------------------
     def _as_batch(self, x):
@@ -145,101 +179,88 @@ class GaussianMixtureScore:
             raise FloatingPointError("non-finite state passed to score model")
         return x2, single
 
-    @staticmethod
-    def _sq_norms(x2, xm, p):
-        """|x - alpha mu_j|^2 (J, B) as |x|^2 - 2 alpha x.mu_j + alpha^2 |mu_j|^2, clamped
-        at 0, or (M, J, B) for M evaluations stacked as x2 (M, 1, B, d); the rounding
-        error this adds is of order eps_mach |x|^2 / v_j in the log-densities and
-        eps_mach |x| sum_j gamma_j / v_j in eps / sigma."""
-        sq = xm * p.m2a
-        sq += p.a2m
-        sq += np.einsum("...d,...d->...", x2, x2)
-        return np.maximum(sq, 0.0, out=sq)
-
-    def _parts(self, x2, p):
-        """The mixture kernel: (ubar, gamma, xm), laid out (J, B) so sums over
-        components are row operations.  xm holds the projections mu_j.x, gamma the
-        responsibilities, and ubar = sum_j gamma_j (x - alpha mu_j) / v_j (B, d) the
-        scaled mean residual, with eps = sigma ubar and v_j the component variances."""
-        xm = self.means @ x2.T
-        ell = self._sq_norms(x2, xm, p)
-        ell *= p.nhiv
-        ell += p.lognorm
-        ell -= ell.max(axis=0)
-        gamma = np.exp(ell, out=ell)
-        gamma /= gamma.sum(axis=0)
-        g = gamma / p.v
-        ubar = g.sum(axis=0)[:, None] * x2 - p.alpha * (g.T @ self.means)
-        return ubar, gamma, xm
-
-    def _slopes(self, x2, p, gamma, xm):
-        """(shift, sigma shift, f): how the terms of eps move in t, from the kept (gamma, xm),
-        at one record p, or at a record :meth:`_stacked` made of M evaluations.
+    def _slopes(self, x, xm, gamma, at, slopes):
+        """(shift, sigma shift, f): how the terms of eps move in t, from gamma, the
+        projections xm = mu_j.x and the points x, at the lookups ``at`` (4, M, 1, 1)
+        and slope constants ``slopes`` (3, M, J, 1) of M evaluations; x is (M, 1, B, d)
+        or (B, d) for M = 1, and the results are (M, J, B).
 
         eps = sigma sum_j gamma_j u_j with u_j = (x - alpha mu_j)/v_j, so
         d eps/dt = sum_j gamma_j (f_j u_j - sigma shift_j mu_j), where
         shift = alpha'/v, f = sigma' + sigma (dln - gamma.dln - rate), rate = v'/v
-        and dln_j = d log N_j/dt.  shift is None where alpha' = 0 (VE, EDM).
+        and dln_j = d log N_j/dt, which needs |x - alpha mu_j|^2: expanded as
+        |x|^2 - 2 alpha x.mu_j + alpha^2 |mu_j|^2 and clamped at 0.  shift is None
+        where alpha' = 0 (VE, EDM).
         """
-        if p.source is None:        # a record of its own: made now
-            slopes = self._slope_columns(p.alpha, p.sigma, p.d_alpha, p.d_sigma, p.v)
-        else:                       # read from its stack, which makes them on first use
-            slopes = p.source.slopes[:, p.index]
-        rate, half_rate_v, dim_rate, shift, alpha_mean_sq, sigma_shift = slopes
-        dln = half_rate_v * self._sq_norms(x2, xm, p) - dim_rate
-        if np.any(p.d_alpha):
-            dln += shift * (xm - alpha_mean_sq)
+        alpha, sigma, d_alpha, d_sigma = at
+        rate, half_rate_v, shift = slopes
+        sq = xm * (-2.0 * alpha)
+        sq += (alpha * alpha) * self._mean_sq
+        sq += np.einsum("...d,...d->...", x, x)
+        dln = half_rate_v * np.maximum(sq, 0.0, out=sq)
+        dln -= 0.5 * self.dim * rate
+        if np.any(d_alpha):
+            dln += shift * (xm - alpha * self._mean_sq)
+            sigma_shift = sigma * shift
         else:
-            shift = None
+            shift = sigma_shift = None
         dln -= (gamma * dln).sum(axis=-2, keepdims=True)
         dln -= rate
-        return shift, sigma_shift, p.d_sigma + p.sigma * dln
+        return shift, sigma_shift, d_sigma + sigma * dln
 
     # -- forward -------------------------------------------------------------
     def evaluate(self, p, x, prediction: str = "noise"):
-        """``(e, terms)``: the evaluation e -- eps, or the data prediction x_hat for
-        ``prediction="data"`` -- at the prepared time p, and the kept terms
-        (gamma, mu.x), two (J, B) arrays from which :meth:`pullback` and
+        """``(e, gamma)``: the evaluation e -- eps, or the data prediction x_hat for
+        ``prediction="data"`` -- at the prepared time p, and the responsibilities
+        gamma (J, B), the one term from which :meth:`pullback` and
         :meth:`time_derivatives` differentiate eps without re-running the kernel.
 
         FloatingPointError if x is not finite: every model's ``evaluate`` rejects
         a non-finite point, and :func:`~fewstep.solvers.solve` checks no state
         that a row evaluates."""
         x2, single = self._as_batch(x)
-        ubar, gamma, xm = self._parts(x2, p)
-        sigma = p.sigma
-        out = sigma * ubar
+        ell = p.win @ x2.T
+        ell += p.nhiv * np.einsum("bd,bd->b", x2, x2)
+        ell += p.c
+        ell -= ell.max(axis=0)
+        gamma = np.exp(ell, out=ell)
+        gamma /= gamma.sum(axis=0)
+        o = gamma.T @ p.wout
+        out = o[:, :1] * x2
+        out -= o[:, 1:]
         if prediction == "data":
             # Tweedie: x_hat = (x - sigma eps) / alpha
-            out = (x2 - sigma * out) / p.alpha
-        return (out[0] if single else out), (gamma, xm)
+            out = (x2 - p.sigma * out) / p.alpha
+        return (out[0] if single else out), gamma
 
     def epsilon(self, p, x):
         """Exact noise prediction -sigma_t * grad log p_t(x) at the prepared time p."""
         return self.evaluate(p, x)[0]
 
     # -- derivatives -----------------------------------------------------------
-    def pullback(self, p, x, terms, cot):
+    def pullback(self, p, x, gamma, cot):
         """``((d eps/d x)^T cot, products)`` at the float arrays x and cot of one shape;
         ``products`` are the (J, B) arrays (gamma_j u_j.cot, mu_j.cot) from which
         :meth:`time_derivatives` contracts cot with d eps/dt.
 
-        ``terms`` are the ones :meth:`evaluate` returned at (p, x), so x is not
+        ``gamma`` is the term :meth:`evaluate` returned at (p, x), so x is not
         checked again and the kernel does not run.  d eps/d x = sigma [sum_j
-        gamma_j/v_j I - sum_j gamma_j (u_j - ubar) u_j^T] is applied without
-        forming it: it needs only the per-component dots x.cot and mu_j.cot.
+        gamma_j/v_j I - sum_j gamma_j (u_j - ubar) u_j^T], with ubar = sum_j gamma_j
+        u_j, is applied without forming it, from the per-component dots x.cot and
+        mu_j.cot and two products with wout: sigma sum_j gamma_j/v_j is
+        gamma.T @ wout[:, :1] and, with r_j = gamma_j (u_j - ubar).cot and
+        o = r.T @ wout, sigma sum_j r_j u_j is o[:, :1] x - o[:, 1:].
         """
-        alpha, sigma, v = p.alpha, p.sigma, p.v
-        gamma, xm = terms
         single = x.ndim == 1
         x2, cot2 = (x[None, :], cot[None, :]) if single else (x, cot)
         mc = self.means @ cot2.T
-        dots = (np.einsum("bd,bd->b", x2, cot2) - alpha * mc) / v      # u_j . cot
-        g = gamma / v
+        dots = (np.einsum("bd,bd->b", x2, cot2) - p.alpha * mc) * (-2.0 * p.nhiv)  # u_j.cot
         gd = gamma * dots
-        cg = g * (dots - gd.sum(axis=0))
-        xbar = sigma * (g.sum(axis=0)[:, None] * cot2 - cg.sum(axis=0)[:, None] * x2
-                        + alpha * (cg.T @ self.means))
+        r = gamma * (dots - gd.sum(axis=0))
+        o = r.T @ p.wout
+        xbar = (gamma.T @ p.wout[:, :1]) * cot2
+        xbar -= o[:, :1] * x2
+        xbar += o[:, 1:]
         return (xbar[0] if single else xbar), (gd, mc)
 
     def time_derivatives(self, preps, points, terms, products):
@@ -248,99 +269,103 @@ class GaussianMixtureScore:
         Evaluation m was made at the prepared time ``preps[m]`` and the point
         ``points[m]`` (all of one shape), :meth:`evaluate` kept ``terms[m]`` and
         :meth:`pullback` with cotangent cot_m returned ``products[m]``.  The M
-        evaluations are contracted at once, as (M, J, B) arrays: d eps/dt =
+        evaluations are contracted at once, as (M, J, B) arrays, with the
+        projections mu_j.x of all M points made in one product: d eps/dt =
         sum_j gamma_j (f_j u_j - sigma shift_j mu_j) (see :meth:`_slopes`) is
         never formed, only sum f gamma u.cot - sigma shift gamma mu.cot.
         """
-        x = _stack(points)[:, None]
-        gamma, xm = (_stack(u) for u in zip(*terms))
+        x = _stack(points)
+        gamma = _stack(terms)
         gd, mc = (_stack(u) for u in zip(*products))
-        shift, sigma_shift, f = self._slopes(x, self._stacked(preps), gamma, xm)
+        xm = self.means @ x.transpose(0, 2, 1)
+        shift, sigma_shift, f = self._slopes(x[:, None], xm, gamma, *self._stacked(preps))
         tdots = f * gd
         if shift is not None:
             tdots -= sigma_shift * gamma * mc
         return tdots.reshape(len(preps), -1).sum(axis=1)
 
     def _stacked(self, preps):
-        """One :class:`Prepared` of the M records ``preps``: scalars (M, 1, 1), columns
-        (M, J, 1), reading its slope constants from the stack the records are views
-        of, or from a stack made of their lookups."""
+        """(lookups (4, M, 1, 1), slope constants (3, M, J, 1)) of the M records
+        ``preps``: read from the stack the records are views of, or from a stack made
+        of their lookups."""
         source, first = preps[0].source, preps[0].index
         index = [q.index for q in preps]
         if source is None or any(q.source is not source for q in preps):
             source, index = self.prepare(tuple(np.array([q[:4] for q in preps]).T)), slice(None)
         elif index == list(range(first, first + len(preps))):     # views, not copies
             index = slice(first, first + len(preps))
-        return Prepared(*source.scalars[:, index, None, None], *source.columns[:, index],
-                        source, index)
+        return source.scalars[:, index, None, None], source.slopes[:, index]
 
     def epsilon_vjp(self, p, x, cotangent):
-        """(d eps / d x)^T cotangent: :meth:`evaluate`, then :meth:`pullback` on its terms."""
+        """(d eps / d x)^T cotangent: :meth:`evaluate`, then :meth:`pullback` on its term."""
         x, cotangent = np.asarray(x, dtype=float), np.asarray(cotangent, dtype=float)
         return self.pullback(p, x, self.evaluate(p, x)[1], cotangent)[0]
 
     def epsilon_time_partial(self, p, x):
         """d eps / d t through (alpha_t, sigma_t)."""
         x2, single = self._as_batch(x)
-        _, gamma, xm = self._parts(x2, p)
-        shift, sigma_shift, f = self._slopes(x2, p, gamma, xm)
-        w = gamma * f / p.v
-        coef = p.alpha * w if shift is None else p.alpha * w + sigma_shift * gamma
+        gamma = self.evaluate(p, x2)[1]
+        shift, sigma_shift, f = self._slopes(x2, self.means @ x2.T, gamma, *self._stacked([p]))
+        w = gamma * f[0] / self._variances(p.alpha, p.sigma)
+        coef = p.alpha * w if shift is None else p.alpha * w + sigma_shift[0] * gamma
         out = w.sum(axis=0)[:, None] * x2 - coef.T @ self.means
         return out[0] if single else out
 
 
 class Prepared(NamedTuple):
     """What :class:`GaussianMixtureScore` computes from one time's lookup
-    (alpha, sigma, alpha', sigma') alone; the columns are (J, 1).
+    (alpha, sigma, alpha', sigma') alone, for :meth:`~GaussianMixtureScore.evaluate`
+    and :meth:`~GaussianMixtureScore.pullback`.
 
-    A record taken from a :class:`PreparedTimes` stack holds views of its arrays
-    and reads the time derivative's constants from it (``source``, ``index``); a
-    record of its own makes them when asked.
+    The arrays are views of the time's columns of the kernel (see
+    :meth:`~GaussianMixtureScore._kernel`).  A record taken from a
+    :class:`PreparedTimes` stack reads the time derivative's constants from it
+    (``source``, ``index``); a record of its own has them made from its lookup
+    when asked.
     """
 
     alpha: float
     sigma: float
     d_alpha: float
     d_sigma: float
-    m2a: float                   # -2 alpha
-    v: np.ndarray                # component variances alpha^2 s_j^2 + sigma^2
-    nhiv: np.ndarray             # -1 / (2 v)
-    a2m: np.ndarray              # alpha^2 |mu_j|^2
-    lognorm: np.ndarray          # log w_j - d/2 log(2 pi v)
+    nhiv: np.ndarray             # -1 / (2 v), v the component variances (J, 1)
+    c: np.ndarray                # nhiv alpha^2 |mu_j|^2 + log w_j - d/2 log(2 pi v) (J, 1)
+    win: np.ndarray              # alpha mu / v (J, d)
+    wout: np.ndarray             # sigma [1/v | alpha mu / v] (J, 1+d)
     source: "PreparedTimes | None" = None
     index: int = 0
 
 
 class PreparedTimes:
     """The :class:`Prepared` constants of K times in three stacked arrays:
-    ``scalars`` (5, K) holds alpha, sigma, alpha', sigma' and -2 alpha,
-    ``columns`` (4, K, J, 1) the kernel's columns and ``slopes`` (6, K, J, 1) the
-    time derivative's, made on first use, so only times that are differentiated pay
-    for them.  Iterating gives the K records, whose columns are views."""
+    ``scalars`` (4, K) holds alpha, sigma, alpha' and sigma', ``kernel``
+    (K, J, 3+2d) the columns [nhiv | c | win | wout] of each time, and ``slopes``
+    (3, K, J, 1) the time derivative's, made on first use, so only times that are
+    differentiated pay for them.  Iterating gives the K records, whose arrays are
+    views of ``kernel``."""
 
-    __slots__ = ("model", "scalars", "columns", "_slopes")
+    __slots__ = ("model", "scalars", "kernel", "_slopes")
 
     def __init__(self, model: GaussianMixtureScore, at):
         alpha, sigma, d_alpha, d_sigma = (np.asarray(c, dtype=float) for c in at)
         self.model = model
-        self.scalars = np.stack([alpha, sigma, d_alpha, d_sigma, -2.0 * alpha])
-        self.columns = np.stack(model._columns(alpha[:, None, None], sigma[:, None, None]))
+        self.scalars = np.stack([alpha, sigma, d_alpha, d_sigma])
+        factors = np.stack(np.broadcast_arrays(*model._factors(alpha, sigma)), axis=-1)
+        self.kernel = model._kernel(alpha[:, None, None], sigma[:, None, None], factors[:, None])
         self._slopes = None
 
     def __len__(self):
         return self.scalars.shape[1]
 
     def __iter__(self):
-        return itertools.starmap(Prepared, zip(*self.scalars.tolist(), *self.columns,
-                                               itertools.repeat(self), range(len(self))))
+        return itertools.starmap(Prepared, zip(
+            *self.scalars.tolist(), *self.model._columns(self.kernel),
+            itertools.repeat(self), range(len(self))))
 
     @property
     def slopes(self):
         if self._slopes is None:
-            alpha, sigma, d_alpha, d_sigma = self.scalars[:4, :, None, None]
-            self._slopes = np.stack(self.model._slope_columns(alpha, sigma, d_alpha, d_sigma,
-                                                              self.columns[0]))
+            self._slopes = np.stack(self.model._slope_columns(*self.scalars[:, :, None, None]))
         return self._slopes
 
 

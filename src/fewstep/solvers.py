@@ -111,7 +111,8 @@ class GridTable:
 
     def prepared(self, model):
         """``model.prepare`` of every score time at once, made on first use: for the
-        mixture one stacked array per constant, whose iteration gives the records."""
+        mixture a :class:`~fewstep.scores.PreparedTimes` stack, whose iteration gives
+        the records."""
         stack = self.models.get(model)
         if stack is None:
             stack = self.models[model] = model.prepare(tuple(np.array(self.at).T))

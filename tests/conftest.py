@@ -33,25 +33,32 @@ def gauss():
 
 
 def _inline_epsilon(model, at, x2):
-    """eps as the kernel computed it before the per-time constants were prepared:
-    every constant formed from (alpha, sigma) inside the call, op for op."""
-    alpha, sigma = at[0], at[1]
-    scale_sq = (model.scales * model.scales)[:, None]
+    """eps as the kernel computes it, with every constant formed from (alpha, sigma)
+    inside the call, op for op."""
+    alpha, sigma, d = at[0], at[1], model.dim
+    ones = np.ones((model.n_components, 1))
     mean_sq = np.einsum("jd,jd->j", model.means, model.means)[:, None]
+    basis = np.concatenate([ones, mean_sq, model.means, ones, model.means], axis=1)
     with np.errstate(divide="ignore"):
-        log_weights = np.log(model.weights)[:, None]
-    v = alpha * alpha * scale_sq + sigma * sigma
-    xm = model.means @ x2.T
-    sq = xm * (-2.0 * alpha)
-    sq += (alpha * alpha) * mean_sq
-    sq += np.einsum("bd,bd->b", x2, x2)
-    ell = np.maximum(sq, 0.0, out=sq) * (-0.5 / v)
-    ell += log_weights - 0.5 * model.dim * np.log(2.0 * np.pi * v)
+        log_norm = np.log(model.weights)[:, None] - 0.5 * d * np.log(2.0 * np.pi)
+    v = (alpha * alpha) * (model.scales * model.scales)[:, None]
+    v += sigma * sigma
+    kernel = basis * np.array([-0.5, -0.5 * (alpha * alpha), *(alpha,) * d, sigma,
+                               *(sigma * alpha,) * d])
+    kernel /= v
+    lognorm = np.log(v)
+    lognorm *= -0.5 * d
+    lognorm += log_norm
+    kernel[:, 1:2] += lognorm
+    nhiv, c, win, wout = kernel[:, :1], kernel[:, 1:2], kernel[:, 2:2 + d], kernel[:, 2 + d:]
+    ell = win @ x2.T
+    ell += nhiv * np.einsum("bd,bd->b", x2, x2)
+    ell += c
     ell -= ell.max(axis=0)
     gamma = np.exp(ell, out=ell)
     gamma /= gamma.sum(axis=0)
-    g = gamma / v
-    return sigma * (g.sum(axis=0)[:, None] * x2 - alpha * (g.T @ model.means))
+    o = gamma.T @ wout
+    return o[:, :1] * x2 - o[:, 1:]
 
 
 @pytest.fixture

@@ -281,6 +281,42 @@ class TestAgainstEinsumOracle:
             for tdot, cot, oracle in zip(tdots, cots, oracles):
                 _assert_contraction_close(tdot, cot, oracle[2])
 
+    @pytest.mark.parametrize("schedule_name", ["ve", "vp"])
+    @pytest.mark.parametrize("wide", [False, True], ids=["default", "d64j64"])
+    def test_points_where_the_expansion_cancels(self, request, schedule_name, wide, rng):
+        # at x = alpha mu_j the log-density expansion |x|^2 - 2 alpha x.mu_j +
+        # alpha^2 |mu_j|^2 cancels to rounding, unclamped; |x| = 8 sigma is a far draw.
+        # eps and u_j.cot vanish with x - alpha mu_j as well (eps is ~1e-11 at t_min),
+        # so eps and the time contraction are held to 1e-12 of the size of the terms
+        # they subtract, and gamma and the vjp to 1e-12 of their own size
+        schedule = request.getfixturevalue(schedule_name)
+        model = _wide_mixture() if wide else default_mixture(2)
+        mean_norms = np.linalg.norm(model.means, axis=1)
+        for t in (schedule.t_min, schedule.T):
+            a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
+            p = model.prepare(schedule.at(t))
+            far = rng.normal(size=(4, model.dim))
+            for x in (a * model.means, 8.0 * s * far / np.linalg.norm(far, axis=1, keepdims=True)):
+                cot = rng.normal(size=x.shape)
+                eps_ref, vjp_ref, deps_dt = einsum_oracle(model, schedule, x, t, cot)
+                v, _, _, _, gamma_ref = einsum_parts(model, x, a, s)
+                eps, gamma = model.evaluate(p, x)
+                xbar, products = model.pullback(p, x, gamma, cot)
+                (tdot,) = model.time_derivatives([p], [x], [gamma], [products])
+                assert _rel(gamma, gamma_ref.T) <= 1e-12
+                assert _rel(xbar, vjp_ref) <= 1e-12
+                # |x| + alpha |mu_j| over v_j: the size of the operands of u_j
+                size = (np.linalg.norm(x, axis=1)[:, None] + a * mean_norms) / v
+                eps_size = s * np.einsum("bj,bj->b", gamma_ref, size)
+                assert np.linalg.norm(eps - eps_ref) <= 1e-12 * np.linalg.norm(eps_size)
+                _, sigma_shift, f = model._slopes(x, model.means @ x.T, gamma,
+                                                  *model._stacked([p]))
+                terms = np.abs(f[0]) * gamma * size.T
+                if sigma_shift is not None:
+                    terms += np.abs(sigma_shift[0]) * gamma * mean_norms[:, None]
+                tdot_size = np.sum(terms * np.linalg.norm(cot, axis=1))
+                assert abs(tdot - np.sum(cot * deps_dt)) <= 1e-12 * tdot_size
+
     def test_schedule_ends_with_large_states(self, ve, edm, mixture, rng):
         # VE at t=T and EDM at t=80 draw |x| of order 10 and 80-110
         for schedule in (ve, edm):
@@ -373,7 +409,7 @@ class TestPrepared:
         stack = mixture.prepare(vp.at(np.array([1.0, 0.5, 0.1])))
         assert stack._slopes is None and len(stack) == 3
         first = stack.slopes
-        assert first.shape == (6, 3, mixture.n_components, 1)
+        assert first.shape == (3, 3, mixture.n_components, 1)
         assert stack.slopes is first
 
 

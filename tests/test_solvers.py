@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +271,38 @@ class TestPlans:
             for block in ("grad_coeffs", "grad_x0", "grad_steps", "grad_score_times"):
                 assert np.array_equal(getattr(got, block), getattr(ref, block)), block
             coeffs.values *= 1.0 + 0.05 * rng.standard_normal(coeffs.values.size)
+
+    @pytest.mark.parametrize("kind, preset, bound_kib", [("lms", "ipndm", 10.2),
+                                                          ("pc", "unipc", 10.8)])
+    @pytest.mark.parametrize("schedule_name", ["ve", "vp"])
+    def test_grid_tables_do_not_grow(self, request, kind, preset, bound_kib, schedule_name,
+                                     mixture, rng):
+        # what a grid's tables retain after one N=8 solve and reverse pass at B=20:
+        # lookups, wrapper factors and their partials, the plan with one record per
+        # evaluation, and the model's stack.  The bounds are their size with records of
+        # four array views and five floats (10.16 KiB lms, 10.77 KiB pc), so a record
+        # that gains an array fails here
+        schedule = request.getfixturevalue(schedule_name)
+        x, cot = rng.standard_normal((2, 20, 2))
+
+        def solve_and_backward(grid):
+            coeffs = init_preset(kind, 3, 8, preset, schedule=schedule, grid=grid)
+            trace = solve(coeffs, schedule, grid, mixture, x)
+            backward(trace, coeffs, schedule, mixture, cot, grid=grid)
+
+        solve_and_backward(heuristic_grid(schedule, 8, "logsnr"))      # builds the layout
+        grid = heuristic_grid(schedule, 8, "logsnr")
+        tracemalloc.start()
+        try:
+            solve_and_backward(grid)
+            gc.collect()
+            with_tables = tracemalloc.get_traced_memory()[0]
+            grid.tables.clear()
+            gc.collect()
+            retained = with_tables - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < retained <= bound_kib * 1024
 
     @pytest.mark.parametrize("kind, order, preset", FAMILIES)
     def test_second_solve_on_a_table_reuses_its_rows(self, kind, order, preset, ve, mixture):
