@@ -7,9 +7,10 @@ parametrization), and the initial state.
 
 The trace holds every score evaluation, the point it was made at and the
 terms the model kept for it (for the mixture score, the responsibilities, one
-``(J, B)`` array per evaluation), and its plan holds each evaluation's
-schedule lookup ``at`` = (alpha, sigma, alpha', sigma') and the model's
-prepared constants ``prep`` of its time, so nothing is evaluated again.
+``(J, B)`` array per evaluation), and its plan holds the model's prepared
+record ``prep`` of each evaluation's time, whose first four entries are the
+time's schedule lookup (alpha, sigma, alpha', sigma'), so nothing is
+evaluated again.
 
 The reverse pass runs in two sweeps.  The sequential sweep walks the steps
 the solve ran, and each step's rows (see :mod:`~fewstep.solvers`), in
@@ -61,7 +62,6 @@ class AdjointResult:
     grad_score_times: np.ndarray
     grad_xi: np.ndarray | None = None
     grad_xi_c: np.ndarray | None = None
-    loss_value: float = 0.0
 
 
 def _flat(arrays) -> np.ndarray:
@@ -83,7 +83,6 @@ def backward(
     loss_cotangent: np.ndarray,
     grid: TimeGrid | None = None,
     params: LearnableTimeParams | None = None,
-    loss_value: float = 0.0,
 ) -> AdjointResult:
     """Exact reverse-mode derivative of x0 -> solve -> loss.
 
@@ -110,7 +109,7 @@ def backward(
     table = GridTable.of(schedule, grid, coeffs.prediction)
     evals, R, S = trace.evals, table.R, table.S
     plan, values = trace.plan, coeffs.values.tolist()
-    ats, preps, points, terms = plan.ats, plan.preps, trace.points, trace.terms
+    preps, points, terms = plan.preps, trace.points, trace.terms
     data = coeffs.prediction == "data"
     m = n_evals = len(evals)
     ebars = np.zeros((n_evals,) + xbar.shape)
@@ -128,7 +127,7 @@ def backward(
                 m -= 1
                 cot = ebar[m]
                 if data:    # e = x_hat = (x - sigma eps) / alpha, linear in eps
-                    a, s = ats[m][:2]
+                    a, s = preps[m][:2]
                     zbar, products[m] = model.pullback(preps[m], points[m], terms[m],
                                                        (-s / a) * cot)
                     zbar = zbar + cot / a
@@ -155,7 +154,7 @@ def backward(
     # batched pass: every scalar contraction over the trace
     tdots = model.time_derivatives(preps, points, terms, products)
     if data:        # eps is read back from the kept x_hat
-        a, s, da, ds = np.array(ats).T
+        a, s, da, ds = np.array([prep[:4] for prep in preps]).T
         e = _flat(evals)
         eps = (_flat(points) - a[:, None] * e) / s[:, None]
         cots = ebars.reshape(n_evals, -1)
@@ -178,7 +177,7 @@ def backward(
                     tcbar[row.tc] += tdot
                 if row.lam is not None and not plan.clamped[m]:
                     # the stage time moves with lambda
-                    a, s, da, ds = ats[m]
+                    a, s, da, ds = preps[m][:4]
                     step, c = row.lam
                     tdot *= 1.0 / (da / a - ds / s)
                     if c is not None:
@@ -205,7 +204,7 @@ def backward(
 
     tbar, tcbar = np.array(tbar), np.array(tcbar)
     result = AdjointResult(grad_coeffs=np.array(grad_values), grad_x0=xbar, grad_steps=tbar,
-                           grad_score_times=tcbar, loss_value=loss_value)
+                           grad_score_times=tcbar)
     if params is not None:
         result.grad_xi, result.grad_xi_c = grid_gradient_vjp(params, schedule, tbar, tcbar)
     return result
@@ -233,49 +232,34 @@ def check_gradients(
     """
     from .solvers import solve
 
-    def run(cfs, pms, x):
-        g = materialize(pms, schedule) if pms is not None else grid
-        trace = solve(cfs, schedule, g, model, x)
-        y = trace.terminal
-        resid = y - target
+    def run(x):
+        g = materialize(params, schedule) if params is not None else grid
+        trace = solve(coeffs, schedule, g, model, x)
+        resid = trace.terminal - target
         return trace, float(np.mean(resid * resid)), 2.0 * resid / resid.size, g
 
     # the reverse pass steps on the grid the solve used
-    trace, loss, cot, g = run(coeffs, params, x0)
-    res = backward(trace, coeffs, schedule, model, cot, grid=g, params=params,
-                   loss_value=loss)
+    trace, loss, cot, g = run(x0)
+    res = backward(trace, coeffs, schedule, model, cot, grid=g, params=params)
 
-    def fd_on(vector, setter):
+    def fd_on(vector, x=x0):
+        """Central differences of the loss in each entry of ``vector``, perturbed in
+        place, with the solve started at ``x``."""
         grad = np.zeros_like(vector)
         for idx in range(vector.size):
             for sign in (+1.0, -1.0):
                 vector.flat[idx] += sign * fd_step
-                setter()
-                grad.flat[idx] += sign * run(coeffs, params, x0)[1]
+                grad.flat[idx] += sign * run(x)[1]
                 vector.flat[idx] -= sign * fd_step
-            setter()
         return grad / (2.0 * fd_step)
 
     def rel(err, ref):
         return float(np.linalg.norm(err - ref) / max(np.linalg.norm(ref), 1e-12))
 
-    report = {"loss": loss, "blocks": {}}
-    fd_coeffs = fd_on(coeffs.values, lambda: None)
-    report["blocks"]["coefficients"] = rel(res.grad_coeffs, fd_coeffs)
     x0_work = np.array(x0, dtype=float)
-
-    def fd_x0():
-        grad = np.zeros_like(x0_work)
-        for idx in range(x0_work.size):
-            for sign in (+1.0, -1.0):
-                x0_work.flat[idx] += sign * fd_step
-                grad.flat[idx] += sign * run(coeffs, params, x0_work)[1]
-                x0_work.flat[idx] -= sign * fd_step
-        return grad / (2.0 * fd_step)
-
-    report["blocks"]["initial_state"] = rel(res.grad_x0, fd_x0())
+    blocks = {"coefficients": rel(res.grad_coeffs, fd_on(coeffs.values)),
+              "initial_state": rel(res.grad_x0, fd_on(x0_work, x0_work))}
     if params is not None:
-        report["blocks"]["xi"] = rel(res.grad_xi, fd_on(params.xi, lambda: None))
-        report["blocks"]["xi_c"] = rel(res.grad_xi_c, fd_on(params.xi_c, lambda: None))
-    report["max_relative_deviation"] = max(report["blocks"].values())
-    return report
+        blocks["xi"] = rel(res.grad_xi, fd_on(params.xi))
+        blocks["xi_c"] = rel(res.grad_xi_c, fd_on(params.xi_c))
+    return {"loss": loss, "blocks": blocks, "max_relative_deviation": max(blocks.values())}

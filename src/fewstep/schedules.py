@@ -4,9 +4,12 @@ A schedule fixes the forward perturbation kernel ``p(x_t | x_0) = N(alpha_t x_0,
 sigma_t^2 I)`` on ``[t_min, T]`` and everything derived from it: the log-SNR
 ``lam(t) = log(alpha_t / sigma_t)``, the drift/diffusion coefficients of the
 probability-flow ODE, and the phi functions that appear when the ODE is solved
-in the log-SNR variable.  All schedules here are smooth with strictly
-decreasing SNR, so ``lam`` is strictly decreasing and invertible; each kind
-inverts it in closed form, on scalars or whole arrays of log-SNR values.
+in the log-SNR variable.  Each kind writes two formulas: the lookup
+``(alpha, sigma, d alpha/dt, d sigma/dt)`` of a time, which :meth:`NoiseSchedule.at`
+returns after checking the time, and the inverse of ``lam``; every other
+per-time quantity is read from ``at``.  All schedules here are smooth with
+strictly decreasing SNR, so ``lam`` is strictly decreasing and invertible in
+closed form, on scalars or whole arrays of log-SNR values.
 
 Solving runs from ``T`` down to ``t_min`` (never to 0, for numerical
 stability); ``tilde_sigma`` is the noise scale of the terminal marginal used
@@ -33,9 +36,9 @@ GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 @dataclasses.dataclass(frozen=True)
 class NoiseSchedule:
-    """Base class; concrete kinds implement ``alpha/sigma``, their t-derivatives,
-    ``at`` (all four in one lookup) and ``_time_from_lambda``, the closed-form
-    inverse of ``lam``."""
+    """Base class; a concrete kind writes only its per-time formula ``_at`` and
+    ``_time_from_lambda``, the closed-form inverse of ``lam``.  Every other
+    per-time quantity is read from :meth:`at`."""
 
     T: float = 1.0
     t_min: float = 1e-3
@@ -51,46 +54,46 @@ class NoiseSchedule:
         lam_range = float(self.lam(self.T)), float(self.lam(self.t_min))
         object.__setattr__(self, "_lam_range", lam_range)
 
-    # -- schedule-specific primitives ------------------------------------
-    def alpha(self, t):
-        raise NotImplementedError
-
-    def sigma(self, t):
-        raise NotImplementedError
-
-    def d_alpha(self, t):
-        """dalpha/dt."""
-        raise NotImplementedError
-
-    def d_sigma(self, t):
-        """dsigma/dt."""
+    def _at(self, t):
+        """(alpha, sigma, d alpha/dt, d sigma/dt) at t, unchecked."""
         raise NotImplementedError
 
     def at(self, t):
-        """(alpha, sigma, d_alpha, d_sigma), bit-equal to those four methods, at t
-        as :meth:`check_time` returns it: floats for a scalar, else arrays."""
-        raise NotImplementedError
+        """(alpha, sigma, d alpha/dt, d sigma/dt) in one lookup, at t as
+        :meth:`check_time` returns it: floats for a scalar, else arrays."""
+        t = self.check_time(t)
+        out = self._at(t)
+        return tuple(map(float, out)) if isinstance(t, float) else out
 
     def _default_tilde_sigma(self) -> float:
         return float(self.sigma(self.T))
 
     # -- derived quantities ----------------------------------------------
+    def alpha(self, t):
+        return self.at(t)[0]
+
+    def sigma(self, t):
+        return self.at(t)[1]
+
     def lam(self, t):
         """Log signal-to-noise ratio log(alpha_t / sigma_t)."""
-        return np.log(self.alpha(t)) - np.log(self.sigma(t))
+        a, s = self.at(t)[:2]
+        return np.log(a) - np.log(s)
 
     def kappa(self, t):
         """Noise-to-signal ratio sigma_t / alpha_t (strictly increasing)."""
-        return self.sigma(t) / self.alpha(t)
+        a, s = self.at(t)[:2]
+        return s / a
 
     def f(self, t):
         """Drift coefficient d log(alpha_t) / dt of the probability-flow ODE."""
-        return self.d_alpha(t) / self.alpha(t)
+        a, _, da, _ = self.at(t)
+        return da / a
 
     def g_sq(self, t):
         """Squared diffusion coefficient d(sigma_t^2)/dt - 2 f(t) sigma_t^2."""
-        s = self.sigma(t)
-        return 2.0 * s * self.d_sigma(t) - 2.0 * self.f(t) * s * s
+        a, s, da, ds = self.at(t)
+        return 2.0 * s * ds - 2.0 * (da / a) * s * s
 
     def check_time(self, t):
         """Validate t in [t_min, T] (tiny fp slack; NaN is rejected) and return it
@@ -143,25 +146,10 @@ class VpLinearSchedule(NoiseSchedule):
     def _log_alpha(self, t):
         return -0.5 * self.beta_min * t - (self.beta_max - self.beta_min) * t * t / (4.0 * self.T)
 
-    def alpha(self, t):
-        return np.exp(self._log_alpha(t))
-
-    def sigma(self, t):
-        return np.sqrt(-np.expm1(2.0 * self._log_alpha(t)))
-
-    def d_alpha(self, t):
-        return -0.5 * self.beta(t) * self.alpha(t)
-
-    def d_sigma(self, t):
-        a = self.alpha(t)
-        return 0.5 * self.beta(t) * a * a / self.sigma(t)
-
-    def at(self, t):
-        t = self.check_time(t)
+    def _at(self, t):
         log_alpha = self._log_alpha(t)
         a, s, beta = np.exp(log_alpha), np.sqrt(-np.expm1(2.0 * log_alpha)), self.beta(t)
-        out = a, s, -0.5 * beta * a, 0.5 * beta * a * a / s
-        return tuple(map(float, out)) if isinstance(t, float) else out
+        return a, s, -0.5 * beta * a, 0.5 * beta * a * a / s
 
     def _time_from_lambda(self, lam):
         # alpha^2 = sigmoid(2 lam), so c = -log(alpha) = a t^2 + b t; take the
@@ -182,23 +170,9 @@ class VeSchedule(NoiseSchedule):
     T: float = 10.0
     t_min: float = 0.01
 
-    def alpha(self, t):
-        return np.ones(np.shape(t))
-
-    def sigma(self, t):
-        return np.asarray(t, dtype=float)
-
-    def d_alpha(self, t):
-        return np.zeros(np.shape(t))
-
-    def d_sigma(self, t):
-        return np.ones(np.shape(t))
-
-    def at(self, t):
-        t = self.check_time(t)
-        if isinstance(t, float):
-            return 1.0, t, 0.0, 1.0
-        return np.ones(t.shape), t, np.zeros(t.shape), np.ones(t.shape)
+    def _at(self, t):
+        # t ** 0.0 and 0.0 * t: 1 and 0 as a float, or as arrays of t's shape
+        return t ** 0.0, t, 0.0 * t, t ** 0.0
 
     def _time_from_lambda(self, lam):
         return np.exp(-lam)

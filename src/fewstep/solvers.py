@@ -33,9 +33,9 @@ derivative of its evaluation lands (a score time, or a stage's log-SNR
 offset ``c`` and the step start).  The family builders
 (:func:`_multistep_rows`, :func:`_single_step_rows`) only write rows, once
 per layout, and the grid's table keeps them in a :class:`Plan` per layout and
-model beside each evaluation's lookup and prepared record; an ``ss`` plan
-takes those, with its stage clamps, from the coefficients per solve
-(:func:`_stage_times`).
+model beside each evaluation's prepared record, the one copy of its time's
+lookup; an ``ss`` plan takes its records, with its stage clamps, from the
+coefficients per solve (:func:`_stage_times`).
 :func:`solve` runs the rows, and :func:`fewstep.backprop.backward` runs them
 transposed.
 
@@ -65,7 +65,7 @@ from .schedules import NoiseSchedule
 
 def wrapper_factors(schedule: NoiseSchedule, steps: np.ndarray, prediction: str):
     """(R, S) of the update wrapper for every step of a grid; entry i-1 is step i."""
-    alpha, sigma = schedule.alpha(steps), schedule.sigma(steps)
+    alpha, sigma = schedule.at(steps)[:2]
     h = np.diff(np.log(alpha) - np.log(sigma))
     if prediction == "noise":
         return alpha[1:] / alpha[:-1], sigma[1:] * np.expm1(h)
@@ -74,8 +74,7 @@ def wrapper_factors(schedule: NoiseSchedule, steps: np.ndarray, prediction: str)
 
 def wrapper_partials(schedule: NoiseSchedule, steps: np.ndarray, prediction: str):
     """(dR_prev, dR_next, dS_prev, dS_next): the t-partials of wrapper_factors per step."""
-    a, s = schedule.alpha(steps), schedule.sigma(steps)
-    da, ds = schedule.d_alpha(steps), schedule.d_sigma(steps)
+    a, s, da, ds = schedule.at(steps)
     h = np.diff(np.log(a) - np.log(s))
     dlam = da / a - ds / s
     if prediction != "noise":
@@ -89,16 +88,16 @@ def wrapper_partials(schedule: NoiseSchedule, steps: np.ndarray, prediction: str
 
 class GridTable:
     """What solves on one grid read of the schedule and the model: the wrapper
-    factors ``R``, ``S``, the lookup ``at`` of every score time and, on first use,
-    ``partials`` (of :func:`wrapper_partials`), ``log_snr`` (lambda and
-    d lambda/dt at the steps), per model its prepared constants of every score
-    time (:meth:`prepared`) and, per layout and model, the :class:`Plan` a solve
-    runs (:meth:`plan`)."""
+    factors ``R``, ``S`` and, on first use, ``partials`` (of
+    :func:`wrapper_partials`), ``log_snr`` (lambda and d lambda/dt at the steps),
+    per model its prepared records of every score time (:meth:`prepared`), which
+    hold their lookups, and, per layout and model, the :class:`Plan` a solve runs
+    (:meth:`plan`)."""
 
     def __init__(self, schedule: NoiseSchedule, grid: TimeGrid, prediction: str):
-        self.schedule, self.steps, self.prediction = schedule, grid.steps, prediction
+        self.schedule, self.prediction = schedule, prediction
+        self.steps, self.score_times = grid.steps, grid.score_times
         self.R, self.S = (f.tolist() for f in wrapper_factors(schedule, grid.steps, prediction))
-        self.at = list(zip(*(v.tolist() for v in schedule.at(grid.score_times))))
         self.models, self.plans = {}, {}
 
     @classmethod
@@ -115,20 +114,19 @@ class GridTable:
         the records."""
         stack = self.models.get(model)
         if stack is None:
-            stack = self.models[model] = model.prepare(tuple(np.array(self.at).T))
+            stack = self.models[model] = model.prepare(self.schedule.at(self.score_times))
         return stack
 
-    def plan(self, coeffs: SolverCoefficients, model, final_corrector: bool) -> "Plan":
+    def plan(self, coeffs: SolverCoefficients, model) -> "Plan":
         """The :class:`Plan` of ``coeffs``' layout and ``model`` on this grid, made on
         first use; an ss plan still needs :func:`_stage_times`."""
-        layout = (coeffs.kind, coeffs.order, coeffs.n_steps, coeffs.tied, final_corrector)
+        layout = (coeffs.kind, coeffs.order, coeffs.n_steps, coeffs.tied)
         plan = self.plans.get(layout + (model,))
         if plan is None:
             plan = _layout_plan(*layout)
             if coeffs.kind != "ss":     # evaluation m sits at score time m
                 n_evals = sum(row.evaluated for rows in plan.steps for row in rows)
-                plan = plan._replace(ats=self.at[:n_evals],
-                                     preps=list(self.prepared(model))[:n_evals])
+                plan = plan._replace(preps=list(self.prepared(model))[:n_evals])
             self.plans[layout + (model,)] = plan
         return plan
 
@@ -149,7 +147,7 @@ class Row(NamedTuple):
     A row is structure only: its weights ``w`` are ``coeffs.values[slots]``, read
     by :func:`row_weights`; with ``implied`` the last weight is 1 - sum(the
     others) and owns no slot.  An ``evaluated`` row is evaluated at its result,
-    which appends the next evaluation (its lookup and prepared record are the
+    which appends the next evaluation (its prepared record is the
     :class:`Plan`'s).  The time derivative of that evaluation goes to score
     time ``tc``, or, for a stage at log-SNR lambda(t_{i-1}) + c, through d lambda
     to ``lam = (i-1, slot of c or None)``, unless the stage was clamped.  A row
@@ -170,8 +168,8 @@ class Row(NamedTuple):
 
 class Plan(NamedTuple):
     """What a solve runs: ``steps``, the rows of steps 0..N, and per evaluation in
-    call order its schedule lookup (``ats``), the model's prepared record
-    (``preps``) and, for ss, whether its stage time was ``clamped``.
+    call order the model's prepared record of its time (``preps``), which holds
+    the time's schedule lookup, and, for ss, whether its stage time was ``clamped``.
 
     A grid table keeps one per layout and model, over the rows every table
     shares (:func:`_layout_plan`).  An lms/pc plan is complete; an ss plan
@@ -181,7 +179,6 @@ class Plan(NamedTuple):
     """
 
     steps: tuple
-    ats: list | None = None
     preps: list | None = None
     clamped: list | None = None
     c_index: np.ndarray | None = None
@@ -198,25 +195,24 @@ def row_weights(values: list, row: Row) -> list:
 
 
 @functools.lru_cache(maxsize=64)
-def _layout_plan(kind: str, order: int, n_steps: int, tied: bool, final_corrector: bool) -> Plan:
+def _layout_plan(kind: str, order: int, n_steps: int, tied: bool) -> Plan:
     """The rows of a layout, which depend on nothing else, so every grid table
     shares one copy; immutable, like the ss ``c_index``."""
     coeffs = SolverCoefficients(kind, order, n_steps, tied=tied)
     if kind == "ss":
         return _single_step_rows(coeffs)
-    return Plan(_multistep_rows(coeffs, final_corrector))
+    return Plan(_multistep_rows(coeffs))
 
 
-def _multistep_rows(coeffs: SolverCoefficients, final_corrector: bool) -> tuple:
+def _multistep_rows(coeffs: SolverCoefficients) -> tuple:
     """lms/pc: evaluation m sits at score time m.  Step i predicts from the q
     most recent evaluations and evaluates the prediction (except at the last
     step of lms); pc then corrects over [new, recent, ..., oldest]."""
-    n = coeffs.n_steps
+    n, correct = coeffs.n_steps, coeffs.kind == "pc"
     steps = [(Row(False, range(0), slice(0, 0), evaluated=True, tc=0, restates=True),)]
     for i in range(1, n + 1):
         b_slice = coeffs.b_slice(i)
         q = b_slice.stop - b_slice.start
-        correct = coeffs.kind == "pc" and (i < n or final_corrector)
         evaluated = i < n or correct
         rows = [Row(True, range(i - 1, i - 1 - q, -1), b_slice, evaluated=evaluated,
                     tc=i if evaluated else None)]
@@ -251,7 +247,7 @@ def _single_step_rows(coeffs: SolverCoefficients) -> Plan:
 def _stage_times(plan: Plan, coeffs: SolverCoefficients, schedule: NoiseSchedule,
                  table: GridTable, model, diagnostics: list) -> Plan:
     """The ss plan of this solve: each stage at lambda(t_{i-1}) + c, clipped to the
-    schedule's log-SNR range, with its lookup, prepared record and clamp flag."""
+    schedule's log-SNR range, with its prepared record and clamp flag."""
     n = coeffs.n_steps
     raw_lams = table.log_snr[0][:-1, None] + np.concatenate(
         [np.zeros((n, 1)), coeffs.values[plan.c_index]], axis=1)
@@ -261,8 +257,7 @@ def _stage_times(plan: Plan, coeffs: SolverCoefficients, schedule: NoiseSchedule
         diagnostics.append({"event": "stage_clamp", "step": int(i + 1), "stage": int(j + 1),
                             "requested": float(raw_lams[i, j]), "used": float(stage_lams[i, j])})
     stage_at = [v.ravel() for v in schedule.at(schedule.time_from_lambda(stage_lams))]
-    return plan._replace(ats=list(zip(*(v.tolist() for v in stage_at))),
-                         preps=list(model.prepare(stage_at)), clamped=clamped.ravel().tolist())
+    return plan._replace(preps=list(model.prepare(stage_at)), clamped=clamped.ravel().tolist())
 
 
 def _evaluate(model, prediction, prep, x, step_index):
@@ -285,7 +280,7 @@ class SolveTrace:
     """Full trajectory of one solve, with what the reverse pass needs."""
 
     states: list                 # x_0 .. x_N
-    plan: Plan                   # the rows it ran, and each evaluation's lookup and record
+    plan: Plan                   # the rows it ran, and each evaluation's record
     evals: list                  # every evaluation, in call order
     terms: list                  # the model's kept terms of each evaluation
     points: list                 # the point each evaluation was made at
@@ -302,7 +297,7 @@ class SolveTrace:
 
 
 def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
-          model, x_init: np.ndarray, final_corrector: bool = True) -> SolveTrace:
+          model, x_init: np.ndarray) -> SolveTrace:
     """Run the solver from t_0 = T down to t_N = t_min.
 
     x_init may be a single state (d,) or a batch (B, d); the trace keeps the
@@ -318,7 +313,7 @@ def solve(coeffs: SolverCoefficients, schedule: NoiseSchedule, grid: TimeGrid,
 
     diagnostics: list = []
     table = GridTable.of(schedule, grid, coeffs.prediction)
-    plan = table.plan(coeffs, model, final_corrector)
+    plan = table.plan(coeffs, model)
     if coeffs.kind == "ss":
         plan = _stage_times(plan, coeffs, schedule, table, model, diagnostics)
     R, S, preps, values = table.R, table.S, plan.preps, coeffs.values.tolist()

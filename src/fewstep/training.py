@@ -211,8 +211,7 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
                 if not np.isfinite(loss):
                     status = "diverged"
                     break
-                res = backward(trace, coeffs, schedule, model, cot, grid=g, params=params,
-                               loss_value=loss)
+                res = backward(trace, coeffs, schedule, model, cot, grid=g, params=params)
                 if phase_name in ("coeffs", "both"):
                     adam_coeffs.step(coeffs.values, res.grad_coeffs)
                     if config.consistency:

@@ -98,23 +98,23 @@ class ZeroModel:
     n_components = 0
 
     def prepare(self, at):
-        # all it needs of a time is alpha, for the data prediction x / alpha
-        return at[0]
+        # a record is the lookup itself: the model protocol leads a record with it
+        return tuple(at) if np.ndim(at[0]) == 0 else list(zip(*at))
 
-    def epsilon(self, alpha, x):
+    def epsilon(self, p, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def evaluate(self, alpha, x, prediction="noise"):
+    def evaluate(self, p, x, prediction="noise"):
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():     # the model protocol: reject a non-finite point
             raise FloatingPointError("non-finite state passed to score model")
-        return (np.zeros_like(x) if prediction == "noise" else x / alpha), None
+        return (np.zeros_like(x) if prediction == "noise" else x / p[0]), None
 
-    def pullback(self, alpha, x, terms, cot):
+    def pullback(self, p, x, terms, cot):
         return np.zeros_like(np.asarray(x, dtype=float)), None
 
-    def time_derivatives(self, alphas, points, terms, products):
-        return np.zeros(len(alphas))
+    def time_derivatives(self, preps, points, terms, products):
+        return np.zeros(len(preps))
 
 
 @pytest.fixture

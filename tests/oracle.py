@@ -21,8 +21,8 @@ class NumericalError(RuntimeError):
 
 def d_lam(schedule, t):
     """d lam / dt = alpha'/alpha - sigma'/sigma."""
-    return (schedule.d_alpha(t) / schedule.alpha(t)
-            - schedule.d_sigma(t) / schedule.sigma(t))
+    a, s, da, ds = schedule.at(t)
+    return da / a - ds / s
 
 
 def exact_step_integrand(

@@ -127,15 +127,6 @@ class TestDeadParameters:
             # row j may use only entries l < j; the rest are structurally inert
             assert gmat[0, 0] == 0.0 and gmat[0, 1] == 0.0 and gmat[1, 1] == 0.0
 
-    def test_disabled_final_corrector_row_gets_zero_gradient(self, ve, mixture, rng):
-        grid = heuristic_grid(ve, 4, "logsnr")
-        coeffs = init_preset("pc", 2, 4, "unipc", schedule=ve, grid=grid)
-        x = rng.standard_normal(2)
-        trace = solve(coeffs, ve, grid, mixture, x, final_corrector=False)
-        res = backward(trace, coeffs, ve, mixture, np.ones(2), grid=grid)
-        assert np.allclose(res.grad_coeffs[coeffs.corrector_slice(4)], 0.0)
-        assert not np.allclose(res.grad_coeffs[coeffs.corrector_slice(3)], 0.0)
-
 
 def test_tied_gradient_is_sum_of_untied_rows(ve, mixture, rng):
     n, k = 7, 3
@@ -159,21 +150,21 @@ def test_tied_gradient_is_sum_of_untied_rows(ve, mixture, rng):
 class TestRematerialization:
     def test_remade_evaluations_match_kept(self, ve, mixture, rng):
         # the trace keeps each evaluation with the point it was made at, its
-        # schedule lookup (in its plan, one per evaluated row) and the model's
-        # terms for it: remaking it there reproduces both
+        # record (in its plan, one per evaluated row, led by the time's schedule
+        # lookup) and the model's terms for it: remaking it there reproduces both
         grid = heuristic_grid(ve, 5, "logsnr")
-        for (kind, preset, final_corrector), prediction in itertools.product(
-                [("lms", "ipndm", True), ("pc", "unipc", True), ("pc", "unipc", False),
-                 ("ss", "gaussian", True)], ["noise", "data"]):
+        for (kind, preset), prediction in itertools.product(
+                [("lms", "ipndm"), ("pc", "unipc"), ("ss", "gaussian")], ["noise", "data"]):
             coeffs = init_preset(kind, 2, 5, preset, schedule=ve, grid=grid,
                                  prediction=prediction, seed=5)
             for x in (rng.standard_normal(2), rng.standard_normal((3, 2))):
-                trace = solve(coeffs, ve, grid, mixture, x, final_corrector=final_corrector)
-                ats = trace.plan.ats
+                trace = solve(coeffs, ve, grid, mixture, x)
+                preps = trace.plan.preps
                 n_evaluated = sum(row.evaluated for rows in trace.plan.steps for row in rows)
-                assert len(trace.points) == len(ats) == n_evaluated == trace.nfe_used
-                for e, kept, point, at in zip(trace.evals, trace.terms, trace.points, ats):
-                    remade, terms = mixture.evaluate(mixture.prepare(at), point, prediction)
+                assert len(trace.points) == len(preps) == n_evaluated == trace.nfe_used
+                for e, kept, point, prep in zip(trace.evals, trace.terms, trace.points, preps):
+                    remade, terms = mixture.evaluate(mixture.prepare(prep[:4]), point,
+                                                     prediction)
                     assert np.array_equal(remade, e), (kind, prediction, x.shape)
                     assert all(np.array_equal(u, v) for u, v in zip(terms, kept))
 

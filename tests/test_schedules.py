@@ -8,8 +8,8 @@ from scipy.integrate import solve_ivp
 
 from fewstep.errors import DomainError
 from fewstep import coeffs
-from fewstep.schedules import (GL_NODES, GL_WEIGHTS, EdmSchedule, VeSchedule, VpLinearSchedule,
-                               phi_functions)
+from fewstep.schedules import (GL_NODES, GL_WEIGHTS, SCHEDULE_KINDS, EdmSchedule, VeSchedule,
+                               VpLinearSchedule, phi_functions)
 from oracle import NumericalError, exact_step_integrand
 
 ALL_SCHEDULES = [VpLinearSchedule(), VeSchedule(), EdmSchedule()]
@@ -54,10 +54,13 @@ def test_vp_log_alpha_matches_numerical_beta_integration():
 
 @pytest.mark.parametrize("schedule", ALL_SCHEDULES, ids=["vp", "ve", "edm"])
 def test_domain_errors(schedule):
-    with pytest.raises(DomainError):
-        schedule.at(schedule.T * 1.5)
-    with pytest.raises(DomainError):
-        schedule.at(schedule.t_min * 0.1)
+    # every per-time quantity is read from at, so each checks the time as at does
+    for method in (schedule.at, schedule.alpha, schedule.sigma, schedule.lam, schedule.kappa,
+                   schedule.f, schedule.g_sq):
+        with pytest.raises(DomainError):
+            method(schedule.T * 1.5)
+        with pytest.raises(DomainError):
+            method(schedule.t_min * 0.1)
     lam_lo, lam_hi = schedule.lambda_range()
     assert (lam_lo, lam_hi) == (float(schedule.lam(schedule.T)),
                                 float(schedule.lam(schedule.t_min)))
@@ -85,18 +88,25 @@ def test_check_time_scalar_and_array_paths_agree(schedule):
 
 @pytest.mark.parametrize("schedule", ALL_SCHEDULES, ids=["vp", "ve", "edm"])
 def test_at_equals_the_single_methods(schedule):
+    # scalar and array lookups agree bit for bit, and alpha and sigma are read from them
     ts = np.concatenate([np.linspace(schedule.t_min, schedule.T, 257),
                          np.random.default_rng(1).uniform(schedule.t_min, schedule.T, 256)])
-    methods = (schedule.alpha, schedule.sigma, schedule.d_alpha, schedule.d_sigma)
     looked_up = schedule.at(ts)
-    for got, method in zip(looked_up, methods):
-        assert isinstance(got, np.ndarray) and np.array_equal(got, method(ts))
+    assert all(isinstance(got, np.ndarray) for got in looked_up)
+    assert np.array_equal(looked_up[0], schedule.alpha(ts))
+    assert np.array_equal(looked_up[1], schedule.sigma(ts))
     for k, t in enumerate(ts):
         for scalar in (float(t), np.float64(t)):
             values = schedule.at(scalar)
             assert all(type(v) is float for v in values)
-            assert np.array_equal(values, [float(method(float(t))) for method in methods])
             assert np.array_equal(values, [v[k] for v in looked_up])
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEDULE_KINDS))
+def test_kinds_write_only_their_lookup(kind):
+    # a kind writes its per-time formula once, as _at; the base class derives the rest
+    own = vars(SCHEDULE_KINDS[kind])
+    assert not {"alpha", "sigma", "d_alpha", "d_sigma", "at"} & set(own)
 
 
 @pytest.mark.parametrize("schedule", ALL_SCHEDULES, ids=["vp", "ve", "edm"])

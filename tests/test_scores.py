@@ -45,8 +45,8 @@ def einsum_oracle(model, schedule, x2, t, cot2):
         term = np.einsum("bj,bjd->bd", dgamma, u) + np.einsum("bj,bjd->bd", gamma, du)
         return sigma * term + extra
 
-    deps_dt = (assemble(dln_da, du_da, 0.0) * float(schedule.d_alpha(t))
-               + assemble(dln_ds, du_ds, ubar) * float(schedule.d_sigma(t)))
+    deps_dt = (assemble(dln_da, du_da, 0.0) * float(schedule.at(t)[2])
+               + assemble(dln_ds, du_ds, ubar) * float(schedule.at(t)[3]))
     return sigma * ubar, vjp, deps_dt
 
 
