@@ -47,9 +47,8 @@ for i in range(3, n_steps + 1):
 
 print("\n=== Effect of the trust-ball radius ===")
 for mult in (0.0, 1.0, 2.0):
-    ds = generate_dataset(teacher, schedule, model, 200, seed=0, val_fraction=0.25)
     cfg = TrainConfig(epochs=15, batch_size=20, seed=0,
                       radius_override=mult * result.r)
-    res = train_s4s(ds, coeffs, grid, schedule, model, cfg)
+    res = train_s4s(dataset, coeffs, grid, schedule, model, cfg)
     print(f"r = {mult:.0f} x default: final training loss {res.final_train_loss:.6f}")
 print("a wider ball gives the under-parametrized student slack to fit the teacher.")

@@ -24,9 +24,9 @@ coeffs = init_preset("lms", 3, n_steps, "ipndm", schedule=schedule, grid=grid)
 print("start: log-SNR grid,", np.round(grid.steps, 3))
 
 budget = 16  # total epochs, shared by every variant below
+dataset = generate_dataset(teacher, schedule, model, 200, seed=1, val_fraction=0.25)
 results = {}
 for mode in ("coefficients only", "schedule only", "alternating"):
-    dataset = generate_dataset(teacher, schedule, model, 200, seed=1, val_fraction=0.25)
     params = LearnableTimeParams.from_grid(grid, schedule)
     cfg = TrainConfig(epochs=budget, alternations=8, phase_epochs=1,
                       batch_size=20, seed=1)

@@ -108,6 +108,13 @@ def read(path, magic: bytes, version: int):
     return header, arrays
 
 
+def require(path, header: dict, names, prefix=""):
+    """CompatibilityError naming ``path`` and the first of ``names`` not in ``header``."""
+    for name in names:
+        if name not in header:
+            raise CompatibilityError(f"{path}: header has no {prefix + name!r} field")
+
+
 def reshaped(path, array: np.ndarray, shape):
     """``array`` (as :func:`read` returns it) in the ``shape`` its header gives;
     CompatibilityError naming ``path`` when the two disagree."""

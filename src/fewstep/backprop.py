@@ -64,6 +64,12 @@ class AdjointResult:
     grad_xi_c: np.ndarray | None = None
 
 
+def loss_and_cotangent(outputs, targets):
+    """Mean squared error over every entry, and its gradient in ``outputs``."""
+    resid = outputs - targets
+    return float(np.mean(resid * resid)), 2.0 * resid / resid.size
+
+
 def _flat(arrays) -> np.ndarray:
     """Arrays of one shape as the rows of one (len(arrays), size) array."""
     return np.concatenate(arrays).reshape(len(arrays), -1)
@@ -81,21 +87,15 @@ def backward(
     schedule: NoiseSchedule,
     model,
     loss_cotangent: np.ndarray,
-    grid: TimeGrid | None = None,
+    grid: TimeGrid,
     params: LearnableTimeParams | None = None,
 ) -> AdjointResult:
     """Exact reverse-mode derivative of x0 -> solve -> loss.
 
     Pass the coefficients and the grid the trace was produced with: the rows'
     weights are read from ``coeffs.values``.  Pass the learnable parameters
-    it was materialized from to get cotangents on (xi, xi_c) too: the grid
-    must then be ``materialize(params, schedule)``, and given only the
-    parameters, backward materializes it itself.
+    the grid was materialized from to get cotangents on (xi, xi_c) too.
     """
-    if grid is None:
-        if params is None:
-            raise ValueError("backward needs the grid or the time parameters")
-        grid = materialize(params, schedule)
     n = coeffs.n_steps
     if grid.n_steps != n or trace.kind != coeffs.kind:
         raise ValueError("trace, coefficients, and grid disagree")
@@ -235,8 +235,7 @@ def check_gradients(
     def run(x):
         g = materialize(params, schedule) if params is not None else grid
         trace = solve(coeffs, schedule, g, model, x)
-        resid = trace.terminal - target
-        return trace, float(np.mean(resid * resid)), 2.0 * resid / resid.size, g
+        return (trace, *loss_and_cotangent(trace.terminal, target), g)
 
     # the reverse pass steps on the grid the solve used
     trace, loss, cot, g = run(x0)

@@ -45,9 +45,12 @@ def save_checkpoint(path, coeffs: SolverCoefficients, config_hash: str,
 
 
 def load_checkpoint(path, expected_hash: str | None = None, force: bool = False):
-    """Read a checkpoint; CompatibilityError naming ``path`` if it is cut short,
-    overlong, of another version, or (unless ``force``) of another config."""
+    """Read a checkpoint; CompatibilityError naming ``path`` if the container rejects
+    it, its header lacks a field, or (unless ``force``) it is of another config."""
     header, data = artifacts.read(path, _MAGIC, CHECKPOINT_VERSION)
+    artifacts.require(path, header, ("config_hash", "solver", "extra")
+                      + (("x_prime_shape",) if "x_prime" in data else ()))
+    artifacts.require(path, header["solver"], _SOLVER_FIELDS, prefix="solver.")
     if not force and expected_hash not in (None, header["config_hash"]):
         raise CompatibilityError(
             f"{path} was written under a different configuration "

@@ -91,7 +91,7 @@ def cli_train(config_path, dataset_path, mode, nfe, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.fsc", result.coeffs, config_hash(cfg),
-                    params=result.params, x_prime_snapshot=dataset.x_prime,
+                    params=result.params, x_prime_snapshot=result.x_prime,
                     extra={"mode": mode, "nfe": nfe, "status": result.status})
     artifacts.write_csv(out / "history.csv",
                         ["iteration", "phase", "train_loss", "val_loss", "r"], result.history)
@@ -167,8 +167,7 @@ def _sweep_spec(doc) -> SweepSpec:
 @main.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--workers", type=int, default=None,
-              help="Worker processes; default env FEWSTEP_WORKERS or 1.")
+@click.option("--workers", type=int, default=1, help="Worker processes.")
 def cli_sweep(config_path, out_dir, workers):
     """Run the cross-product sweep described by a sweep config document."""
     with open(config_path) as fh:

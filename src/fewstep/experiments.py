@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -216,8 +215,7 @@ def _run_cell_job(args):
     return key, run_cell(cfg, nfe, mode, cache_dir=cache_dir)
 
 
-def run_sweep(spec: SweepSpec, out_dir, workers: int | None = None,
-              progress=None) -> ResultTable:
+def run_sweep(spec: SweepSpec, out_dir, workers: int = 1, progress=None) -> ResultTable:
     """Resumable cross-product sweep; one JSON file per cell under out_dir/cells.
 
     A cell file that is missing or does not parse (say, one cut short by a
@@ -228,8 +226,6 @@ def run_sweep(spec: SweepSpec, out_dir, workers: int | None = None,
     cell_dir = out / "cells"
     cell_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out / "datasets"
-    if workers is None:
-        workers = int(os.environ.get("FEWSTEP_WORKERS", "1"))
 
     table = ResultTable()
     pending = []

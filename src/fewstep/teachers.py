@@ -17,10 +17,10 @@ that RHS.  The whole batch is one
 system: one error norm and one step sequence serve every record, so a label
 depends (within the tolerance) on the batch it was solved in.
 
-A :class:`Dataset` is columnar: row i stacks initial noise draw i, its
-perturbed copy ``x_prime`` (which the trainer moves in place) and the
-teacher's output; on disk it is an :mod:`~fewstep.artifacts` container
-(``.fsd``, version 2) holding that one array.
+A :class:`Dataset` is columnar: row i stacks initial noise draw i and the
+teacher's output for it, and nothing writes into it once made; on disk it is
+an :mod:`~fewstep.artifacts` container (``.fsd``, version 3) holding that
+one array.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .solvers import solve
 TEACHER_KINDS = ("exact_gaussian", "adaptive_rk", "fine_fixed")
 
 _DATASET_MAGIC = b"FSTDATA1"
-DATASET_VERSION = 2
+DATASET_VERSION = 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,12 +60,10 @@ class TeacherConfig:
 
 @dataclasses.dataclass
 class Dataset:
-    """Rows ``(x_init, x_prime, teacher_out)``; the first ``n_train`` train.
+    """Rows ``(x_init, teacher_out)``; the first ``n_train`` train.  The column
+    properties are views of ``records``."""
 
-    The column properties are views, so writing ``x_prime[idx]`` updates it.
-    """
-
-    records: np.ndarray          # (count, 3, dim)
+    records: np.ndarray          # (count, 2, dim)
     n_train: int
     seed: int
     teacher_kind: str
@@ -83,12 +81,8 @@ class Dataset:
         return self.records[:, 0]
 
     @property
-    def x_prime(self) -> np.ndarray:
-        return self.records[:, 1]
-
-    @property
     def teacher_out(self) -> np.ndarray:
-        return self.records[:, 2]
+        return self.records[:, 1]
 
 
 def exact_gaussian_solution(schedule: NoiseSchedule, model, x_init, t_end=None):
@@ -247,7 +241,7 @@ def generate_dataset(
     draws = schedule.tilde_sigma * rng.standard_normal((count, model.dim))
     outs = teacher_solve(config, schedule, model, draws)
     n_val = int(round(count * val_fraction))
-    return Dataset(records=np.stack([draws, draws, outs], axis=1), n_train=count - n_val,
+    return Dataset(records=np.stack([draws, outs], axis=1), n_train=count - n_val,
                    seed=seed, teacher_kind=config.kind)
 
 
@@ -258,9 +252,10 @@ def save_dataset(dataset: Dataset, path):
 
 
 def load_dataset(path) -> Dataset:
-    """Read a ``.fsd`` file; CompatibilityError naming ``path`` if the container rejects it."""
+    """Read a ``.fsd`` file; CompatibilityError naming ``path`` if it does not load."""
     header, arrays = artifacts.read(path, _DATASET_MAGIC, DATASET_VERSION)
-    records = artifacts.reshaped(path, arrays["records"], (-1, 3, header["dim"]))
+    artifacts.require(path, header, ("dim", "n_train", "seed", "teacher_kind"))
+    records = artifacts.reshaped(path, arrays["records"], (-1, 2, header["dim"]))
     n_train = header["n_train"]
     if not (isinstance(n_train, int) and 0 <= n_train <= len(records)):
         raise CompatibilityError(f"{path}: n_train {n_train!r} is not a count within "

@@ -5,9 +5,10 @@ between the student's terminal state started from a perturbed input and the
 teacher's output for the unperturbed input, with the perturbation kept inside
 a ball of radius r * tilde_sigma by projected SGD.  Coefficients and time
 parameters take momentum-based adaptive steps; the perturbed inputs take
-plain gradient steps followed by the radial projection, written back into
-the dataset's ``x_prime`` column.  The ball radius follows r = c / m^{5/2}
-in the number of parameters being learned.
+plain gradient steps followed by the radial projection; they start at the
+training draws and come back as ``TrainResult.x_prime``, never written into
+the dataset.  The ball radius follows r = c / m^{5/2} in the number of
+parameters being learned.
 
 A run diverges when a solve returns non-finite states or loss, or when a
 time step leaves a grid that is not strictly decreasing and finite; it then
@@ -24,7 +25,7 @@ import dataclasses
 
 import numpy as np
 
-from .backprop import backward
+from .backprop import backward, loss_and_cotangent
 from .coeffs import SolverCoefficients
 from .errors import DivergenceError
 from .grids import LearnableTimeParams, TimeGrid, materialize
@@ -77,12 +78,6 @@ def project_ball(x_prime, x, r, sigma_tilde):
         return np.where(nrm <= radius, x_prime, x + (radius / nrm) * diff)
 
 
-def loss_and_cotangent(outputs, targets):
-    """Mean squared error over every entry, and its gradient in ``outputs``."""
-    resid = outputs - targets
-    return float(np.mean(resid * resid)), 2.0 * resid / resid.size
-
-
 class Adam:
     """Minimal in-place Adam on one flat vector, with Kingma & Ba's default constants."""
 
@@ -113,6 +108,7 @@ class TrainResult:
     coeffs: SolverCoefficients
     params: LearnableTimeParams | None
     grid: TimeGrid
+    x_prime: np.ndarray             # (n_train, d): the perturbed inputs as the run left them
     phases: list
     losses: np.ndarray
     status: str
@@ -172,11 +168,12 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
 
     rng = np.random.default_rng(config.seed)
     n_train = dataset.n_train
-    x_init, x_prime, targets = dataset.x_init, dataset.x_prime, dataset.teacher_out
+    x_init, targets = dataset.x_init, dataset.teacher_out
+    x_prime = x_init[:n_train].copy()
     iteration_phases, losses = [], []        # per iteration; see TrainResult
     status = "ok"
     violations = 0
-    snapshot = _snapshot(coeffs, params, x_prime[:n_train])
+    snapshot = _snapshot(coeffs, params, x_prime)
 
     def current_grid():
         return materialize(params, schedule) if params is not None else grid
@@ -235,14 +232,14 @@ def _train(dataset: Dataset, coeffs: SolverCoefficients,
                 break
             if losses:
                 losses[-1][1] = val_loss()
-            snapshot = _snapshot(coeffs, params, x_prime[:n_train])
+            snapshot = _snapshot(coeffs, params, x_prime)
         if status != "ok":
             break
 
     if status == "diverged":
-        coeffs, params, x_prime[:n_train] = snapshot
+        coeffs, params, x_prime = snapshot
 
-    return TrainResult(coeffs=coeffs, params=params, grid=current_grid(),
+    return TrainResult(coeffs=coeffs, params=params, grid=current_grid(), x_prime=x_prime,
                        phases=iteration_phases,
                        losses=np.array(losses, dtype=float).reshape(-1, 2), status=status,
                        r=r, n_params=n_params, projection_violations=violations)

@@ -93,12 +93,12 @@ def test_criterion_2_gradient_correctness():
 @pytest.fixture(scope="module")
 def s4s_improvement_runs():
     runs = {}
+    datasets = [_bench_dataset(160, seed=1000 + seed) for seed in range(5)]
     for nfe in (4, 6, 8):
         per_seed = []
-        for seed in range(5):
+        for seed, dataset in enumerate(datasets):
             grid = heuristic_grid(BENCH_SCHEDULE, nfe, "logsnr")
             coeffs = init_preset("lms", 3, nfe, "ipndm", schedule=BENCH_SCHEDULE, grid=grid)
-            dataset = _bench_dataset(160, seed=1000 + seed)
             cfg = TrainConfig(epochs=15, batch_size=20, seed=seed)
             result = train_s4s(dataset, coeffs, grid, BENCH_SCHEDULE, BENCH_MODEL, cfg)
             VIOLATIONS.append(result.projection_violations)
@@ -134,9 +134,9 @@ def alternating_comparison_runs():
         cfg = TrainConfig(epochs=total_epochs, alternations=alternations,
                           phase_epochs=total_epochs // (2 * alternations),
                           batch_size=20, seed=seed)
+        dataset = _bench_dataset(160, seed=500 + seed)
         out = {}
         for mode in ("coefficients", "schedule", "alternating"):
-            dataset = _bench_dataset(160, seed=500 + seed)
             params = LearnableTimeParams.from_grid(grid, BENCH_SCHEDULE)
             if mode == "coefficients":
                 res = train_s4s(dataset, coeffs, grid, BENCH_SCHEDULE, BENCH_MODEL, cfg)
@@ -171,8 +171,8 @@ def relaxation_runs():
     r0 = 8.818 / coeffs.values.size**2.5
     finals = {0.0: [], 1.0: [], 2.0: []}
     for seed in range(5):
+        dataset = _bench_dataset(120, seed=900 + seed)
         for mult in finals:
-            dataset = _bench_dataset(120, seed=900 + seed)
             cfg = TrainConfig(epochs=12, batch_size=20, seed=seed,
                               radius_override=mult * r0)
             res = train_s4s(dataset, coeffs, grid, BENCH_SCHEDULE, BENCH_MODEL, cfg)
@@ -196,8 +196,8 @@ def consistency_runs():
     coeffs = init_preset("lms", 3, nfe, "ipndm", schedule=BENCH_SCHEDULE, grid=grid)
     finals = {False: [], True: []}
     for seed in range(5):
+        dataset = _bench_dataset(120, seed=700 + seed)
         for constrained in (False, True):
-            dataset = _bench_dataset(120, seed=700 + seed)
             cfg = TrainConfig(epochs=12, batch_size=20, seed=seed,
                               consistency=constrained)
             res = train_s4s(dataset, coeffs, grid, BENCH_SCHEDULE, BENCH_MODEL, cfg)

@@ -191,7 +191,7 @@ def test_mismatched_trace_rejected(ve, mixture):
         backward(trace, other, ve, mixture, np.ones(2), grid=grid)
     with pytest.raises(ValueError):
         backward(trace, coeffs, ve, mixture, np.ones(3), grid=grid)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):      # the grid is a required argument
         backward(trace, coeffs, ve, mixture, np.ones(2))
 
 

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from fewstep import artifacts
-from fewstep.checkpoints import load_checkpoint, save_checkpoint
+from fewstep.checkpoints import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
 from fewstep import training
 from fewstep.cli import _sweep_spec, main as cli_main
 from fewstep.coeffs import init_preset
@@ -24,6 +24,7 @@ from fewstep.experiments import ResultTable, SweepSpec, run_cell, run_sweep, swe
 from fewstep.grids import LearnableTimeParams, heuristic_grid
 from fewstep.schedules import VeSchedule
 from fewstep.scores import GaussianMixtureScore
+from fewstep.teachers import DATASET_VERSION, Dataset, load_dataset, save_dataset
 from fewstep.training import TrainConfig
 
 DEMO_CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -201,6 +202,29 @@ class TestCheckpoints:
         save_checkpoint(path, coeffs, header["config_hash"], params=params,
                         x_prime_snapshot=snap, extra=header["extra"])
         assert path.read_bytes() == OLD_CHECKPOINT.read_bytes()
+
+
+@pytest.mark.parametrize("suffix, field", [
+    ("fsd", "dim"), ("fsd", "n_train"), ("fsd", "seed"), ("fsd", "teacher_kind"),
+    ("fsc", "config_hash"), ("fsc", "solver"), ("fsc", "extra"), ("fsc", "x_prime_shape"),
+])
+def test_header_without_a_field_it_reads_is_refused(tmp_path, ve, suffix, field):
+    # a loader names the file and the field it misses, not a bare KeyError
+    path = tmp_path / f"lacking.{suffix}"
+    if suffix == "fsd":
+        save_dataset(Dataset(np.zeros((3, 2, 2)), n_train=2, seed=0,
+                             teacher_kind="adaptive_rk"), path)
+        magic, version, load = b"FSTDATA1", DATASET_VERSION, load_dataset
+    else:
+        grid = heuristic_grid(ve, 4, "logsnr")
+        save_checkpoint(path, init_preset("lms", 2, 4, "ipndm", schedule=ve, grid=grid),
+                        "a" * 64, x_prime_snapshot=np.zeros((3, 2)))
+        magic, version, load = b"FSTCKPT1", CHECKPOINT_VERSION, load_checkpoint
+    header, arrays = artifacts.read(path, magic, version)
+    del header[field]
+    artifacts.write(path, magic, header, arrays)
+    with pytest.raises(CompatibilityError, match=rf"lacking\.{suffix}.*'{field}'"):
+        load(path)
 
 
 class TestCells:
@@ -475,7 +499,6 @@ class TestCli:
         assert "train.epochz" in result.output
 
     def test_train_matches_library_call(self, tmp_path, ve, mixture):
-        from fewstep.teachers import load_dataset
         from fewstep.training import train_s4s
 
         runner = CliRunner()
@@ -490,8 +513,8 @@ class TestCli:
                                           "--dataset", str(data_path), "--mode", "s4s",
                                           "--out", str(out_dir)])
         assert result.exit_code == 0, result.output
-        coeffs, _, _, header = load_checkpoint(out_dir / "checkpoint.fsc",
-                                               config_hash(cfg))
+        coeffs, _, snap, header = load_checkpoint(out_dir / "checkpoint.fsc",
+                                                  config_hash(cfg))
         # same seed, same dataset: the library path reproduces the checkpoint
         dataset = load_dataset(data_path)
         schedule = build_schedule(cfg.schedule)
@@ -501,6 +524,7 @@ class TestCli:
         ref = train_s4s(dataset, init, grid, schedule, model,
                         dataclasses.replace(cfg.train, seed=cfg.seed))
         assert np.array_equal(coeffs.values, ref.coeffs.values)
+        assert np.array_equal(snap, ref.x_prime)
         with open(out_dir / "history.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and set(rows[0]) == {"iteration", "phase", "train_loss",
@@ -618,7 +642,7 @@ def test_cli_train_alternating_mode(tmp_path):
     coeffs, params, snap, header = load_checkpoint(out_dir / "checkpoint.fsc",
                                                    config_hash(cfg))
     assert params is not None and header["extra"]["mode"] == "s4s-alt"
-    assert snap.shape == (32, 2)
+    assert snap.shape == (24, 2)        # the training rows: the validation rows never move
 
 
 _AMPLIFIES = pytest.mark.xfail(
@@ -642,10 +666,9 @@ def test_one_ulp_in_the_labels_moves_a_demo_cell_by_rounding_only(key):
     reference = training.evaluation_reference(teacher, schedule, model, experiments.N_EVAL, seed)
     errors = []
     for labels in (dataset.teacher_out, np.nextafter(dataset.teacher_out, np.inf)):
-        records = dataset.records.copy()
-        records[:, 2] = labels
-        result = training.train_in_mode("s4s", dataclasses.replace(dataset, records=records),
-                                        coeffs.copy(), grid, schedule, model,
+        labelled = dataclasses.replace(dataset, records=dataset.records.copy())
+        labelled.teacher_out[:] = labels
+        result = training.train_in_mode("s4s", labelled, coeffs.copy(), grid, schedule, model,
                                         dataclasses.replace(cfg.train, seed=cfg.seed),
                                         cfg.grid.clip_fraction)
         errors.append(training.evaluate(result.coeffs, schedule, model, teacher,

@@ -1,4 +1,3 @@
-import copy
 import json
 import struct
 
@@ -184,20 +183,13 @@ class TestDatasets:
         b = generate_dataset(cfg, ve, mixture, 12, seed=9)
         assert dataset_checksum(a) == dataset_checksum(b)
 
-    def test_perturbed_inputs_start_at_the_draws(self, ve, mixture):
+    def test_records_stack_the_draws_and_their_teacher_outputs(self, ve, mixture):
         cfg = TeacherConfig(kind="fine_fixed", fine_nfe=40)
         ds = generate_dataset(cfg, ve, mixture, 9, seed=1)
-        assert ds.records.shape == (9, 3, 2)
-        assert np.array_equal(ds.x_init, ds.x_prime)
-        assert not np.shares_memory(ds.x_prime, ds.x_init)
-
-    def test_deepcopy_has_independent_perturbed_inputs(self, ve, mixture):
-        ds = generate_dataset(TeacherConfig(kind="fine_fixed", fine_nfe=40), ve, mixture,
-                              5, seed=1)
-        clone = copy.deepcopy(ds)
-        clone.x_prime[:] += 1.0
-        assert np.array_equal(ds.x_init, ds.x_prime)
-        assert np.array_equal(clone.x_prime, ds.x_prime + 1.0)
+        assert ds.records.shape == (9, 2, 2)
+        draws = ve.tilde_sigma * np.random.default_rng(1).standard_normal((9, 2))
+        assert np.array_equal(ds.x_init, draws)
+        assert np.array_equal(ds.teacher_out, teacher_solve(cfg, ve, mixture, draws))
 
     def test_default_split_fractions(self, ve, mixture):
         cfg = TeacherConfig(kind="fine_fixed", fine_nfe=40)
@@ -215,7 +207,7 @@ class TestDatasets:
         assert back.n_train == ds.n_train and back.dim == ds.dim
 
     # (bytes kept of the whole file, payload size); 7 dim-2 records of
-    # three float64 vectors make a 7 * 48 = 336-byte payload
+    # two float64 vectors make a 7 * 32 = 224-byte payload
     @pytest.mark.parametrize("keep", [
         lambda n, p: n - 1, lambda n, p: n - 16, lambda n, p: n - 40,
         lambda n, p: n - p,        # header only
@@ -229,7 +221,7 @@ class TestDatasets:
         path = tmp_path / "records.fsd"
         save_dataset(ds, path)
         blob = path.read_bytes()
-        path.write_bytes(blob[: keep(len(blob), 7 * 48)])
+        path.write_bytes(blob[: keep(len(blob), 7 * 32)])
         with pytest.raises(CompatibilityError, match="records.fsd"):
             load_dataset(path)
 
@@ -249,7 +241,7 @@ class TestDatasets:
         save_dataset(ds, path)
         saved = dataset_checksum(ds)
         ds.records = ds.records.astype(object)
-        ds.records[-1, 2] = ["not a number", "x"]
+        ds.records[-1, 1] = ["not a number", "x"]
         with pytest.raises(ValueError):
             save_dataset(ds, path)
         assert dataset_checksum(load_dataset(path)) == saved
@@ -272,11 +264,20 @@ class TestDatasets:
         with pytest.raises(CompatibilityError, match=r"old\.fsd.*version 1"):
             load_dataset(path)
 
+    def test_version_2_file_rejected_naming_its_version(self, tmp_path):
+        # the layout that also stored a perturbed-input column: (count, 3, dim)
+        header = {"version": 2, "n_train": 1, "dim": 2, "seed": 0, "teacher_kind": "adaptive_rk"}
+        path = tmp_path / "old.fsd"
+        artifacts.write(path, _DATASET_MAGIC, header, {"records": np.zeros((1, 3, 2))})
+        with pytest.raises(CompatibilityError, match=r"old\.fsd.*version 2"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("directory", [None, "records", [{"name": "records"}],
                                            [{"name": "records", "size": -6}]],
                              ids=["missing", "not-a-list", "no-size", "negative-size"])
     def test_bad_array_directory_rejected(self, tmp_path, directory):
-        fields = {"version": 2, "n_train": 1, "dim": 2, "seed": 0, "teacher_kind": "x"}
+        fields = {"version": DATASET_VERSION, "n_train": 1, "dim": 2, "seed": 0,
+                  "teacher_kind": "x"}
         if directory is not None:
             fields["arrays"] = directory
         header = json.dumps(fields).encode()
@@ -289,7 +290,7 @@ class TestDatasets:
         with pytest.raises(ValueError):
             generate_dataset(TeacherConfig(), ve, mixture, 0, seed=0)
 
-    # 18 values: three dim-2 records, which no dim-4 reading fits
+    # 12 values: three dim-2 records, which no dim-4 reading fits
     @pytest.mark.parametrize("fields", [{"dim": 4}, {"dim": 0}, {"dim": "2"}, {"n_train": 4},
                                         {"n_train": "1"}],
                              ids=["dim-not-dividing", "dim-zero", "dim-string", "n_train-over",
@@ -298,6 +299,6 @@ class TestDatasets:
         header = {"version": DATASET_VERSION, "n_train": 1, "dim": 2, "seed": 0,
                   "teacher_kind": "adaptive_rk", **fields}
         path = tmp_path / "foreign.fsd"
-        artifacts.write(path, _DATASET_MAGIC, header, {"records": np.zeros(18)})
+        artifacts.write(path, _DATASET_MAGIC, header, {"records": np.zeros(12)})
         with pytest.raises(CompatibilityError, match="foreign.fsd"):
             load_dataset(path)

@@ -7,9 +7,9 @@ import pytest
 from fewstep.coeffs import init_preset
 from fewstep.grids import LearnableTimeParams, heuristic_grid, materialize
 from fewstep.teachers import TeacherConfig, generate_dataset
-from fewstep.training import (TrainConfig, evaluate, evaluation_reference, project_ball,
-                              radius_for, train_joint, train_s4s, train_s4s_alt,
-                              train_schedule_only)
+from fewstep.training import (TRAIN_MODES, TrainConfig, evaluate, evaluation_reference,
+                              project_ball, radius_for, train_in_mode, train_joint, train_s4s,
+                              train_s4s_alt, train_schedule_only)
 
 FAST_TEACHER = TeacherConfig(kind="fine_fixed", fine_nfe=60)
 
@@ -83,8 +83,7 @@ class TestTrainS4s:
         cfg = TrainConfig(epochs=2, batch_size=10, seed=0, radius_override=0.0)
         result = train_s4s(dataset, coeffs, grid, ve, mixture, cfg)
         assert result.status == "ok"
-        n = dataset.n_train
-        assert np.array_equal(dataset.x_prime[:n], dataset.x_init[:n])
+        assert np.array_equal(result.x_prime, dataset.x_init[: dataset.n_train])
 
     def test_self_distillation_is_stationary(self, problem):
         ve, mixture, grid, coeffs, dataset = problem
@@ -127,11 +126,10 @@ class TestTrainS4s:
         cfg = TrainConfig(epochs=3, batch_size=10, seed=0)
         result = train_s4s(dataset, coeffs, grid, ve, mixture, cfg)
         radius = result.r * ve.tilde_sigma
-        n = dataset.n_train
-        gaps = np.linalg.norm(dataset.x_prime[:n] - dataset.x_init[:n], axis=-1)
+        gaps = np.linalg.norm(result.x_prime - dataset.x_init[: dataset.n_train], axis=-1)
         assert np.all(gaps <= radius + 1e-12)
         moved = np.count_nonzero(gaps > 0)
-        assert moved > 0  # the perturbed inputs persist in the dataset
+        assert moved > 0  # the run returns the perturbed inputs it moved
 
     def test_divergence_restores_last_checkpoint(self, problem):
         ve, mixture, grid, coeffs, dataset = problem
@@ -150,6 +148,34 @@ class TestTrainS4s:
         assert np.array_equal(runs[0].coeffs.values, runs[1].coeffs.values)
 
 
+@pytest.mark.parametrize("mode, overrides", [
+    *((mode, {}) for mode in TRAIN_MODES),
+    ("s4s", {"lr_coeffs": 1e160}),
+], ids=[*TRAIN_MODES, "s4s-diverged"])
+def test_training_leaves_its_dataset_alone(problem, mode, overrides):
+    # the perturbed inputs are the run's own state: training the same dataset
+    # object twice gives the same solver, and the dataset keeps its bits
+    ve, mixture, grid, coeffs, dataset = problem
+    records = dataset.records.copy()
+    cfg = TrainConfig(epochs=2, alternations=1, phase_epochs=1, batch_size=10, seed=0,
+                      **overrides)
+    first, second = (train_in_mode(mode, dataset, coeffs, grid, ve, mixture, cfg, 0.5)
+                     for _ in range(2))
+    assert dataset.records.tobytes() == records.tobytes()
+    assert first.status == ("diverged" if overrides else "ok")
+    assert np.array_equal(first.coeffs.values, second.coeffs.values)
+    if mode != "s4s":
+        assert np.array_equal(first.params.xi, second.params.xi)
+        assert np.array_equal(first.params.xi_c, second.params.xi_c)
+    x = dataset.x_init[: dataset.n_train]
+    assert first.x_prime.shape == x.shape
+    assert np.array_equal(first.x_prime, second.x_prime)
+    assert np.all(np.linalg.norm(first.x_prime - x, axis=-1)
+                  <= first.r * ve.tilde_sigma + 1e-12)
+    if not overrides:
+        assert not np.array_equal(first.x_prime, x)
+
+
 class TestAlternatingAndJoint:
     def test_zero_alternations_returns_inputs(self, problem):
         ve, mixture, grid, coeffs, dataset = problem
@@ -163,8 +189,8 @@ class TestAlternatingAndJoint:
         ve, mixture, grid, coeffs, dataset = problem
         params = LearnableTimeParams.from_grid(grid, ve)
         cfg = TrainConfig(epochs=3, batch_size=10, seed=3, lr_time=0.0)
-        joint = train_joint(_clone(dataset, ve, mixture), coeffs, params, ve, mixture, cfg)
-        s4s = train_s4s(_clone(dataset, ve, mixture), coeffs, grid, ve, mixture,
+        joint = train_joint(dataset, coeffs, params, ve, mixture, cfg)
+        s4s = train_s4s(dataset, coeffs, grid, ve, mixture,
                         dataclasses.replace(cfg, radius_override=joint.r))
         assert np.allclose(joint.coeffs.values, s4s.coeffs.values, rtol=0, atol=1e-12)
 
@@ -172,9 +198,9 @@ class TestAlternatingAndJoint:
         ve, mixture, grid, coeffs, dataset = problem
         params = LearnableTimeParams.from_grid(grid, ve)
         cfg = TrainConfig(epochs=3, batch_size=10, seed=3, lr_coeffs=0.0)
-        joint = train_joint(_clone(dataset, ve, mixture), coeffs, params, ve, mixture, cfg)
-        sched = train_schedule_only(_clone(dataset, ve, mixture), coeffs, params, ve,
-                                    mixture, dataclasses.replace(cfg, radius_override=joint.r))
+        joint = train_joint(dataset, coeffs, params, ve, mixture, cfg)
+        sched = train_schedule_only(dataset, coeffs, params, ve, mixture,
+                                    dataclasses.replace(cfg, radius_override=joint.r))
         assert np.allclose(joint.params.xi, sched.params.xi, rtol=0, atol=1e-12)
         assert np.array_equal(joint.coeffs.values, coeffs.values)
 
@@ -188,7 +214,7 @@ class TestAlternatingAndJoint:
         assert np.array_equal(result.params.xi, params.xi)
         assert np.array_equal(result.grid.steps, materialize(params, ve).steps)
         assert np.array_equal(result.coeffs.values, coeffs.values)
-        assert np.array_equal(dataset.x_prime, dataset.x_init)
+        assert np.array_equal(result.x_prime, dataset.x_init[: dataset.n_train])
 
     def test_alternating_shares_input_pool_and_radius(self, problem):
         ve, mixture, grid, coeffs, dataset = problem
@@ -249,18 +275,12 @@ class TestEvaluate:
         assert "dataset" not in names and "records" not in names
 
 
-def _clone(dataset, schedule, model):
-    return generate_dataset(FAST_TEACHER, schedule, model, len(dataset.records),
-                            seed=dataset.seed,
-                            val_fraction=dataset.n_val / len(dataset.records))
-
-
 def test_joint_vs_alternating_comparison_records_both(problem, capsys):
     # the ablation harness output: both losses recorded for comparison
     ve, mixture, grid, coeffs, dataset = problem
     params = LearnableTimeParams.from_grid(grid, ve)
     cfg = TrainConfig(epochs=4, alternations=2, phase_epochs=1, batch_size=10, seed=2)
-    joint = train_joint(_clone(dataset, ve, mixture), coeffs, params, ve, mixture, cfg)
-    alt = train_s4s_alt(_clone(dataset, ve, mixture), coeffs, params, ve, mixture, cfg)
+    joint = train_joint(dataset, coeffs, params, ve, mixture, cfg)
+    alt = train_s4s_alt(dataset, coeffs, params, ve, mixture, cfg)
     assert np.isfinite(joint.final_val_loss) and np.isfinite(alt.final_val_loss)
     print(f"joint {joint.final_val_loss:.6f} vs alternating {alt.final_val_loss:.6f}")
