@@ -108,11 +108,12 @@ def read(path, magic: bytes, version: int):
     return header, arrays
 
 
-def require(path, header: dict, names, prefix=""):
-    """CompatibilityError naming ``path`` and the first of ``names`` not in ``header``."""
+def require(path, fields: dict, names, prefix="", what="header field"):
+    """CompatibilityError naming ``path`` and the first of ``names`` not in ``fields``
+    (a header, or the arrays :func:`read` returns with ``what="array"``)."""
     for name in names:
-        if name not in header:
-            raise CompatibilityError(f"{path}: header has no {prefix + name!r} field")
+        if name not in fields:
+            raise CompatibilityError(f"{path}: no {what} {prefix + name!r}")
 
 
 def reshaped(path, array: np.ndarray, shape):

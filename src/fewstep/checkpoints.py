@@ -51,6 +51,8 @@ def load_checkpoint(path, expected_hash: str | None = None, force: bool = False)
     artifacts.require(path, header, ("config_hash", "solver", "extra")
                       + (("x_prime_shape",) if "x_prime" in data else ()))
     artifacts.require(path, header["solver"], _SOLVER_FIELDS, prefix="solver.")
+    artifacts.require(path, data, ("coeff_values",) + (("xi_c",) if "xi" in data else ()),
+                      what="array")
     if not force and expected_hash not in (None, header["config_hash"]):
         raise CompatibilityError(
             f"{path} was written under a different configuration "

@@ -113,6 +113,7 @@ def _reference_for(cfg: ExperimentConfig, schedule, model, teacher, seed, cache_
         if header.get("shape") != shape:
             raise CompatibilityError(f"{path} holds shape {header.get('shape')}, "
                                      f"expected {shape}")
+        artifacts.require(path, arrays, ("reference",), what="array")
         return artifacts.reshaped(path, arrays["reference"], shape)
     reference = evaluation_reference(teacher, schedule, model, N_EVAL, seed)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -32,12 +32,17 @@ The model makes no schedule call.  Its one per-time step is
 d sigma/dt)`` of the evaluation time that
 :meth:`~fewstep.schedules.NoiseSchedule.at` returns, it makes the record of
 the time: the lookup and nhiv, c, win and wout, views of one ``(J, 3+2d)``
-array.  Every other method takes that record ``p``.  Given arrays of K times,
-``prepare`` stacks the constants of all K times, and on first use the slope
-constants of the time derivative, and iterating the stack gives the K
-records; :class:`~fewstep.solvers.GridTable` keeps such a stack per model for
-the score times of its grid, so repeated solves on one grid compute no
-per-time constant.
+array.  Every other method takes that record ``p``.  Given arrays of K times
+(or their lookups as one (4, K) array), ``prepare`` stacks the constants of
+all K times in one pass, filling their factor rows column by column, and on
+first use the slope constants of the time derivative; iterating the stack
+gives the K records, and the record of one time is that of a stack of one.
+Each entry of a stack is computed as its own record would be, so a record's
+bits do not depend on the times stacked with it.
+:class:`~fewstep.solvers.GridTable` keeps such a stack per model for the
+score times of its grid, so repeated solves on one grid compute no per-time
+constant; an ss solve stacks its stage times, and the adaptive teacher the
+five stage times of each step attempt.
 
 ``evaluate(p, x)`` returns the evaluation together with the one term it
 keeps, gamma.  The reverse pass takes two methods.  ``pullback(p, x, gamma,
@@ -127,9 +132,16 @@ class GaussianMixtureScore:
         return v
 
     def _factors(self, alpha, sigma):
-        """The time factors of the kernel's columns (see :meth:`_kernel`)."""
-        d = self.dim
-        return [-0.5, -0.5 * (alpha * alpha), *(alpha,) * d, sigma, *(sigma * alpha,) * d]
+        """The time factors (K, 1, 3+2d) of the kernel's columns (see :meth:`_kernel`)
+        of the K times (alpha, sigma), each (K, 1, 1), written column by column."""
+        d = self.means.shape[1]
+        factors = np.empty(alpha.shape[:-1] + (3 + 2 * d,))
+        factors[..., :1] = -0.5
+        factors[..., 1:2] = -0.5 * (alpha * alpha)
+        factors[..., 2:2 + d] = alpha
+        factors[..., 2 + d:3 + d] = sigma
+        factors[..., 3 + d:] = sigma * alpha
+        return factors
 
     def _kernel(self, alpha, sigma, factors):
         """The kernel's columns [nhiv | c | win | wout] (..., J, 3+2d) of the times
@@ -161,24 +173,13 @@ class GaussianMixtureScore:
     def prepare(self, at):
         """The constants of the evaluation time(s) whose schedule lookup is ``at`` =
         ``(alpha, sigma, alpha', sigma')``: a :class:`Prepared` record for float
-        entries, a :class:`PreparedTimes` stack for 1-d arrays of K times."""
+        entries, a :class:`PreparedTimes` stack for 1-d arrays of K times (or a
+        (4, K) array)."""
         if isinstance(at[0], np.ndarray):
             return PreparedTimes(self, at)
-        alpha, sigma = at[0], at[1]
-        kernel = self._kernel(alpha, sigma, np.array(self._factors(alpha, sigma)))
-        return Prepared(*at, *self._columns(kernel))
+        return next(iter(PreparedTimes(self, np.array(at, dtype=float)[:, None])))
 
     # -- internals ---------------------------------------------------------
-    def _as_batch(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        x2 = x[None, :] if single else x
-        if x2.shape[-1] != self.dim:
-            raise ValueError(f"state dim {x2.shape[-1]} != model dim {self.dim}")
-        if not np.isfinite(x2).all():
-            raise FloatingPointError("non-finite state passed to score model")
-        return x2, single
-
     def _slopes(self, x, xm, gamma, at, slopes):
         """(shift, sigma shift, f): how the terms of eps move in t, from gamma, the
         projections xm = mu_j.x and the points x, at the lookups ``at`` (4, M, 1, 1)
@@ -218,7 +219,14 @@ class GaussianMixtureScore:
         FloatingPointError if x is not finite: every model's ``evaluate`` rejects
         a non-finite point, and :func:`~fewstep.solvers.solve` checks no state
         that a row evaluates."""
-        x2, single = self._as_batch(x)
+        x2 = np.asarray(x, dtype=float)
+        single = x2.ndim == 1
+        if single:
+            x2 = x2[None, :]
+        if x2.shape[-1] != self.means.shape[1]:
+            raise ValueError(f"state dim {x2.shape[-1]} != model dim {self.means.shape[1]}")
+        if not np.isfinite(x2).all():
+            raise FloatingPointError("non-finite state passed to score model")
         ell = p.win @ x2.T
         ell += p.nhiv * np.einsum("bd,bd->b", x2, x2)
         ell += p.c
@@ -286,12 +294,12 @@ class GaussianMixtureScore:
 
     def _stacked(self, preps):
         """(lookups (4, M, 1, 1), slope constants (3, M, J, 1)) of the M records
-        ``preps``: read from the stack the records are views of, or from a stack made
-        of their lookups."""
+        ``preps``: read from the stack the records are views of, or, for records of
+        several stacks, from a stack made of their lookups."""
         source, first = preps[0].source, preps[0].index
         index = [q.index for q in preps]
-        if source is None or any(q.source is not source for q in preps):
-            source, index = self.prepare(tuple(np.array([q[:4] for q in preps]).T)), slice(None)
+        if any(q.source is not source for q in preps):
+            source, index = self.prepare(np.array([q[:4] for q in preps]).T), slice(None)
         elif index == list(range(first, first + len(preps))):     # views, not copies
             index = slice(first, first + len(preps))
         return source.scalars[:, index, None, None], source.slopes[:, index]
@@ -303,7 +311,8 @@ class GaussianMixtureScore:
 
     def epsilon_time_partial(self, p, x):
         """d eps / d t through (alpha_t, sigma_t)."""
-        x2, single = self._as_batch(x)
+        single = np.ndim(x) == 1
+        x2 = np.atleast_2d(np.asarray(x, dtype=float))
         gamma = self.evaluate(p, x2)[1]
         shift, sigma_shift, f = self._slopes(x2, self.means @ x2.T, gamma, *self._stacked([p]))
         w = gamma * f[0] / self._variances(p.alpha, p.sigma)
@@ -317,11 +326,10 @@ class Prepared(NamedTuple):
     (alpha, sigma, alpha', sigma') alone, for :meth:`~GaussianMixtureScore.evaluate`
     and :meth:`~GaussianMixtureScore.pullback`.
 
-    The arrays are views of the time's columns of the kernel (see
-    :meth:`~GaussianMixtureScore._kernel`).  A record taken from a
-    :class:`PreparedTimes` stack reads the time derivative's constants from it
-    (``source``, ``index``); a record of its own has them made from its lookup
-    when asked.
+    Every record is entry ``index`` of a :class:`PreparedTimes` stack
+    (``source``): its arrays are views of the time's columns of the stack's
+    kernel (see :meth:`~GaussianMixtureScore._kernel`), and it reads the time
+    derivative's constants from the stack.
     """
 
     alpha: float
@@ -332,8 +340,8 @@ class Prepared(NamedTuple):
     c: np.ndarray                # nhiv alpha^2 |mu_j|^2 + log w_j - d/2 log(2 pi v) (J, 1)
     win: np.ndarray              # alpha mu / v (J, d)
     wout: np.ndarray             # sigma [1/v | alpha mu / v] (J, 1+d)
-    source: "PreparedTimes | None" = None
-    index: int = 0
+    source: "PreparedTimes"
+    index: int
 
 
 class PreparedTimes:
@@ -347,11 +355,10 @@ class PreparedTimes:
     __slots__ = ("model", "scalars", "kernel", "_slopes")
 
     def __init__(self, model: GaussianMixtureScore, at):
-        alpha, sigma, d_alpha, d_sigma = (np.asarray(c, dtype=float) for c in at)
         self.model = model
-        self.scalars = np.stack([alpha, sigma, d_alpha, d_sigma])
-        factors = np.stack(np.broadcast_arrays(*model._factors(alpha, sigma)), axis=-1)
-        self.kernel = model._kernel(alpha[:, None, None], sigma[:, None, None], factors[:, None])
+        self.scalars = np.array(at, dtype=float)
+        alpha, sigma = self.scalars[:2, :, None, None]
+        self.kernel = model._kernel(alpha, sigma, model._factors(alpha, sigma))
         self._slopes = None
 
     def __len__(self):

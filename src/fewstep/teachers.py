@@ -9,13 +9,19 @@ because it carries its own truncation error).
 The adaptive pair is Dormand-Prince 5(4), implemented here with SciPy's
 ``RK45`` tableau, first-step rule, RMS error norm, step factors and
 operation order, so it reproduces ``solve_ivp(..., method="RK45")`` bit for
-bit without importing SciPy; its right-hand side makes one ``schedule.at``
-lookup per distinct time (a step's last stage and its FSAL call share one),
-forms f and g^2 from it as ``schedule.f`` and ``schedule.g_sq`` do and
-prepares the model once from it, so the labels are those of ``solve_ivp`` on
-that RHS.  The whole batch is one
-system: one error norm and one step sequence serve every record, so a label
-depends (within the tolerance) on the batch it was solved in.
+bit without importing SciPy.  Before each step attempt's stages run, the
+pair hands their five times ``t + c h`` to the right-hand side, which looks
+each up with one scalar ``schedule.at``, forms f and g^2 from it as
+``schedule.f`` and ``schedule.g_sq`` do, and prepares the five in one stacked
+``model.prepare``; the stages and the attempt's first-same-as-last call (at
+``t + h``, the last stage's time) read those records, and only the start
+time and the first-step probe are prepared alone.  The right-hand side is
+``f x + g^2/(2 sigma) eps``, with eps scaled in the new array
+``model.epsilon`` returns, so the labels are those of ``solve_ivp`` on that
+RHS.  The teacher reaches the model only through its protocol.  The whole
+batch is one system: one error norm and one step sequence serve every
+record, so a label depends (within the tolerance) on the batch it was
+solved in.
 
 A :class:`Dataset` is columnar: row i stacks initial noise draw i and the
 teacher's output for it, and nothing writes into it once made; on disk it is
@@ -118,6 +124,7 @@ _RK_A = np.array([
 ])
 _RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
 _RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK_STAGES = [(s, _RK_A[s, :s]) for s in range(1, len(_RK_B))]   # (s, stage s's weights)
 _RK_ERROR_EXPONENT = -1 / 5          # -1 / (error estimator order + 1)
 _RK_SAFETY, _RK_MIN_FACTOR, _RK_MAX_FACTOR = 0.9, 0.2, 10
 
@@ -143,12 +150,15 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _rk45(fun, t0: float, y0, t_bound: float, rtol: float, atol: float):
+def _rk45(fun, t0: float, y0, t_bound: float, rtol: float, atol: float, before_stages=None):
     """Integrate ``y' = fun(t, y)`` (``y`` flat) from ``t0`` to ``t_bound``; the final state.
 
     The error of each step is the RMS norm over the whole vector, so every
     component shares one step sequence.  AccuracyError when the step falls
-    below ten ulps of ``t``.
+    below ten ulps of ``t``.  ``before_stages``, if given, is called with the
+    list of each step attempt's five stage times ``t + c h`` before ``fun`` is
+    called at them; the last is ``t + h``, the time of the attempt's
+    first-same-as-last call too.
     """
     t, t_bound, y = float(t0), float(t_bound), np.asarray(y0, dtype=float)
     rtol = max(rtol, 100 * np.finfo(float).eps)
@@ -169,9 +179,12 @@ def _rk45(fun, t0: float, y0, t_bound: float, rtol: float, atol: float):
                 t_new = t_bound
             h = t_new - t
             h_abs = np.abs(h)
+            times = [t + c * h for c in _RK_C[1:]]
+            if before_stages is not None:
+                before_stages(times)
             K[0] = f
-            for s, (a, c) in enumerate(zip(_RK_A[1:], _RK_C[1:]), start=1):
-                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a[:s]) * h)
+            for (s, a), t_stage in zip(_RK_STAGES, times):
+                K[s] = fun(t_stage, y + np.dot(K[:s].T, a) * h)
             y_new = y + h * np.dot(K[:-1].T, _RK_B)
             f_new = K[-1] = fun(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -187,21 +200,38 @@ def _rk45(fun, t0: float, y0, t_bound: float, rtol: float, atol: float):
     return y
 
 
+def _rhs_constants(at, p):
+    """(f, g^2/(2 sigma), p) at the time whose lookup is ``at`` and prepared record ``p``."""
+    a, s, da, ds = at
+    f = da / a                      # as schedule.f and schedule.g_sq form them
+    gs = 2.0 * s * ds - 2.0 * f * s * s
+    return f, gs / (2.0 * s), p
+
+
 def _adaptive_rk_solve(config, schedule, model, x_init):
     x = np.asarray(x_init, dtype=float)
-    last_t = f = scale = p = None    # f, g^2/(2 sigma) and the prepared record at last_t
+    known = {}      # time -> its _rhs_constants, for the current step attempt's stages
+
+    def prepare_stages(times):
+        nonlocal known
+        lookups = [schedule.at(t) for t in times]
+        known = dict(zip(times, map(_rhs_constants, lookups,
+                                    model.prepare(np.array(lookups).T))))
 
     def rhs(t, y):
-        nonlocal last_t, f, scale, p
-        if t != last_t:         # each RK45 step's last stage and its FSAL call share t + h
-            a, s, da, ds = at = schedule.at(t)
-            f = da / a                      # as schedule.f and schedule.g_sq form them
-            gs = 2.0 * s * ds - 2.0 * f * s * s
-            last_t, scale, p = t, gs / (2.0 * s), model.prepare(at)
+        constants = known.get(t)
+        if constants is None:       # a time no attempt announced: t0, the first-step probe
+            at = schedule.at(t)
+            constants = _rhs_constants(at, model.prepare(at))
+        f, scale, p = constants
         state = y.reshape(x.shape)
-        return (f * state + scale * model.epsilon(p, state)).ravel()
+        out = model.epsilon(p, state)
+        out *= scale
+        out += f * state                # = f state + scale eps: + and * commute exactly
+        return out.ravel()
 
-    y = _rk45(rhs, schedule.T, x.ravel(), schedule.t_min, config.rel_tol, config.abs_tol)
+    y = _rk45(rhs, schedule.T, x.ravel(), schedule.t_min, config.rel_tol, config.abs_tol,
+              before_stages=prepare_stages)
     return y.reshape(x.shape)
 
 
@@ -255,6 +285,7 @@ def load_dataset(path) -> Dataset:
     """Read a ``.fsd`` file; CompatibilityError naming ``path`` if it does not load."""
     header, arrays = artifacts.read(path, _DATASET_MAGIC, DATASET_VERSION)
     artifacts.require(path, header, ("dim", "n_train", "seed", "teacher_kind"))
+    artifacts.require(path, arrays, ("records",), what="array")
     records = artifacts.reshaped(path, arrays["records"], (-1, 2, header["dim"]))
     n_train = header["n_train"]
     if not (isinstance(n_train, int) and 0 <= n_train <= len(records)):

@@ -227,6 +227,38 @@ def test_header_without_a_field_it_reads_is_refused(tmp_path, ve, suffix, field)
         load(path)
 
 
+@pytest.mark.parametrize("suffix, array", [
+    ("fsd", "records"), ("fsc", "coeff_values"), ("fsc", "xi_c"), ("fsr", "reference"),
+])
+def test_container_without_an_array_it_reads_is_refused(tmp_path, ve, suffix, array):
+    # a loader names the file and the array it misses, not a bare KeyError
+    path = tmp_path / f"lacking.{suffix}"
+    if suffix == "fsd":
+        save_dataset(Dataset(np.zeros((3, 2, 2)), n_train=2, seed=0,
+                             teacher_kind="adaptive_rk"), path)
+        magic, version, load = b"FSTDATA1", DATASET_VERSION, load_dataset
+    elif suffix == "fsc":
+        grid = heuristic_grid(ve, 4, "logsnr")
+        save_checkpoint(path, init_preset("lms", 2, 4, "ipndm", schedule=ve, grid=grid),
+                        "a" * 64, params=LearnableTimeParams.from_grid(grid, ve))
+        magic, version, load = b"FSTCKPT1", CHECKPOINT_VERSION, load_checkpoint
+    else:
+        cfg = tiny_config()
+        schedule, model, teacher, _, _ = experiments.build_cell(cfg, 4)
+        path = tmp_path / f"reference_{experiments._cache_tag(cfg, experiments.N_EVAL, 1)}.fsr"
+        magic, version = experiments._REFERENCE_MAGIC, 1
+        artifacts.write(path, magic, {"version": version, "shape": [experiments.N_EVAL, 2]},
+                        {"reference": np.zeros((experiments.N_EVAL, 2))})
+
+        def load(path):
+            return experiments._reference_for(cfg, schedule, model, teacher, 1, tmp_path)
+    header, arrays = artifacts.read(path, magic, version)
+    del arrays[array]
+    artifacts.write(path, magic, header, arrays)
+    with pytest.raises(CompatibilityError, match=rf"{path.name}.*array '{array}'"):
+        load(path)
+
+
 class TestCells:
     def test_infeasible_cell_marked(self):
         cfg = tiny_config(solver=SolverSpec(kind="lms", order=6, preset="ipndm"))

@@ -1,5 +1,7 @@
 """Every name a package module imports is used there (``__init__`` re-exports aside),
-and the package neither imports nor loads SciPy: it is only the tests' oracle."""
+the package neither imports nor loads SciPy (it is only the tests' oracle), and
+only ``scores`` reads a model's private attributes: every other module reaches a
+model through its protocol."""
 
 import ast
 import pathlib
@@ -65,3 +67,28 @@ def test_package_import_leaves_scipy_integrate_unloaded():
             "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], check=True, cwd=SRC.parent,
                    capture_output=True, timeout=120)
+
+
+def private_model_reads(source: str) -> list:
+    """Each read of a private attribute of a model, ``model._x`` or ``<...>.model._x``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            owner = node.value
+            if (owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)) \
+                    == "model":
+                found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, _, text in sorted(found)]
+
+
+def test_private_model_scanner_flags_only_private_model_attributes():
+    source = ("model._kernel(1)\nx = self.model._basis\nmodel.prepare(at)\n"
+              "other._x\nmodel.__class__\n")
+    assert private_model_reads(source) == ["line 1: model._kernel", "line 2: self.model._basis"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scores.py"],
+                         ids=lambda p: p.name)
+def test_only_scores_reads_private_model_attributes(path):
+    assert private_model_reads(path.read_text()) == []

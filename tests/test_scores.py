@@ -405,6 +405,34 @@ class TestPrepared:
                 assert np.array_equal(mixture.epsilon_time_partial(kept, x),
                                       mixture.epsilon_time_partial(fresh, x))
 
+    @pytest.mark.parametrize("schedule_name", ["ve", "vp", "edm"])
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_stack_of_any_times_equals_records_prepared_one_at_a_time(self, request,
+                                                                     schedule_name, k,
+                                                                     mixture, rng):
+        # times in no grid, stacked from scalar lookups as the adaptive teacher
+        # stacks a step attempt's stage times, the schedule's ends among them
+        schedule = request.getfixturevalue(schedule_name)
+        ends = [schedule.t_min, schedule.T]
+        time_sets = ([[t] for t in ends] if k == 1 else
+                     [ends + list(rng.uniform(schedule.t_min, schedule.T, k - 2))])
+        for times in time_sets:
+            lookups = [schedule.at(float(t)) for t in times]
+            stack = mixture.prepare(np.array(lookups).T)
+            assert len(stack) == k
+            for t, at, kept in zip(times, lookups, stack):
+                fresh = mixture.prepare(at)
+                x = float(schedule.sigma(t)) * rng.normal(size=(5, 2))
+                cot = rng.normal(size=(5, 2))
+                for prediction in ("noise", "data"):
+                    e, terms = mixture.evaluate(kept, x, prediction)
+                    e_ref, terms_ref = mixture.evaluate(fresh, x, prediction)
+                    assert np.array_equal(e, e_ref) and np.array_equal(terms, terms_ref)
+                xbar, products = mixture.pullback(kept, x, terms, cot)
+                xbar_ref, products_ref = mixture.pullback(fresh, x, terms_ref, cot)
+                assert np.array_equal(xbar, xbar_ref)
+                assert all(np.array_equal(u, v) for u, v in zip(products, products_ref))
+
     def test_stack_builds_pullback_constants_on_first_use(self, vp, mixture):
         stack = mixture.prepare(vp.at(np.array([1.0, 0.5, 0.1])))
         assert stack._slopes is None and len(stack) == 3

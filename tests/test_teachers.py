@@ -164,6 +164,30 @@ class TestRk45:
         assert np.array_equal(out, ref.reshape(x.shape))
 
 
+@pytest.mark.parametrize("schedule", [VeSchedule(), VpLinearSchedule()], ids=["ve", "vp"])
+def test_each_step_attempt_prepares_its_stage_times_in_one_call(schedule, mixture, rng,
+                                                                counting, monkeypatch):
+    # t0 and the first-step probe are prepared alone, each step attempt's five
+    # stage times in one stacked call that its first-same-as-last call reads
+    # too, so no time is prepared twice
+    calls = []
+    counted = GaussianMixtureScore.prepare
+
+    def prepare(self, at):
+        calls.append(np.size(at[0]))
+        return counted(self, at)
+
+    monkeypatch.setattr(GaussianMixtureScore, "prepare", prepare)
+    batch = 20
+    x = schedule.tilde_sigma * rng.standard_normal((batch, 2))
+    teacher_solve(TeacherConfig(kind="adaptive_rk"), schedule, mixture, x)
+    rhs_calls = counting["evaluate"] // batch     # two choose the first step, six per attempt
+    attempts = (rhs_calls - 2) // 6
+    assert attempts > 0 and rhs_calls == 2 + 6 * attempts
+    assert counting["prepare"] == 2 + 5 * attempts
+    assert len(calls) <= attempts + 2
+
+
 @pytest.mark.parametrize("kind", TEACHER_KINDS)
 def test_empty_batch_gives_an_empty_result_without_integrating(kind, monkeypatch):
     def no_integration(*args):
