@@ -24,10 +24,17 @@ as the forward loop does.  For data prediction the pullback of eps is wrapped
 in the chain rule of x_hat = (x - sigma eps) / alpha, for every model alike.
 
 The batched pass then forms every scalar contraction over all M evaluations
-of the trace at once: the time derivatives, through the model's one
-``time_derivatives`` over what the pullbacks returned (with the data
-prediction's chain-rule dots), and the dots of each row's cotangent with its
-evaluations (its weight slots) and, for wrapper rows, with x_{i-1} (R_i, S_i).
+of the trace at once, in two parts.  ``backward`` forms the coefficient
+part: the dots of each row's cotangent with its evaluations, which its
+weight slots take.  The time part forms the time derivatives, through the
+model's one ``time_derivatives`` over what the pullbacks returned (with the
+data prediction's chain-rule dots), the dots of each wrapper row's cotangent
+with x_{i-1} and of its weights with its evaluation dots (R_i, S_i), the
+step and score times, and their pullback to (xi, xi_c).  It runs when a time
+block of the result is first read (:class:`AdjointResult`), so a step on
+the coefficients alone never pays for it.  An ``ss`` stage's offset ``c`` is
+a coefficient that its time derivative feeds, so for ``ss`` the time
+derivatives are contracted in ``backward`` and the time part reuses them.
 Each dot is the same pairwise sum over the same contiguous products as a
 dot taken alone, and the scalars are accumulated into the weight slots, the
 ``c`` slots and the step and score times in the order of the sweep, so the
@@ -42,7 +49,7 @@ zero gradient when saturated.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 
 import numpy as np
 
@@ -52,16 +59,33 @@ from .schedules import NoiseSchedule
 from .solvers import GridTable, SolveTrace, row_weights
 
 
-@dataclasses.dataclass
-class AdjointResult:
-    """Gradient blocks, index-compatible with their primals."""
+def _time_block(index):
+    return property(lambda self: self._time[index])
 
-    grad_coeffs: np.ndarray
-    grad_x0: np.ndarray
-    grad_steps: np.ndarray
-    grad_score_times: np.ndarray
-    grad_xi: np.ndarray | None = None
-    grad_xi_c: np.ndarray | None = None
+
+class AdjointResult:
+    """Gradient blocks, index-compatible with their primals.
+
+    :func:`backward` forms ``grad_coeffs`` and ``grad_x0``.  The time blocks,
+    ``grad_steps``, ``grad_score_times`` and, when ``backward`` was given the
+    time parameters, ``grad_xi`` and ``grad_xi_c`` (else None), are contracted
+    together when the first of them is read, and kept.  They are contracted
+    from the trace and from what ``backward`` captured (a copy of the
+    coefficients, the dots, the pullback products and a copy of the time
+    parameters), so a step taken on the coefficients or the time parameters in
+    between does not move them.
+    """
+
+    grad_steps, grad_score_times, grad_xi, grad_xi_c = map(_time_block, range(4))
+
+    def __init__(self, grad_coeffs: np.ndarray, grad_x0: np.ndarray, contract_time):
+        self.grad_coeffs, self.grad_x0 = grad_coeffs, grad_x0
+        self._contract_time = contract_time
+
+    @functools.cached_property
+    def _time(self):
+        blocks, self._contract_time = self._contract_time(), None     # drop the captures
+        return blocks
 
 
 def loss_and_cotangent(outputs, targets):
@@ -94,7 +118,8 @@ def backward(
 
     Pass the coefficients and the grid the trace was produced with: the rows'
     weights are read from ``coeffs.values``.  Pass the learnable parameters
-    the grid was materialized from to get cotangents on (xi, xi_c) too.
+    the grid was materialized from to get cotangents on (xi, xi_c) too.  The
+    time blocks are contracted when first read (see :class:`AdjointResult`).
     """
     n = coeffs.n_steps
     if grid.n_steps != n or trace.kind != coeffs.kind:
@@ -114,10 +139,10 @@ def backward(
     m = n_evals = len(evals)
     ebars = np.zeros((n_evals,) + xbar.shape)
     ebar, products = list(ebars), [None] * n_evals
-    # each row's cotangent and weights in sweep order, and the pairs (row, array)
-    # whose dots its weight slots and R, S take: its evaluations, then x_{i-1}
-    # for a wrapper row, as indices into evals + states
-    ybars, weights, pair_rows, pair_others = [], [], [], []
+    # each row's cotangent in sweep order, the pairs (row, evaluation) whose dots
+    # its weight slots take, and per wrapper row the pair (row, step i-1) whose
+    # dot with x_{i-1} R_i takes
+    ybars, pair_rows, pair_evals, wrapper_rows, wrapper_states = [], [], [], [], []
 
     # sequential sweep: the cotangents of the states and the evaluations
     for i in range(len(plan.steps) - 1, -1, -1):
@@ -135,12 +160,12 @@ def backward(
                     zbar, products[m] = model.pullback(preps[m], points[m], terms[m], cot)
                 ybar = zbar if ybar is None else ybar + zbar
             w = row_weights(values, row)
-            pair_rows += [len(ybars)] * (len(row.m) + row.wrapper)
-            pair_others += row.m
+            pair_rows += [len(ybars)] * len(row.m)
+            pair_evals += row.m
             ybars.append(ybar)
-            weights.append(w)
             if row.wrapper:
-                pair_others.append(n_evals + i - 1)
+                wrapper_rows.append(len(ybars) - 1)
+                wrapper_states.append(i - 1)
                 scale, share = -S[i - 1], R[i - 1] * ybar
             else:
                 scale, share = 1.0, ybar
@@ -151,63 +176,83 @@ def backward(
         if xprev_bar is not None:
             xbar = xprev_bar
 
-    # batched pass: every scalar contraction over the trace
-    tdots = model.time_derivatives(preps, points, terms, products)
-    if data:        # eps is read back from the kept x_hat
-        a, s, da, ds = np.array([prep[:4] for prep in preps]).T
-        e = _flat(evals)
-        eps = (_flat(points) - a[:, None] * e) / s[:, None]
-        cots = ebars.reshape(n_evals, -1)
-        tdots = tdots - (ds * _row_dots(cots, eps) + da * _row_dots(cots, e)) / a
-    dots = _row_dots(_flat(ybars)[pair_rows], _flat(evals + trace.states)[pair_others])
+    # batched pass: the dots of each row's cotangent with its evaluations
+    ybars, flat_evals = _flat(ybars), _flat(evals)
+    dots = _row_dots(ybars[pair_rows], flat_evals[pair_evals]).tolist()
 
-    # the scalar accumulations, in the order of the sweep
-    grad_values, tbar, tcbar = [0.0] * len(values), [0.0] * (n + 1), [0.0] * (n + 1)
-    dR_p, dR_n, dS_p, dS_n = table.partials
-    tdots, dots, weights = tdots.tolist(), dots.tolist(), iter(weights)
-    m, p = n_evals, 0
+    def time_dots():
+        """cot_m . d e_m/dt of every evaluation: the model's time derivatives, with
+        the data prediction's chain-rule dots (eps is read back from the kept x_hat)."""
+        tdots = model.time_derivatives(preps, points, terms, products)
+        if data:
+            a, s, da, ds = np.array([prep[:4] for prep in preps]).T
+            eps = (_flat(points) - a[:, None] * flat_evals) / s[:, None]
+            cots = ebars.reshape(n_evals, -1)
+            tdots = tdots - (ds * _row_dots(cots, eps) + da * _row_dots(cots, flat_evals)) / a
+        return tdots.tolist()
+
+    # the coefficient accumulations, in the order of the sweep; an ss stage's
+    # offset c is a coefficient, so ss contracts its time derivatives here, each
+    # unclamped stage's taken through d lambda
+    stage_dots = time_dots() if coeffs.kind == "ss" else None
+    grad_values, m, p = [0.0] * len(values), n_evals, 0
     for i in range(len(plan.steps) - 1, -1, -1):
-        rbar = sbar = 0.0
         for row in reversed(plan.steps[i]):
-            w = next(weights)
             if row.evaluated:
                 m -= 1
-                tdot = tdots[m]
-                if row.tc is not None:
-                    tcbar[row.tc] += tdot
                 if row.lam is not None and not plan.clamped[m]:
                     # the stage time moves with lambda
                     a, s, da, ds = preps[m][:4]
-                    step, c = row.lam
-                    tdot *= 1.0 / (da / a - ds / s)
-                    if c is not None:
-                        grad_values[c] += tdot
-                    tbar[step] += tdot * table.log_snr[1][step]
+                    stage_dots[m] *= 1.0 / (da / a - ds / s)
+                    if row.lam[1] is not None:
+                        grad_values[row.lam[1]] += stage_dots[m]
             row_dots = dots[p:p + len(row.m)]
             p += len(row.m)
-            if row.wrapper:
-                rbar += dots[p]
-                p += 1
-                sbar -= float(np.dot(w, row_dots))
-                scale = -S[i - 1]
-            else:
-                scale = 1.0
+            scale = -S[i - 1] if row.wrapper else 1.0
             g = [scale * d for d in row_dots]
             if row.implied:
                 last = g.pop()
                 g = [u - last for u in g]
             for slot, u in zip(range(row.slots.start, row.slots.stop), g):
                 grad_values[slot] += u
-        if i:
-            tbar[i] += rbar * dR_n[i - 1] + sbar * dS_n[i - 1]
-            tbar[i - 1] += rbar * dR_p[i - 1] + sbar * dS_p[i - 1]
 
-    tbar, tcbar = np.array(tbar), np.array(tcbar)
-    result = AdjointResult(grad_coeffs=np.array(grad_values), grad_x0=xbar, grad_steps=tbar,
-                           grad_score_times=tcbar)
-    if params is not None:
-        result.grad_xi, result.grad_xi_c = grid_gradient_vjp(params, schedule, tbar, tcbar)
-    return result
+    time_params = None if params is None else (params.xi.copy(), params.xi_c.copy(),
+                                               params.clip_fraction)
+
+    def contract_time():
+        """(grad_steps, grad_score_times, grad_xi, grad_xi_c), accumulated in the
+        order of the sweep."""
+        tdots = stage_dots if stage_dots is not None else time_dots()
+        rdots = _row_dots(ybars[wrapper_rows], _flat(trace.states)[wrapper_states]).tolist()
+        tbar, tcbar = [0.0] * (n + 1), [0.0] * (n + 1)
+        dR_p, dR_n, dS_p, dS_n = table.partials
+        m, p, r = n_evals, 0, 0
+        for i in range(len(plan.steps) - 1, -1, -1):
+            rbar = sbar = 0.0
+            for row in reversed(plan.steps[i]):
+                if row.evaluated:
+                    m -= 1
+                    if row.tc is not None:
+                        tcbar[row.tc] += tdots[m]
+                    if row.lam is not None and not plan.clamped[m]:
+                        step = row.lam[0]
+                        tbar[step] += tdots[m] * table.log_snr[1][step]
+                row_dots = dots[p:p + len(row.m)]
+                p += len(row.m)
+                if row.wrapper:
+                    rbar += rdots[r]
+                    r += 1
+                    sbar -= float(np.dot(row_weights(values, row), row_dots))
+            if i:
+                tbar[i] += rbar * dR_n[i - 1] + sbar * dS_n[i - 1]
+                tbar[i - 1] += rbar * dR_p[i - 1] + sbar * dS_p[i - 1]
+        tbar, tcbar = np.array(tbar), np.array(tcbar)
+        if time_params is None:
+            return tbar, tcbar, None, None
+        return (tbar, tcbar, *grid_gradient_vjp(LearnableTimeParams(*time_params), schedule,
+                                                tbar, tcbar))
+
+    return AdjointResult(np.array(grad_values), xbar, contract_time)
 
 
 # ---------------------------------------------------------------------------

@@ -69,19 +69,24 @@ def inline_epsilon():
 @pytest.fixture
 def counting(monkeypatch):
     """A Counter of the rows every :class:`GaussianMixtureScore` prepares (times),
-    evaluates and pulls back (points), keyed by method name; ``epsilon`` goes
-    through ``evaluate``, so it counts once."""
+    evaluates and pulls back (points), and of its ``time_derivatives`` calls, keyed
+    by method name; ``epsilon`` goes through ``evaluate``, so it counts once."""
     counts = collections.Counter()
 
     def counted(name):
         original = getattr(GaussianMixtureScore, name)
 
         def method(self, *args):
-            counts[name] += np.size(args[0][0]) if name == "prepare" else len(np.atleast_2d(args[1]))
+            if name == "prepare":
+                counts[name] += np.size(args[0][0])
+            elif name == "time_derivatives":
+                counts[name] += 1
+            else:
+                counts[name] += len(np.atleast_2d(args[1]))
             return original(self, *args)
         return method
 
-    for name in ("prepare", "evaluate", "pullback"):
+    for name in ("prepare", "evaluate", "pullback", "time_derivatives"):
         monkeypatch.setattr(GaussianMixtureScore, name, counted(name))
     return counts
 

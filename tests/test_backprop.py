@@ -210,8 +210,9 @@ class CountingVp(VpLinearSchedule):
 @pytest.mark.parametrize("kind, preset", [("lms", "ipndm"), ("pc", "unipc"), ("ss", "gaussian")])
 @pytest.mark.parametrize("prediction", ["noise", "data"])
 def test_schedule_calls_do_not_grow_with_steps(kind, preset, prediction, mixture):
-    # once the grid's table exists, solve + backward asks the schedule the
-    # same things at every N: nothing for lms/pc, the stage-time lookup for ss
+    # once the grid's table exists, solve + backward (a time block read) asks the
+    # schedule the same things at every N: nothing for lms/pc, the stage-time
+    # lookup for ss
     schedule, x = CountingVp(), np.ones((3, 2))
     calls = []
     for n in (4, 8):
@@ -221,7 +222,7 @@ def test_schedule_calls_do_not_grow_with_steps(kind, preset, prediction, mixture
         for _ in range(2):
             CountingVp.log.clear()
             trace = solve(coeffs, schedule, grid, mixture, x)
-            backward(trace, coeffs, schedule, mixture, np.ones_like(x), grid=grid)
+            backward(trace, coeffs, schedule, mixture, np.ones_like(x), grid=grid).grad_steps
         calls.append(list(CountingVp.log))
     assert calls[0] == calls[1]
     assert calls[0] == ([] if kind != "ss" else
@@ -232,8 +233,9 @@ def test_schedule_calls_do_not_grow_with_steps(kind, preset, prediction, mixture
 @pytest.mark.parametrize("prediction", ["noise", "data"])
 def test_model_prepares_nothing_once_the_table_exists(kind, preset, prediction, mixture,
                                                       counting):
-    # the grid's table keeps the model's constants of its score times, so
-    # solve + backward prepare nothing for lms/pc, and the k*N stage times for ss
+    # the grid's table keeps the model's constants of its score times, so solve +
+    # backward (a time block read) prepare nothing for lms/pc, and the k*N stage
+    # times for ss
     schedule, x = VpLinearSchedule(), np.ones((3, 2))
     for n in (4, 8):
         grid = heuristic_grid(schedule, n, "logsnr")
@@ -242,5 +244,54 @@ def test_model_prepares_nothing_once_the_table_exists(kind, preset, prediction, 
         solve(coeffs, schedule, grid, mixture, x)
         counting.clear()
         trace = solve(coeffs, schedule, grid, mixture, x)
-        backward(trace, coeffs, schedule, mixture, np.ones_like(x), grid=grid)
+        backward(trace, coeffs, schedule, mixture, np.ones_like(x), grid=grid).grad_steps
         assert counting["prepare"] == (0 if kind != "ss" else 2 * n)
+
+
+TIME_BLOCKS = ("grad_steps", "grad_score_times", "grad_xi", "grad_xi_c")
+
+
+@pytest.mark.parametrize("kind, preset", [("lms", "ipndm"), ("pc", "unipc"), ("ss", "dpmpp")])
+def test_time_blocks_are_contracted_once_when_first_read(kind, preset, ve, mixture, rng,
+                                                         counting):
+    # lms/pc contract the time derivatives only when a time block is read; ss, whose
+    # stage offsets are coefficients, in backward itself, and the time blocks reuse them
+    params = _random_params(ve, 5, rng)
+    grid = materialize(params, ve)
+    coeffs = init_preset(kind, 2, 5, preset, schedule=ve, grid=grid)
+    x = ve.tilde_sigma * rng.standard_normal((4, 2))
+    trace = solve(coeffs, ve, grid, mixture, x)
+    res = backward(trace, coeffs, ve, mixture, rng.standard_normal((4, 2)), grid=grid,
+                   params=params)
+    res.grad_coeffs, res.grad_x0
+    assert counting["time_derivatives"] == (kind == "ss")
+    first = [getattr(res, block) for block in TIME_BLOCKS]
+    assert counting["time_derivatives"] == 1
+    assert all(getattr(res, block) is got for block, got in zip(TIME_BLOCKS, first))
+    assert counting["time_derivatives"] == 1
+
+
+@pytest.mark.parametrize("kind, preset, prediction", [
+    ("lms", "ipndm", "noise"), ("lms", "ipndm", "data"), ("pc", "unipc", "noise"),
+    ("pc", "unipc", "data"), ("ss", "dpmpp", "noise")])
+def test_time_blocks_ignore_later_steps_on_their_inputs(kind, preset, prediction, vp,
+                                                        mixture, rng):
+    # the trainer steps coeffs.values, then params.xi and xi_c, in place before
+    # train_joint reads grad_xi: the time blocks are those of the backward call
+    params = _random_params(vp, 5, rng)
+    grid = materialize(params, vp)
+    coeffs = init_preset(kind, 2, 5, preset, schedule=vp, grid=grid, prediction=prediction)
+    if kind == "ss":        # push the last step's stage past the log-SNR range
+        coeffs.values[coeffs.ss_c_slice(5)] = 50.0
+    x = vp.tilde_sigma * rng.standard_normal((4, 2))
+    trace = solve(coeffs, vp, grid, mixture, x)
+    assert (kind == "ss") == any(d["event"] == "stage_clamp" for d in trace.diagnostics)
+    cot = rng.standard_normal((4, 2))
+    read_now = backward(trace, coeffs, vp, mixture, cot, grid=grid, params=params)
+    expected = [getattr(read_now, block) for block in TIME_BLOCKS]
+    read_later = backward(trace, coeffs, vp, mixture, cot, grid=grid, params=params)
+    coeffs.values -= 0.1 * read_later.grad_coeffs
+    params.xi += 0.2 * rng.standard_normal(params.xi.shape)
+    params.xi_c *= 10.0             # saturates the offsets' clips
+    for block, want in zip(TIME_BLOCKS, expected):
+        assert np.array_equal(getattr(read_later, block), want), block

@@ -259,6 +259,30 @@ def test_container_without_an_array_it_reads_is_refused(tmp_path, ve, suffix, ar
         load(path)
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda header, arrays: header["solver"].update(kind="zzz"), "solver"),
+    (lambda header, arrays: header["solver"].update(order=7), "solver"),
+    (lambda header, arrays: arrays.update(coeff_values=np.zeros(5)), "coeff_values"),
+    (lambda header, arrays: arrays.update(xi=np.zeros(4), xi_c=np.zeros(4)), "xi"),
+    (lambda header, arrays: arrays.update(xi_c=np.zeros(8)), "xi_c"),
+    (lambda header, arrays: header.pop("clip_fraction"), "clip_fraction"),
+    (lambda header, arrays: header.update(clip_fraction=1.5), "clip_fraction"),
+], ids=["unknown-kind", "order-above-steps", "coeff-count", "xi-length", "xi_c-length",
+        "no-clip-fraction", "clip-fraction-outside"])
+def test_checkpoint_that_does_not_fit_its_solver_is_refused(tmp_path, ve, edit, field):
+    # the loader names the file and the field that does not fit: not a bare
+    # ValueError, nor a grid of the wrong step count, nor a made-up clip fraction
+    path = tmp_path / "unfit.fsc"
+    grid = heuristic_grid(ve, 6, "logsnr")
+    save_checkpoint(path, init_preset("lms", 3, 6, "ipndm", schedule=ve, grid=grid), "a" * 64,
+                    params=LearnableTimeParams.from_grid(grid, ve, clip_fraction=0.4))
+    header, arrays = artifacts.read(path, b"FSTCKPT1", CHECKPOINT_VERSION)
+    edit(header, arrays)
+    artifacts.write(path, b"FSTCKPT1", header, arrays)
+    with pytest.raises(CompatibilityError, match=rf"unfit\.fsc.*'{field}'"):
+        load_checkpoint(path)
+
+
 class TestCells:
     def test_infeasible_cell_marked(self):
         cfg = tiny_config(solver=SolverSpec(kind="lms", order=6, preset="ipndm"))

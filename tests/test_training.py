@@ -228,6 +228,32 @@ class TestAlternatingAndJoint:
         assert result.projection_violations == 0
 
 
+class TestTimeContraction:
+    """A training iteration contracts the time derivatives only when it reads a time
+    block, or, for ss, whose stage offsets are coefficients, in every backward."""
+
+    @pytest.mark.parametrize("kind, order, preset", [("lms", 3, "ipndm"), ("pc", 3, "unipc"),
+                                                     ("ss", 2, "dpmpp")])
+    def test_s4s_contracts_time_derivatives_only_for_ss(self, problem, counting, kind, order,
+                                                        preset):
+        ve, mixture, grid, _, dataset = problem
+        coeffs = init_preset(kind, order, grid.n_steps, preset, schedule=ve, grid=grid)
+        counting.clear()
+        result = train_s4s(dataset, coeffs, grid, ve, mixture,
+                           TrainConfig(epochs=2, batch_size=10, seed=0))
+        assert result.status == "ok" and len(result.phases) == 6
+        assert counting["time_derivatives"] == (len(result.phases) if kind == "ss" else 0)
+
+    def test_s4s_alt_contracts_once_per_time_iteration(self, problem, counting):
+        ve, mixture, grid, coeffs, dataset = problem
+        params = LearnableTimeParams.from_grid(grid, ve)
+        counting.clear()
+        result = train_s4s_alt(dataset, coeffs, params, ve, mixture,
+                               TrainConfig(alternations=2, phase_epochs=1, batch_size=10, seed=0))
+        assert result.status == "ok"
+        assert counting["time_derivatives"] == result.phases.count("time") == 6
+
+
 class TestEvaluate:
     def test_teacher_as_student_is_exact(self, ve, mixture):
         teacher = TeacherConfig(kind="fine_fixed", fine_nfe=50, fine_order=3)
