@@ -5,9 +5,10 @@ backwards and return cotangents for the coefficient vector, the time
 parameters (through the schedule's analytic derivatives and the grid
 parametrization), and the initial state.
 
-The trace holds every score evaluation, the point it was made at and the
-terms the model kept for it (for the mixture score, the responsibilities, one
-``(J, B)`` array per evaluation), and its plan holds the model's prepared
+The trace holds the solve's buffer ``Z`` of every state, stage state and
+evaluation, the coefficient vectors its rows ran with, and the terms the
+model kept for each evaluation (for the mixture score, the responsibilities,
+one ``(J, B)`` array per evaluation), and its plan holds the model's prepared
 record ``prep`` of each evaluation's time, whose first four entries are the
 time's schedule lookup (alpha, sigma, alpha', sigma'), so nothing is
 evaluated again.
@@ -15,31 +16,35 @@ evaluated again.
 The reverse pass runs in two sweeps.  The sequential sweep walks the steps
 the solve ran, and each step's rows (see :mod:`~fewstep.solvers`), in
 reverse, one loop for every family, and carries only what the recurrence
-needs: the cotangents of the states and the evaluations.  A row's cotangent
-is the state's cotangent (the last row) plus, if it was evaluated, the
-x-part of its evaluation's pullback, ``model.pullback(prep, x, terms, cot)``;
-it passes that on to x_{i-1} and to the evaluations it combined, with the
-weights :func:`~fewstep.solvers.row_weights` reads from ``coeffs.values``
-as the forward loop does.  For data prediction the pullback of eps is wrapped
-in the chain rule of x_hat = (x - sigma eps) / alpha, for every model alike.
+needs: the cotangents of the states and the evaluations, in a buffer
+``Zbar`` with the slots of ``Z``.  An evaluated row first adds the x-part of
+its evaluation's pullback, ``model.pullback(prep, x, terms, cot)``, into the
+slot of the point it was made at, which completes the row's cotangent
+``Zbar[out]``; a row then hands it to its window with its coefficient vector,
+``Zbar[lo:hi] += c[:, None] * Zbar[out]``, which gives x_{i-1} and the
+evaluations it combined their shares (and the other states of the window a
+zero).  For data prediction the pullback of eps is wrapped in the chain rule
+of x_hat = (x - sigma eps) / alpha, for every model alike.
 
 The batched pass then forms every scalar contraction over all M evaluations
 of the trace at once, in two parts.  ``backward`` forms the coefficient
-part: the dots of each row's cotangent with its evaluations, which its
-weight slots take.  The time part forms the time derivatives, through the
-model's one ``time_derivatives`` over what the pullbacks returned (with the
-data prediction's chain-rule dots), the dots of each wrapper row's cotangent
-with x_{i-1} and of its weights with its evaluation dots (R_i, S_i), the
-step and score times, and their pullback to (xi, xi_c).  It runs when a time
-block of the result is first read (:class:`AdjointResult`), so a step on
-the coefficients alone never pays for it.  An ``ss`` stage's offset ``c`` is
-a coefficient that its time derivative feeds, so for ``ss`` the time
-derivatives are contracted in ``backward`` and the time part reuses them.
-Each dot is the same pairwise sum over the same contiguous products as a
-dot taken alone, and the scalars are accumulated into the weight slots, the
-``c`` slots and the step and score times in the order of the sweep, so the
-result is the bits of contracting one row at a time.  The wrapper factors,
-their t-partials and d lambda/dt at the steps come from the grid's
+part: the dot of each row's cotangent with each evaluation it combined,
+taken from ``Z`` and ``Zbar`` by the layout's index arrays, which the row's
+weight slots take, times -S_i for a wrapper row; the implied pc weight's dot
+is taken off each of its row's slots.  The time part forms the time
+derivatives, through the model's one ``time_derivatives`` over what the
+pullbacks returned (with the data prediction's chain-rule dots), the dots of
+each wrapper row's cotangent with x_{i-1} and of its weights with its
+evaluation dots (R_i, S_i), the step and score times, and their pullback to
+(xi, xi_c).  It runs when a time block of the result is first read
+(:class:`AdjointResult`), so a step on the coefficients alone never pays for
+it.  An ``ss`` stage's offset ``c`` is a coefficient that its time
+derivative feeds, so for ``ss`` the time derivatives are contracted in
+``backward`` and the time part reuses them.  Each dot is the same pairwise
+sum over the same contiguous products as a dot taken alone, and the scalars
+are accumulated into the weight slots, the ``c`` slots and the step and
+score times in the order of the sweep.  The wrapper factors, their
+t-partials and d lambda/dt at the steps come from the grid's
 :class:`~fewstep.solvers.GridTable`, so a sweep over a grid whose table
 exists asks the schedule nothing, and the model prepares nothing.
 
@@ -56,7 +61,7 @@ import numpy as np
 from .coeffs import SolverCoefficients
 from .grids import LearnableTimeParams, TimeGrid, grid_gradient_vjp, materialize
 from .schedules import NoiseSchedule
-from .solvers import GridTable, SolveTrace, row_weights
+from .solvers import GridTable, SolveTrace, _buffer, _spread
 
 
 def _time_block(index):
@@ -70,10 +75,10 @@ class AdjointResult:
     ``grad_steps``, ``grad_score_times`` and, when ``backward`` was given the
     time parameters, ``grad_xi`` and ``grad_xi_c`` (else None), are contracted
     together when the first of them is read, and kept.  They are contracted
-    from the trace and from what ``backward`` captured (a copy of the
-    coefficients, the dots, the pullback products and a copy of the time
-    parameters), so a step taken on the coefficients or the time parameters in
-    between does not move them.
+    from the trace (whose coefficient vectors are the solve's own) and from
+    what ``backward`` captured (the cotangent buffer, the dots, the pullback
+    products and a copy of the time parameters), so a step taken on the
+    coefficients or the time parameters in between does not move them.
     """
 
     grad_steps, grad_score_times, grad_xi, grad_xi_c = map(_time_block, range(4))
@@ -94,11 +99,6 @@ def loss_and_cotangent(outputs, targets):
     return float(np.mean(resid * resid)), 2.0 * resid / resid.size
 
 
-def _flat(arrays) -> np.ndarray:
-    """Arrays of one shape as the rows of one (len(arrays), size) array."""
-    return np.concatenate(arrays).reshape(len(arrays), -1)
-
-
 def _row_dots(a, b) -> np.ndarray:
     """The dot of each row pair of two (P, size) arrays, each the pairwise sum over
     its contiguous products, so row k is ``float((a_k * b_k).sum())``."""
@@ -116,105 +116,78 @@ def backward(
 ) -> AdjointResult:
     """Exact reverse-mode derivative of x0 -> solve -> loss.
 
-    Pass the coefficients and the grid the trace was produced with: the rows'
-    weights are read from ``coeffs.values``.  Pass the learnable parameters
+    Pass the coefficients and the grid the trace was produced with; the rows run
+    with the coefficient vectors the trace kept.  Pass the learnable parameters
     the grid was materialized from to get cotangents on (xi, xi_c) too.  The
     time blocks are contracted when first read (see :class:`AdjointResult`).
     """
     n = coeffs.n_steps
     if grid.n_steps != n or trace.kind != coeffs.kind:
         raise ValueError("trace, coefficients, and grid disagree")
-    if len(trace.states) != n + 1:
+    plan = trace.plan
+    if len(plan.slots.states) != n + 1:
         raise ValueError("trace does not match the coefficient step count")
 
     xbar = np.asarray(loss_cotangent, dtype=float)
-    if xbar.shape != np.asarray(trace.states[-1]).shape:
+    if xbar.shape != trace.terminal.shape:
         raise ValueError("loss cotangent shape does not match the terminal state")
 
     table = GridTable.of(schedule, grid, coeffs.prediction)
-    evals, R, S = trace.evals, table.R, table.S
-    plan, values = trace.plan, coeffs.values.tolist()
-    preps, points, terms = plan.preps, trace.points, trace.terms
+    slots, preps, terms, Z, view = plan.slots, plan.preps, trace.terms, trace.Z, trace.view
     data = coeffs.prediction == "data"
-    m = n_evals = len(evals)
-    ebars = np.zeros((n_evals,) + xbar.shape)
-    ebar, products = list(ebars), [None] * n_evals
-    # each row's cotangent in sweep order, the pairs (row, evaluation) whose dots
-    # its weight slots take, and per wrapper row the pair (row, step i-1) whose
-    # dot with x_{i-1} R_i takes
-    ybars, pair_rows, pair_evals, wrapper_rows, wrapper_states = [], [], [], [], []
+    m = n_evals = len(terms)
+    Zbar, vbar = _buffer(slots.n, xbar.shape, np.zeros)
+    vbar[slots.states[-1]] = xbar
+    spread, products = _spread(trace.coefs, Z.shape[1]), [None] * n_evals
 
-    # sequential sweep: the cotangents of the states and the evaluations
-    for i in range(len(plan.steps) - 1, -1, -1):
-        ybar, xprev_bar = xbar, None
-        for row in reversed(plan.steps[i]):
+    # sequential sweep: each row adds its evaluation's pullback into its point
+    # slot, then hands its cotangent to its window
+    for rows in reversed(plan.steps):
+        for row in reversed(rows):
             if row.evaluated:
                 m -= 1
-                cot = ebar[m]
+                cot = vbar[row.e]
                 if data:    # e = x_hat = (x - sigma eps) / alpha, linear in eps
                     a, s = preps[m][:2]
-                    zbar, products[m] = model.pullback(preps[m], points[m], terms[m],
+                    zbar, products[m] = model.pullback(preps[m], view[row.out], terms[m],
                                                        (-s / a) * cot)
                     zbar = zbar + cot / a
                 else:
-                    zbar, products[m] = model.pullback(preps[m], points[m], terms[m], cot)
-                ybar = zbar if ybar is None else ybar + zbar
-            w = row_weights(values, row)
-            pair_rows += [len(ybars)] * len(row.m)
-            pair_evals += row.m
-            ybars.append(ybar)
-            if row.wrapper:
-                wrapper_rows.append(len(ybars) - 1)
-                wrapper_states.append(i - 1)
-                scale, share = -S[i - 1], R[i - 1] * ybar
-            else:
-                scale, share = 1.0, ybar
-            for u, e in enumerate(row.m):
-                ebar[e] += (scale * w[u]) * ybar
-            xprev_bar = share if xprev_bar is None else xprev_bar + share
-            ybar = None
-        if xprev_bar is not None:
-            xbar = xprev_bar
+                    zbar, products[m] = model.pullback(preps[m], view[row.out], terms[m], cot)
+                vbar[row.out] += zbar
+            if not row.restates:
+                Zbar[row.lo:row.hi] += spread[row.at:row.to] * Zbar[row.out]
 
-    # batched pass: the dots of each row's cotangent with its evaluations
-    ybars, flat_evals = _flat(ybars), _flat(evals)
-    dots = _row_dots(ybars[pair_rows], flat_evals[pair_evals]).tolist()
+    # batched pass: the dot of each row's cotangent with each evaluation it combined
+    dots = _row_dots(Zbar[slots.pair_out], Z[slots.pair_in])
+
+    def lookups():
+        return np.array([prep[:4] for prep in preps]).T
 
     def time_dots():
         """cot_m . d e_m/dt of every evaluation: the model's time derivatives, with
         the data prediction's chain-rule dots (eps is read back from the kept x_hat)."""
-        tdots = model.time_derivatives(preps, points, terms, products)
+        tdots = model.time_derivatives(preps, trace.points, terms, products)
         if data:
-            a, s, da, ds = np.array([prep[:4] for prep in preps]).T
-            eps = (_flat(points) - a[:, None] * flat_evals) / s[:, None]
-            cots = ebars.reshape(n_evals, -1)
-            tdots = tdots - (ds * _row_dots(cots, eps) + da * _row_dots(cots, flat_evals)) / a
-        return tdots.tolist()
+            a, s, da, ds = lookups()
+            evals, cots = Z[list(slots.evals)], Zbar[list(slots.evals)]
+            eps = (Z[list(slots.points)] - a[:, None] * evals) / s[:, None]
+            tdots = tdots - (ds * _row_dots(cots, eps) + da * _row_dots(cots, evals)) / a
+        return tdots
 
-    # the coefficient accumulations, in the order of the sweep; an ss stage's
-    # offset c is a coefficient, so ss contracts its time derivatives here, each
-    # unclamped stage's taken through d lambda
-    stage_dots = time_dots() if coeffs.kind == "ss" else None
-    grad_values, m, p = [0.0] * len(values), n_evals, 0
-    for i in range(len(plan.steps) - 1, -1, -1):
-        for row in reversed(plan.steps[i]):
-            if row.evaluated:
-                m -= 1
-                if row.lam is not None and not plan.clamped[m]:
-                    # the stage time moves with lambda
-                    a, s, da, ds = preps[m][:4]
-                    stage_dots[m] *= 1.0 / (da / a - ds / s)
-                    if row.lam[1] is not None:
-                        grad_values[row.lam[1]] += stage_dots[m]
-            row_dots = dots[p:p + len(row.m)]
-            p += len(row.m)
-            scale = -S[i - 1] if row.wrapper else 1.0
-            g = [scale * d for d in row_dots]
-            if row.implied:
-                last = g.pop()
-                g = [u - last for u in g]
-            for slot, u in zip(range(row.slots.start, row.slots.stop), g):
-                grad_values[slot] += u
+    # the coefficient gradient, accumulated in the order of the sweep
+    g = trace.scales[slots.pair_pos] * dots
+    grad_values = np.bincount(slots.scatter_slot, g[slots.scatter_pair] * slots.scatter_sign,
+                              minlength=coeffs.values.size)
+    stage_dots = None
+    if coeffs.kind == "ss":
+        # a stage's offset c is a coefficient: its time derivative, taken through
+        # d lambda unless the stage was clamped
+        a, s, da, ds = lookups()
+        stage_dots = time_dots() * (1.0 / (da / a - ds / s))
+        stage_dots[plan.clamped] = 0.0
+        stage_dots = stage_dots.reshape(n, -1)
+        grad_values[slots.c_index] = stage_dots[:, 1:]
 
     time_params = None if params is None else (params.xi.copy(), params.xi_c.copy(),
                                                params.clip_fraction)
@@ -222,37 +195,27 @@ def backward(
     def contract_time():
         """(grad_steps, grad_score_times, grad_xi, grad_xi_c), accumulated in the
         order of the sweep."""
-        tdots = stage_dots if stage_dots is not None else time_dots()
-        rdots = _row_dots(ybars[wrapper_rows], _flat(trace.states)[wrapper_states]).tolist()
-        tbar, tcbar = [0.0] * (n + 1), [0.0] * (n + 1)
+        tbar, tcbar = np.zeros(n + 1), np.zeros(n + 1)
+        if stage_dots is None:      # evaluation m sits at score time m
+            tcbar[:n_evals] = time_dots()
+        else:                       # each stage's time moves with the step start
+            terms_in_sweep = stage_dots * table.log_snr[1][:-1, None]
+            tbar[:-1] = terms_in_sweep[:, -1]
+            for j in range(terms_in_sweep.shape[1] - 2, -1, -1):
+                tbar[:-1] += terms_in_sweep[:, j]
+        rbar = np.bincount(slots.x_step, _row_dots(Zbar[slots.x_out], Z[slots.x_in]),
+                           minlength=n + 1)[1:]
+        sbar = -np.bincount(slots.pair_step, trace.weights[slots.pair_pos] * dots,
+                            minlength=n + 2)[1:n + 1]
         dR_p, dR_n, dS_p, dS_n = table.partials
-        m, p, r = n_evals, 0, 0
-        for i in range(len(plan.steps) - 1, -1, -1):
-            rbar = sbar = 0.0
-            for row in reversed(plan.steps[i]):
-                if row.evaluated:
-                    m -= 1
-                    if row.tc is not None:
-                        tcbar[row.tc] += tdots[m]
-                    if row.lam is not None and not plan.clamped[m]:
-                        step = row.lam[0]
-                        tbar[step] += tdots[m] * table.log_snr[1][step]
-                row_dots = dots[p:p + len(row.m)]
-                p += len(row.m)
-                if row.wrapper:
-                    rbar += rdots[r]
-                    r += 1
-                    sbar -= float(np.dot(row_weights(values, row), row_dots))
-            if i:
-                tbar[i] += rbar * dR_n[i - 1] + sbar * dS_n[i - 1]
-                tbar[i - 1] += rbar * dR_p[i - 1] + sbar * dS_p[i - 1]
-        tbar, tcbar = np.array(tbar), np.array(tcbar)
+        tbar[:-1] += rbar * dR_p + sbar * dS_p
+        tbar[1:] += rbar * dR_n + sbar * dS_n
         if time_params is None:
             return tbar, tcbar, None, None
         return (tbar, tcbar, *grid_gradient_vjp(LearnableTimeParams(*time_params), schedule,
                                                 tbar, tcbar))
 
-    return AdjointResult(np.array(grad_values), xbar, contract_time)
+    return AdjointResult(grad_values, vbar[slots.states[0]].copy(), contract_time)
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,8 @@ def _fine_fixed_solve(config, schedule, model, x_init):
     grid = heuristic_grid(schedule, config.fine_nfe, config.fine_grid)
     coeffs = init_preset("pc", config.fine_order, config.fine_nfe, "unipc",
                          schedule=schedule, grid=grid)
-    return solve(coeffs, schedule, grid, model, np.asarray(x_init, dtype=float)).terminal
+    # a copy: the terminal state is a view of the whole solve's buffer
+    return solve(coeffs, schedule, grid, model, np.asarray(x_init, dtype=float)).terminal.copy()
 
 
 def teacher_solve(config: TeacherConfig, schedule: NoiseSchedule, model, x_init):

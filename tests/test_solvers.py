@@ -10,7 +10,7 @@ from fewstep.coeffs import SolverCoefficients, init_preset
 from fewstep.errors import DivergenceError
 from fewstep.grids import TimeGrid, heuristic_grid
 from fewstep.schedules import VeSchedule, VpLinearSchedule
-from fewstep.solvers import row_weights, solve, wrapper_factors
+from fewstep.solvers import GridTable, _layout_plan, solve, wrapper_factors, wrapper_partials
 from fewstep.teachers import TeacherConfig, exact_gaussian_solution, teacher_solve
 from oracle import exact_step_integrand
 
@@ -56,7 +56,7 @@ class TestLmsStep:
             ref = exact_step_integrand(ve, x1, times[1], times[2],
                                        lambda s, t: gauss.epsilon(gauss.prepare(ve.at(t)), s))
             g = TimeGrid(steps=times, score_times=times.copy())
-            R, S = wrapper_factors(ve, g.steps, "noise")
+            R, S = wrapper_factors(ve.at(g.steps), "noise")
             eps0 = gauss.epsilon(gauss.prepare(ve.at(times[0])), x0)
             coeffs = SolverCoefficients(kind="lms", order=2, n_steps=2)
             coeffs.values[coeffs.b_slice(1)] = np.dot(R[0] * x0 - x1, eps0) / (
@@ -209,10 +209,9 @@ class TestSolve:
             for _ in range(25):
                 coeffs.values[:] = rng.normal(size=coeffs.values.size) * 10.0 ** rng.integers(
                     -3, 4, size=coeffs.values.size)
-                steps = solve(coeffs, ve, grid, zero_model, np.ones(2)).plan.steps
-                values = coeffs.values.tolist()
+                trace = solve(coeffs, ve, grid, zero_model, np.ones(2))
                 for i in range(1, 7):
-                    assert row_weights(values, steps[i][1]) == \
+                    assert _solve_weights(trace, trace.plan.steps[i][1]) == \
                         coeffs.corrector_weights(i).tolist()
 
     def test_grid_mismatch_rejected(self, ve, mixture):
@@ -223,6 +222,21 @@ class TestSolve:
 
 
 FAMILIES = [("lms", 3, "ipndm"), ("pc", 2, "unipc"), ("ss", 2, "gaussian")]
+
+
+def row_weights(values: list, row) -> list:
+    """The reference weights of ``row`` from ``values = coeffs.values.tolist()``: its
+    slots, then for ``implied`` 1 - sum(them), summed in order."""
+    w = values[row.slots]
+    if row.implied:
+        w.append(1.0 - sum(w))
+    return w
+
+
+def _solve_weights(trace, row) -> list:
+    """The weights a solve ran ``row`` with, in the row's weight order."""
+    evals = trace.plan.slots.evals
+    return [float(trace.weights[row.at + evals[j] - row.lo]) for j in row.m]
 
 
 def _row_slots(coeffs, i):
@@ -271,13 +285,14 @@ class TestPlans:
     def test_grid_tables_do_not_grow(self, request, kind, preset, read, bound_kib,
                                      schedule_name, mixture, rng):
         # what a grid's tables retain after one N=8 solve and reverse pass at B=20:
-        # the wrapper factors, the plan with one record per evaluation, and the
-        # model's stack; a pass that reads a time block also builds the factors'
-        # partials and the stack's slope constants.  One array view more per record
-        # adds 1.2/1.3 KiB over the 8/9 records of lms/pc, and each bound lies about
-        # 0.55 KiB above the largest size measured on VE and VP-linear (lms/pc
-        # 7.83/8.45 KiB reading the coefficient blocks only, 9.49/10.22 KiB reading a
-        # time block too), so a record that gains an array fails here
+        # the lookup of the steps and the wrapper factors, the plan with one record
+        # per evaluation, and the model's stack; a pass that reads a time block also
+        # builds the factors' partials and the stack's slope constants.  One array
+        # view more per record adds 1.2/1.3 KiB over the 8/9 records of lms/pc; the
+        # largest sizes measured on VE and VP-linear are lms/pc 8.35/8.95 KiB
+        # reading the coefficient blocks only and 9.68/10.30 KiB reading a time block
+        # too (the kept lookup of the steps added ~0.5 KiB to the coefficient-only
+        # sizes), so a record that gains an array fails here
         schedule = request.getfixturevalue(schedule_name)
         x, cot = rng.standard_normal((2, 20, 2))
 
@@ -361,6 +376,154 @@ class TestPlans:
             with pytest.raises(DivergenceError) as err:
                 solve(blown, schedule, grid, mixture, x)
             assert err.value.step_index == i
+
+
+class TestSlots:
+    """A solve keeps its states, stage states and evaluations in one buffer, and
+    each row is a coefficient vector over one window of it."""
+
+    @pytest.mark.parametrize("kind", ["lms", "pc", "ss"])
+    def test_every_window_holds_members_and_earlier_states_only(self, kind):
+        for n in range(1, 9):
+            for order in range(1, min(4, n) + 1):
+                for tied in (False, True) if kind == "lms" else (False,):
+                    plan = _layout_plan(kind, order, n, tied)
+                    slots, states = plan.slots, set(plan.slots.states)
+                    written = {slots.states[0]}
+                    for i, rows in enumerate(plan.steps):
+                        for row in rows:
+                            if not row.restates:
+                                members = {slots.states[i - 1]} | {slots.evals[j] for j in row.m}
+                                window = set(range(row.lo, row.hi))
+                                assert row.to - row.at == row.hi - row.lo
+                                assert members <= window <= written, (kind, order, n, tied, i)
+                                assert window - members <= states, (kind, order, n, tied, i)
+                                assert row.out not in written
+                                written.add(row.out)
+                            if row.evaluated:
+                                assert row.e not in written
+                                written.add(row.e)
+                    assert written == set(range(slots.n))
+
+    @pytest.mark.parametrize("kind, order, tied", [
+        ("lms", 3, False), ("lms", 3, True), ("pc", 1, False), ("pc", 3, False),
+        ("pc", 4, False), ("ss", 3, False)])
+    @pytest.mark.parametrize("prediction", ["noise", "data"])
+    def test_coefficient_vectors_match_the_per_row_reference(self, kind, order, tied,
+                                                             prediction, vp, zero_model, rng):
+        # R_i on x_{i-1} and -S_i w on the evaluations of a wrapper row, 1 and w of a
+        # stage row, 0 on the other states of the window; pc's implied weight as
+        # row_weights forms it
+        n = 7
+        grid = heuristic_grid(vp, n, "logsnr")
+        R, S = wrapper_factors(vp.at(grid.steps), prediction)
+        coeffs = SolverCoefficients(kind, order, n, prediction=prediction, tied=tied)
+        for _ in range(5):
+            coeffs.values[:] = rng.normal(size=coeffs.values.size) * 10.0 ** rng.integers(
+                -3, 4, size=coeffs.values.size)
+            trace = solve(coeffs, vp, grid, zero_model, np.ones(2))
+            slots, values = trace.plan.slots, coeffs.values.tolist()
+            for i, rows in enumerate(trace.plan.steps):
+                for row in rows:
+                    if row.restates:
+                        continue
+                    w = row_weights(values, row)
+                    expected = [0.0] * (row.hi - row.lo)
+                    expected[slots.states[i - 1] - row.lo] = R[i - 1] if row.wrapper else 1.0
+                    for u, j in enumerate(row.m):
+                        expected[slots.evals[j] - row.lo] = -S[i - 1] * w[u] if row.wrapper \
+                            else w[u]
+                    assert trace.coefs[row.at:row.to].tolist() == expected, (i, row)
+
+    @pytest.mark.parametrize("prediction", ["noise", "data"])
+    def test_grid_table_looks_the_schedule_up_once(self, prediction):
+        # one lookup of the steps gives the wrapper factors, their partials and
+        # lambda, d lambda/dt, bit for bit as each would alone
+        calls = []
+
+        class Counting(VpLinearSchedule):
+            def at(self, t):
+                calls.append(np.size(t))
+                return super().at(t)
+
+        schedule = Counting()
+        grid = heuristic_grid(schedule, 6, "logsnr")
+        calls.clear()
+        table = GridTable(schedule, grid, prediction)
+        partials, (lam, dlam) = table.partials, table.log_snr
+        assert calls == [7]
+        a, s, da, ds = at = VpLinearSchedule().at(grid.steps)
+        R, S = wrapper_factors(at, prediction)
+        assert table.factors.tolist() == [*R.tolist(), *(-S).tolist(), 1.0]
+        for got, want in zip(partials, wrapper_partials(at, prediction)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(lam, np.log(a) - np.log(s))
+        assert np.array_equal(dlam, da / a - ds / s)
+
+
+class ElementwiseModel:
+    """eps = sigma x / (1 + x^2), each value from its own by +, * and /, so a batch
+    computes every value as it would alone: a solve's bits can then depend on
+    the batch a draw is in only through how the rows combine."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def prepare(self, at):
+        return tuple(at) if np.ndim(at[0]) == 0 else list(zip(*at))
+
+    def evaluate(self, p, x, prediction="noise"):
+        x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise FloatingPointError("non-finite state passed to score model")
+        eps = p[1] * x / (1.0 + x * x)
+        return (eps if prediction == "noise" else (x - p[1] * eps) / p[0]), None
+
+
+# order 4 makes windows of 8 and 9 rows, where numpy sums one column pairwise
+BATCH_FAMILIES = [("lms", 4, "ipndm"), ("pc", 4, "unipc"), ("ss", 2, "dpmpp")]
+
+
+def _alone_and_in_a_batch(model, schedule, draws, prediction="noise"):
+    """``(kind, draws differing)`` of each family: the terminal state of each draw
+    solved alone against its row of the solve of all of them, at N = 6."""
+    grid = heuristic_grid(schedule, 6, "logsnr")
+    out = []
+    for kind, order, preset in BATCH_FAMILIES:
+        if kind == "ss" and prediction == "data":
+            preset = "gaussian"             # the midpoint preset is noise-only
+        coeffs = init_preset(kind, order, 6, preset, schedule=schedule, grid=grid,
+                             prediction=prediction, seed=4)
+        if preset == "gaussian":
+            coeffs.values *= 0.2
+        batch = solve(coeffs, schedule, grid, model, draws).terminal
+        alone = np.array([solve(coeffs, schedule, grid, model, x).terminal for x in draws])
+        out.append((kind, int((alone != batch).any(axis=-1).sum())))
+    return out
+
+
+@pytest.mark.parametrize("schedule_name", ["ve", "vp"])
+@pytest.mark.parametrize("prediction", ["noise", "data"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rows_give_a_draw_the_same_bits_alone_and_in_a_batch(request, schedule_name,
+                                                             prediction, dim):
+    # an elementwise model leaves only the rows: each sums its window in window
+    # order, whatever the batch, where a np.dot over the window would not; a
+    # draw of dim 1 alone is one column, which numpy would sum pairwise
+    schedule = request.getfixturevalue(schedule_name)
+    draws = schedule.tilde_sigma * np.random.default_rng(5).standard_normal((200, dim))
+    assert _alone_and_in_a_batch(ElementwiseModel(dim), schedule, draws, prediction) == \
+        [(kind, 0) for kind, _, _ in BATCH_FAMILIES]
+
+
+@pytest.mark.xfail(strict=True, reason="the mixture kernel's matrix products (win @ x.T, "
+                   "means @ cot.T, gamma.T @ wout) give a draw other bits in a batch than "
+                   "alone (ROADMAP item 13)")
+def test_batch_composition_does_not_move_a_solves_bits(ve, vp, mixture):
+    draws = np.random.default_rng(5).standard_normal((200, 2))
+    moved = [(name, *case) for name, schedule in (("ve", ve), ("vp", vp))
+             for case in _alone_and_in_a_batch(mixture, schedule, schedule.tilde_sigma * draws)]
+    assert all(count == 0 for *_, count in moved), moved
 
 
 class TestDataPrediction:
